@@ -3,7 +3,9 @@ package passivespread
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -201,6 +203,153 @@ func TestSweepBatchBitIdentical(t *testing.T) {
 	for _, batch := range []int{8, MaxBatch} {
 		if got := run(batch); !reflect.DeepEqual(base, got) {
 			t.Fatalf("sweep with Batch=%d differs from unbatched:\n%s\n%s", batch, base.CSV(), got.CSV())
+		}
+	}
+}
+
+// roundBarrier is an Observer that blocks in round 1 until every one of
+// the parties replicates sharing the barrier has reached it, failing
+// its replicate if they do not all arrive within the timeout — which is
+// what happens when the replicates run one after another.
+type roundBarrier struct {
+	arrive  *sync.WaitGroup
+	all     <-chan struct{}
+	timeout time.Duration
+}
+
+func (b roundBarrier) ObserveRound(ev RoundEvent) error {
+	if ev.Round != 1 {
+		return nil
+	}
+	b.arrive.Done()
+	select {
+	case <-b.all:
+		return nil
+	case <-time.After(b.timeout):
+		return fmt.Errorf("round-1 barrier: the other replicates never arrived within %v", b.timeout)
+	}
+}
+
+// TestStudySparseReplicatesRunConcurrently: a configuration lockstep
+// cannot run (a sparse topology) spreads its replicates across the
+// workers even under a Batch width, instead of queueing them as the
+// lanes of one task. Both replicates must be inside round 1 at the same
+// time, and the results must equal the sequential run's.
+func TestStudySparseReplicatesRunConcurrently(t *testing.T) {
+	regular, err := ParseTopology("random-regular:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const replicates = 2
+	opts := Options{N: 256, Seed: 41, Topology: regular, Init: HalfInit(), MaxRounds: 50}
+	var arrive sync.WaitGroup
+	arrive.Add(replicates)
+	all := make(chan struct{})
+	go func() {
+		arrive.Wait()
+		close(all)
+	}()
+	concurrent, err := mustStudy(t, StudySpec{
+		Replicates: replicates,
+		Workers:    2,
+		Batch:      32,
+		Options:    opts,
+		Observe: func(int) []Observer {
+			return []Observer{roundBarrier{arrive: &arrive, all: all, timeout: 10 * time.Second}}
+		},
+	}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequential, err := mustStudy(t, StudySpec{Replicates: replicates, Workers: 1, Batch: 1, Options: opts}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(concurrent.Results, sequential.Results) {
+		t.Fatalf("concurrent results differ from the sequential run:\n%+v\n%+v", concurrent.Results, sequential.Results)
+	}
+}
+
+// TestSweepPerReplicateCellsBitIdentical: cells lockstep cannot run —
+// sparse agent cells and aggregate cells, on both the complete graph
+// and a degree-annealed sparse one — are scheduled one replicate per
+// task, and their rows at Workers 4 × Batch 32 equal those at
+// Workers 1 × Batch 1.
+func TestSweepPerReplicateCellsBitIdentical(t *testing.T) {
+	worst, _ := ScenarioByName(DefaultScenario)
+	half, _ := ScenarioByName("half-split")
+	regular, err := ParseTopology("random-regular:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallWorld, err := ParseTopology("small-world:4:0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := []struct {
+		name string
+		spec SweepSpec
+	}{
+		{"sparse-agent", SweepSpec{Topologies: []Topology{regular, smallWorld}, Engines: []EngineKind{EngineAgentFast}}},
+		{"sparse-aggregate", SweepSpec{Topologies: []Topology{regular},
+			Engines: []EngineKind{EngineAgentFast, EngineAggregateSparse}}},
+		{"complete-aggregate", SweepSpec{Engines: []EngineKind{EngineAgentFast, EngineAggregate}}},
+	}
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
+			spec := g.spec
+			spec.Ns = []int{256}
+			spec.Scenarios = []Scenario{worst, half}
+			spec.Replicates = 6
+			spec.MaxRounds = 120
+			spec.Seed = 9
+			run := func(workers, batch int) *SweepReport {
+				t.Helper()
+				spec.Workers, spec.Batch = workers, batch
+				sweep, err := NewSweep(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := sweep.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			if base, got := run(1, 1), run(4, 32); !reflect.DeepEqual(base, got) {
+				t.Fatalf("Workers 4 × Batch 32 differs from Workers 1 × Batch 1:\n%s\n%s", base.CSV(), got.CSV())
+			}
+		})
+	}
+}
+
+// TestStudyObserveCallsSerialized: the Observe hook may keep unguarded
+// bookkeeping — the Study never calls it from two workers at once, even
+// when replicates run concurrently (the race detector checks this in
+// CI).
+func TestStudyObserveCallsSerialized(t *testing.T) {
+	regular, err := ParseTopology("random-regular:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const replicates = 12
+	calls := make(map[int]int) // unguarded on purpose
+	_, err = mustStudy(t, StudySpec{
+		Replicates: replicates,
+		Workers:    4,
+		Batch:      8,
+		Options:    Options{N: 128, Seed: 5, Topology: regular, MaxRounds: 20},
+		Observe: func(i int) []Observer {
+			calls[i]++
+			return nil
+		},
+	}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < replicates; i++ {
+		if calls[i] != 1 {
+			t.Fatalf("Observe(%d) called %d times, want 1", i, calls[i])
 		}
 	}
 }

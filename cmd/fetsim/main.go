@@ -48,7 +48,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
 		replicates = flag.Int("replicates", 1, "number of replicate runs (a study when > 1)")
 		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch (0 or 1 = off, max 64; never changes results)")
+		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch where lockstep runs (complete topology, trend protocol, fast/parallel engine); elsewhere replicates spread across -jobs (0 or 1 = off, max 64; never changes results)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
 	)
 	flag.Parse()

@@ -26,8 +26,9 @@ type StepJump struct {
 func (j *StepJump) Steps() int { return j.m }
 
 // NewStepJump builds the m-step jump. Construction runs 256·m serial
-// state steps (one per basis bit), so it is meant to be built once per
-// executor and shared read-only across shards.
+// state steps (one per basis bit), so it is meant to be built once and
+// shared read-only — the simulator builds one per executor pool and
+// hands it to every executor and shard the pool leases.
 func NewStepJump(m int) *StepJump {
 	if m < 0 {
 		panic("rng: NewStepJump called with negative m")
@@ -107,8 +108,11 @@ type JumpLadder struct {
 }
 
 // NewJumpLadder builds depth levels over base (depth ≥ 1; level 0 is
-// base itself). Rungs build by repeated squaring, ~30µs each, so a
-// ladder is meant to be built once per executor and shared read-only.
+// base itself). Rungs build by repeated squaring, ~30µs and 256 KB
+// each, so a ladder is meant to be built once and shared read-only —
+// the simulator keeps one per executor pool — with no more rungs than
+// the largest debt needs: Flush is exact at any depth, only slower past
+// the top rung.
 func NewJumpLadder(base *StepJump, depth int) *JumpLadder {
 	if depth < 1 {
 		panic("rng: NewJumpLadder called with depth < 1")
@@ -120,6 +124,9 @@ func NewJumpLadder(base *StepJump, depth int) *JumpLadder {
 	}
 	return l
 }
+
+// Depth returns the ladder's number of rungs.
+func (l *JumpLadder) Depth() int { return len(l.levels) }
 
 // BaseSteps returns the stream outputs one unit of Flush debt consumes.
 func (l *JumpLadder) BaseSteps() int { return l.levels[0].m }

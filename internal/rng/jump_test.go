@@ -87,6 +87,28 @@ func TestJumpLadderFlushMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestJumpLadderDepthInvariant: a ladder's depth changes its cost, never
+// its result — Flush on a shallow ladder must leave exactly the state a
+// full-depth ladder leaves, for debts inside, at and past the shallow
+// ladder's top rung.
+func TestJumpLadderDepthInvariant(t *testing.T) {
+	const base = 6
+	full := NewJumpLadder(NewStepJump(base), 16)
+	for _, k := range []int{1, 3, 8} {
+		shallow := NewJumpLadder(NewStepJump(base), k)
+		top := uint64(1) << uint(k)
+		for _, units := range []uint64{0, 1, top - 1, top, 3*top + 5, 70000} {
+			a := New(7 + units)
+			b := *a
+			shallow.Flush(a, units)
+			full.Flush(&b, units)
+			if *a != b {
+				t.Fatalf("depth %d: Flush(%d) diverged from the depth-16 ladder", k, units)
+			}
+		}
+	}
+}
+
 // TestNewJumpLadderPanicsOnZeroDepth guards the constructor contract.
 func TestNewJumpLadderPanicsOnZeroDepth(t *testing.T) {
 	defer func() {

@@ -35,7 +35,7 @@ type roundExecutor interface {
 func newRoundExecutor(c *Config) (roundExecutor, error) {
 	switch c.Engine {
 	case EngineAgentFast, EngineAgentExact, EngineAgentParallel:
-		return newAgentExecutor(c)
+		return newAgentExecutor(c, nil)
 	case EngineAggregate, EngineAggregateSparse:
 		return newAggregateExecutor(c)
 	default:
@@ -133,7 +133,10 @@ type reusableObserver interface {
 	newRound(round int, x float64, tables []roundTable)
 }
 
-func newAgentExecutor(c *Config) (*agentExecutor, error) {
+// newAgentExecutor builds an executor for c. The pool p supplies the
+// read-only state executors share (the graph jump ladder); nil builds
+// it privately.
+func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 	n := c.N
 	e := &agentExecutor{
 		initBuf:     make([]byte, n),
@@ -183,12 +186,12 @@ func newAgentExecutor(c *Config) (*agentExecutor, error) {
 	e.observers = make([]reusableObserver, e.workers)
 	var graphLadder *rng.JumpLadder
 	if e.graph != nil {
-		if j := graphRoundJump(e.graph, c); j != nil {
+		if steps := graphRoundSteps(e.graph, c); steps > 0 {
 			// Homogeneous-row rounds defer their stream advance into a
 			// per-agent debt counter; the ladder settles any debt in
 			// O(log debt) applications. Shards own disjoint agent ranges,
 			// so the counters race-free under parallel stepping.
-			graphLadder = rng.NewJumpLadder(j, jumpLadderDepth)
+			graphLadder = p.jumpLadder(steps, c.MaxRounds)
 			e.deficit = make([]uint32, n)
 		}
 	}

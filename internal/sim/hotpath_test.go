@@ -89,7 +89,7 @@ func TestStepZeroAllocsPerRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := newAgentExecutor(&c)
+			e, err := newAgentExecutor(&c, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,6 +61,24 @@ type LaneResult struct {
 	Err    error
 }
 
+// LockstepWidth returns the batch width a scheduler should group cfg's
+// replicates into: requested when cfg can run on the lockstep executor,
+// 1 otherwise (and for an invalid cfg, whose replicates then report the
+// error one by one). Replicates the lockstep executor cannot run gain
+// nothing from sharing a task — RunLockstep would run its lanes one
+// after another on a single goroutine — so schedulers spread them one
+// per task across their workers instead.
+func LockstepWidth(cfg Config, requested int) int {
+	if requested <= 1 {
+		return 1
+	}
+	c, err := cfg.withDefaults()
+	if err != nil || !lockstepSupported(&c) {
+		return 1
+	}
+	return requested
+}
+
 // lockstepSupported reports whether the defaulted config c can run on
 // the lockstep executor: a tabulated-fast-path engine (EngineAgentFast,
 // or EngineAgentParallel, which is defined to be bit-identical to fast)

@@ -264,10 +264,11 @@ func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config, ladder *rng.Ju
 // more draws per round than this keep the serial homogeneous-row path.
 const maxRoundJumpSteps = 1 << 16
 
-// jumpLadderDepth is the number of powers-of-two rungs built over the
+// jumpLadderDepth caps the number of powers-of-two rungs built over the
 // whole-round jump: deferred-round debts up to 2^16−1 settle in
 // popcount applications, and longer ones (an agent homogeneous for a
-// whole epoch) fall back to repeated top-rung applications.
+// whole epoch) fall back to repeated top-rung applications. Shorter
+// round caps build fewer rungs (see Pool.jumpLadder).
 const jumpLadderDepth = 16
 
 // flushDebt settles the agent's deferred stream advance before the
@@ -280,28 +281,29 @@ func (o *graphObserver) flushDebt(agent int, src *rng.Source) {
 	}
 }
 
-// graphRoundJump builds the whole-round stream jump shared by every
-// shard's graph observer: DrawsPerRound·m steps, the exact per-round
-// consumption of the fused (power-of-two degree, noiseless) contract.
-// nil when the contract cannot hold for this (graph, protocol) pair.
-func graphRoundJump(g *topo.Graph, c *Config) *rng.StepJump {
+// graphRoundSteps returns the step count of the whole-round stream jump
+// shared by every shard's graph observer: DrawsPerRound·m, the exact
+// per-round consumption of the fused (power-of-two degree, noiseless)
+// contract. 0 when the contract cannot hold for this (graph, protocol)
+// pair.
+func graphRoundSteps(g *topo.Graph, c *Config) int {
 	deg := g.Degree()
 	if !g.PackedRows() || deg&(deg-1) != 0 {
-		return nil
+		return 0
 	}
 	fd, ok := c.Protocol.(FixedDraws)
 	if !ok {
-		return nil
+		return 0
 	}
 	m, single := singleSampleSize(c.Protocol.SampleSizes())
 	if !single || m < 1 {
-		return nil
+		return 0
 	}
 	d := fd.DrawsPerRound()
 	if d < 1 || d > maxRoundJumpSteps/m {
-		return nil
+		return 0
 	}
-	return rng.NewStepJump(d * m)
+	return d * m
 }
 
 // singleSampleSize reports the protocol's sole distinct declared sample

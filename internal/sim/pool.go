@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 
+	"passivespread/internal/rng"
 	"passivespread/internal/topo"
 )
 
@@ -33,6 +35,11 @@ type poolKey struct {
 // keeping results bit-identical: populate replays exactly the RNG
 // consumption of a fresh construction.
 //
+// The Pool also owns the read-only state its executors can share: the
+// graph observer's stream-jump ladders, built once per (round jump,
+// depth) and handed to every executor leased concurrently, so running
+// W sparse replicates at once costs one ladder, not W.
+//
 // A Pool is safe for concurrent use. Call Release when a batch
 // finishes: it drops the idle executors and stops their persistent
 // workers (leaked otherwise for EngineAgentParallel). The Pool remains
@@ -41,14 +48,44 @@ type Pool struct {
 	mu       sync.Mutex
 	free     map[poolKey][]*agentExecutor
 	freeLock map[poolKey][]*lockstepExecutor
+	ladders  map[ladderKey]*rng.JumpLadder
 }
 
-// NewPool returns an empty executor pool.
-func NewPool() *Pool {
-	return &Pool{
-		free:     make(map[poolKey][]*agentExecutor),
-		freeLock: make(map[poolKey][]*lockstepExecutor),
+// ladderKey is a jump ladder's shape: the whole-round step count of its
+// base rung and its number of rungs.
+type ladderKey struct{ steps, depth int }
+
+// NewPool returns an empty executor pool. Its maps are allocated on
+// first insert, so a pool that never leases (a Study that is built but
+// not run) costs one small allocation.
+func NewPool() *Pool { return &Pool{} }
+
+// jumpLadder returns the shared ladder over a steps-output round jump
+// for replicates of at most maxRounds rounds, building it on first use.
+// A per-agent deferred debt never exceeds the rounds run, so
+// bits.Len(maxRounds) rungs (capped at jumpLadderDepth) settle every
+// debt in popcount applications; the depth changes no stream byte,
+// since JumpLadder.Flush is exact past its top rung. A nil *Pool builds
+// a private ladder.
+func (p *Pool) jumpLadder(steps, maxRounds int) *rng.JumpLadder {
+	depth := min(jumpLadderDepth, max(1, bits.Len(uint(maxRounds))))
+	if p == nil {
+		return rng.NewJumpLadder(rng.NewStepJump(steps), depth)
 	}
+	key := ladderKey{steps, depth}
+	// Built under the lock: a concurrent lease of the same shape waits
+	// for this ladder rather than building a second one.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.ladders[key]
+	if l == nil {
+		l = rng.NewJumpLadder(rng.NewStepJump(steps), depth)
+		if p.ladders == nil {
+			p.ladders = make(map[ladderKey]*rng.JumpLadder)
+		}
+		p.ladders[key] = l
+	}
+	return l
 }
 
 // RunContext is RunContext with executor reuse: it leases a pooled
@@ -88,7 +125,7 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 
 	e := p.get(key)
 	if e == nil {
-		e, err = newAgentExecutor(&c)
+		e, err = newAgentExecutor(&c, p)
 	} else {
 		err = e.populate(&c)
 	}
@@ -187,6 +224,9 @@ func (p *Pool) get(key poolKey) *agentExecutor {
 func (p *Pool) put(key poolKey, e *agentExecutor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.free == nil {
+		p.free = make(map[poolKey][]*agentExecutor)
+	}
 	p.free[key] = append(p.free[key], e)
 }
 
@@ -205,12 +245,16 @@ func (p *Pool) getLock(key poolKey) *lockstepExecutor {
 func (p *Pool) putLock(key poolKey, e *lockstepExecutor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.freeLock == nil {
+		p.freeLock = make(map[poolKey][]*lockstepExecutor)
+	}
 	p.freeLock[key] = append(p.freeLock[key], e)
 }
 
-// Release closes and drops every idle executor. Executors leased at call
-// time are unaffected — they return to the pool when their replicate
-// finishes and are freed by the next Release.
+// Release closes and drops every idle executor and the shared jump
+// ladders. Executors leased at call time are unaffected — they keep
+// their ladder, return to the pool when their replicate finishes and
+// are freed by the next Release.
 func (p *Pool) Release() {
 	if p == nil {
 		return
@@ -230,4 +274,5 @@ func (p *Pool) Release() {
 		// references releases their buffers.
 		delete(p.freeLock, key)
 	}
+	clear(p.ladders)
 }

@@ -47,78 +47,118 @@ type gatherPlan struct {
 }
 
 // refreshPlan (re)builds the graph's gather plan from its current
-// adjacency, reusing the plan's backing arrays across Rebuilds. Graphs
-// with out-degree beyond maxGatherDegree carry no plan.
+// adjacency. A counting pass groups every row into its bitset words and
+// totals the segments and entries; that decides whether the plan pays
+// at all, and sizes its arrays exactly before a second pass fills them.
+// A fresh live plan therefore allocates each array once, at its final
+// length, a Rebuild reuses the arrays whenever they are large enough (a
+// same-seed Rebuild allocates nothing), and a dormant plan is never
+// materialized. Graphs with out-degree beyond maxGatherDegree carry no
+// plan.
 func (g *Graph) refreshPlan() {
+	g.planLive = false
 	if g.deg > maxGatherDegree || g.deg < 1 {
 		g.plan = nil
-		g.planLive = false
 		return
 	}
-	p := g.plan
-	if p == nil {
-		p = &gatherPlan{}
-		g.plan = p
-	}
-	if cap(p.segPtr) < g.n+1 {
-		p.segPtr = make([]int32, g.n+1)
-		p.entPtr = make([]int32, g.n+1)
-	}
-	p.segPtr = p.segPtr[:g.n+1]
-	p.entPtr = p.entPtr[:g.n+1]
-	p.segs = p.segs[:0]
-	p.ents = p.ents[:0]
 
-	// Per-agent scratch: distinct words in first-touch order. deg ≤ 64
-	// bounds everything, so the grouping runs on the stack.
-	var words [maxGatherDegree]int32
-	var masks, posMasks [maxGatherDegree]uint64
+	var rg rowGroups
+	nseg, nent := 0, 0
 	for a := 0; a < g.n; a++ {
-		p.segPtr[a] = int32(len(p.segs))
-		p.entPtr[a] = int32(len(p.ents))
-		row := g.adj[a*g.deg : (a+1)*g.deg]
-		nw := 0
-	group:
-		for j, v := range row {
-			w := v >> 6
-			off := uint(v) & 63
-			for k := 0; k < nw; k++ {
-				if words[k] == w {
-					masks[k] |= 1 << off
-					posMasks[k] |= 1 << uint(j)
-					continue group
-				}
-			}
-			words[nw] = w
-			masks[nw] = 1 << off
-			posMasks[nw] = 1 << uint(j)
-			nw++
-		}
-		for k := 0; k < nw; k++ {
-			p.segs = append(p.segs, gatherSeg{word: words[k], mask: masks[k], posMask: posMasks[k]})
-			if bits.OnesCount64(masks[k]) == 1 {
-				continue // the segment is its own entry
-			}
-			// Multi-neighbor word: emit one entry per row position, in
-			// row order.
-			for j, v := range row {
-				if v>>6 == words[k] {
-					p.ents = append(p.ents, gatherEnt{off: uint8(uint(v) & 63), pos: uint8(j)})
-				}
+		nw := rg.group(g.adj[a*g.deg : (a+1)*g.deg])
+		nseg += nw
+		for _, m := range rg.masks[:nw] {
+			if c := bits.OnesCount64(m); c > 1 {
+				nent += c
 			}
 		}
 	}
-	p.segPtr[g.n] = int32(len(p.segs))
-	p.entPtr[g.n] = int32(len(p.ents))
 	// The plan only pays for itself when neighbor bits share bitset words
 	// (ring, torus, small-world clusters): merged segments turn several
 	// scattered reads into one masked load. Scattered graphs (random
 	// k-out and its rewired variant) merge almost nothing — nearly every
 	// segment is a singleton, and walking 24-byte segment records costs
 	// more in instructions and cache traffic than gathering straight from
-	// the 4-byte adjacency row — so the plan stays dormant unless merging
-	// removed at least a quarter of the loads.
-	g.planLive = 4*len(p.segs) <= 3*g.n*g.deg
+	// the 4-byte adjacency row — so the plan stays dormant, and unbuilt,
+	// unless merging removed at least a quarter of the loads.
+	if 4*nseg > 3*g.n*g.deg {
+		return
+	}
+
+	p := g.plan
+	if p == nil {
+		p = &gatherPlan{}
+		g.plan = p
+	}
+	p.segPtr = resize(p.segPtr, g.n+1)
+	p.entPtr = resize(p.entPtr, g.n+1)
+	p.segs = resize(p.segs, nseg)
+	p.ents = resize(p.ents, nent)
+	si, ei := 0, 0
+	for a := 0; a < g.n; a++ {
+		p.segPtr[a] = int32(si)
+		p.entPtr[a] = int32(ei)
+		row := g.adj[a*g.deg : (a+1)*g.deg]
+		nw := rg.group(row)
+		for k := 0; k < nw; k++ {
+			p.segs[si] = gatherSeg{word: rg.words[k], mask: rg.masks[k], posMask: rg.posMasks[k]}
+			si++
+			if bits.OnesCount64(rg.masks[k]) == 1 {
+				continue // the segment is its own entry
+			}
+			// Multi-neighbor word: emit one entry per row position, in
+			// row order.
+			for j, v := range row {
+				if v>>6 == rg.words[k] {
+					p.ents[ei] = gatherEnt{off: uint8(uint(v) & 63), pos: uint8(j)}
+					ei++
+				}
+			}
+		}
+	}
+	p.segPtr[g.n] = int32(si)
+	p.entPtr[g.n] = int32(ei)
+	g.planLive = true
+}
+
+// rowGroups is the per-row grouping scratch of refreshPlan: a row's
+// distinct bitset words in first-touch order, with the neighbor-bit and
+// row-position masks of each. deg ≤ 64 bounds everything, so it lives
+// on the stack.
+type rowGroups struct {
+	words           [maxGatherDegree]int32
+	masks, posMasks [maxGatherDegree]uint64
+}
+
+// group fills the scratch from row and returns its distinct word count.
+func (rg *rowGroups) group(row []int32) int {
+	nw := 0
+group:
+	for j, v := range row {
+		w := v >> 6
+		off := uint(v) & 63
+		for k := 0; k < nw; k++ {
+			if rg.words[k] == w {
+				rg.masks[k] |= 1 << off
+				rg.posMasks[k] |= 1 << uint(j)
+				continue group
+			}
+		}
+		rg.words[nw] = w
+		rg.masks[nw] = 1 << off
+		rg.posMasks[nw] = 1 << uint(j)
+		nw++
+	}
+	return nw
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough and allocating exactly n elements otherwise.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // gather packs agent's out-row opinions into a uint64 (bit j = opinion

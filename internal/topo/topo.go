@@ -135,11 +135,9 @@ func (r ring) Build(n int, seed uint64, workers int) (*Graph, error) {
 	return build(r, n, seed, workers)
 }
 
-func (r ring) rowSpec(n int) rowSpec {
-	return rowSpec{deg: 2 * r.k, fill: func(i int, _ *rng.Batch, row []int32) {
-		fillRingRow(i, n, r.k, row)
-	}}
-}
+func (r ring) degree() int { return 2 * r.k }
+
+func (r ring) fillRow(n, i int, _ *rng.Batch, row []int32) { fillRingRow(i, n, r.k, row) }
 
 // fillRingRow writes agent i's ring neighbors: offsets ±1..±k.
 func fillRingRow(i, n, k int, row []int32) {
@@ -178,15 +176,15 @@ func (t torus) Build(n int, seed uint64, workers int) (*Graph, error) {
 	return build(t, n, seed, workers)
 }
 
-func (t torus) rowSpec(n int) rowSpec {
+func (torus) degree() int { return 4 }
+
+func (torus) fillRow(n, i int, _ *rng.Batch, row []int32) {
 	s := isqrt(n)
-	return rowSpec{deg: 4, fill: func(i int, _ *rng.Batch, row []int32) {
-		r, c := i/s, i%s
-		row[0] = int32(((r+1)%s)*s + c)   // down
-		row[1] = int32(((r-1+s)%s)*s + c) // up
-		row[2] = int32(r*s + (c+1)%s)     // right
-		row[3] = int32(r*s + (c-1+s)%s)   // left
-	}}
+	r, c := i/s, i%s
+	row[0] = int32(((r+1)%s)*s + c)   // down
+	row[1] = int32(((r-1+s)%s)*s + c) // up
+	row[2] = int32(r*s + (c+1)%s)     // right
+	row[3] = int32(r*s + (c-1+s)%s)   // left
 }
 
 func isqrt(n int) int {
@@ -233,11 +231,9 @@ func (r randomRegular) Build(n int, seed uint64, workers int) (*Graph, error) {
 	return build(r, n, seed, workers)
 }
 
-func (r randomRegular) rowSpec(n int) rowSpec {
-	return rowSpec{deg: r.k, fill: func(i int, src *rng.Batch, row []int32) {
-		fillKOutRowN(i, n, src, row)
-	}}
-}
+func (r randomRegular) degree() int { return r.k }
+
+func (randomRegular) fillRow(n, i int, src *rng.Batch, row []int32) { fillKOutRowN(i, n, src, row) }
 
 // fillKOutRowN samples len(row) distinct non-self agent indices in [0, n)
 // from src, by rejection of self and duplicates; rows are short
@@ -326,29 +322,29 @@ func (s smallWorld) Build(n int, seed uint64, workers int) (*Graph, error) {
 	return build(s, n, seed, workers)
 }
 
-func (s smallWorld) rowSpec(n int) rowSpec {
-	return rowSpec{deg: 2 * s.k, fill: func(i int, src *rng.Batch, row []int32) {
-		fillRingRow(i, n, s.k, row)
-		for j := range row {
-			if !src.Bernoulli(s.beta) {
+func (s smallWorld) degree() int { return 2 * s.k }
+
+func (s smallWorld) fillRow(n, i int, src *rng.Batch, row []int32) {
+	fillRingRow(i, n, s.k, row)
+	for j := range row {
+		if !src.Bernoulli(s.beta) {
+			continue
+		}
+	rewire:
+		for {
+			v := int32(src.Intn(n))
+			if int(v) == i {
 				continue
 			}
-		rewire:
-			for {
-				v := int32(src.Intn(n))
-				if int(v) == i {
-					continue
+			for jj, prev := range row {
+				if jj != j && prev == v {
+					continue rewire
 				}
-				for jj, prev := range row {
-					if jj != j && prev == v {
-						continue rewire
-					}
-				}
-				row[j] = v
-				break
 			}
+			row[j] = v
+			break
 		}
-	}}
+	}
 }
 
 // dynamicRewire is the per-round resampled k-out digraph.
@@ -389,12 +385,9 @@ func (d dynamicRewire) Build(n int, seed uint64, workers int) (*Graph, error) {
 	return build(d, n, seed, workers)
 }
 
-func (d dynamicRewire) rowSpec(n int) rowSpec {
-	dd := d
-	return rowSpec{deg: d.k, fill: func(i int, src *rng.Batch, row []int32) {
-		fillKOutRowN(i, n, src, row)
-	}, dyn: &dd}
-}
+func (d dynamicRewire) degree() int { return d.k }
+
+func (dynamicRewire) fillRow(n, i int, src *rng.Batch, row []int32) { fillKOutRowN(i, n, src, row) }
 
 // Graph is a built observation graph: a flat out-adjacency array with
 // uniform out-degree, plus the dynamic-rewire rule when the topology
@@ -409,10 +402,13 @@ type Graph struct {
 	// layout (see gather.go), rebuilt alongside adj; nil when the
 	// out-degree exceeds maxGatherDegree. planLive reports whether the
 	// plan actually beats a direct row gather (neighbors share words) —
-	// scattered graphs keep the plan's arrays for Rebuild reuse but leave
-	// it dormant.
+	// scattered graphs leave it dormant: never built, or holding a
+	// previous live plan's arrays for reuse, but never read.
 	plan     *gatherPlan
 	planLive bool
+	// rows is the single-worker row-construction scratch, used only by
+	// Build and Rebuild.
+	rows rowStream
 }
 
 // N returns the population size the graph was built for.
@@ -432,43 +428,43 @@ func (g *Graph) Dynamic() bool { return g.dyn != nil }
 // Rebuild).
 func (g *Graph) Seed() uint64 { return g.seed }
 
-// rowSpec is a graph topology's row construction recipe: the uniform
-// out-degree, the per-row fill function, and the dynamic-rewire rule
-// when rows are resampled per round. Every built-in graph topology
-// exposes one through the rowTopology interface, which is what lets
-// graphs be rebuilt in place for a new seed (Rebuild) instead of
-// reallocated per replicate.
-type rowSpec struct {
-	deg  int
-	fill func(i int, src *rng.Batch, row []int32)
-	dyn  *dynamicRewire
-}
-
 // rowTopology is implemented by graph topologies built from per-row
-// streams via the shared fillRows path.
+// streams via the shared fillRows path: a uniform out-degree and a
+// per-row fill. It is what lets graphs be rebuilt in place for a new
+// seed (Rebuild) instead of reallocated per replicate. The dynamic
+// rewire rule, when rows are resampled per round, is the topology value
+// itself (dynamicRewire).
 type rowTopology interface {
 	Topology
-	rowSpec(n int) rowSpec
+	// degree returns the uniform out-degree.
+	degree() int
+	// fillRow writes agent i's row of an n-agent graph, drawing from the
+	// row's own stream src.
+	fillRow(n, i int, src *rng.Batch, row []int32)
 }
 
-// build validates and constructs a fresh graph from t's row spec.
+// build validates and constructs a fresh graph from t's rows.
 func build(t rowTopology, n int, seed uint64, workers int) (*Graph, error) {
 	if err := t.Validate(n); err != nil {
 		return nil, err
 	}
-	spec := t.rowSpec(n)
-	g := &Graph{n: n, deg: spec.deg, adj: make([]int32, n*spec.deg), seed: seed, dyn: spec.dyn}
-	g.fillRows(spec.fill, workers)
+	deg := t.degree()
+	g := &Graph{n: n, deg: deg, adj: make([]int32, n*deg), seed: seed}
+	if d, ok := t.(dynamicRewire); ok {
+		g.dyn = &d
+	}
+	g.fillRows(t, workers)
 	g.refreshPlan()
 	return g, nil
 }
 
 // Rebuild refills an existing graph's adjacency in place for a new seed,
-// reusing the O(n·deg) backing array. t must be the topology g was built
-// from (same shape: population, degree, rewire rule); Views over g stay
-// valid and observe the new rows. This is the executor-pooling fast
-// path: per replicate the topology seed changes but the shape never
-// does.
+// reusing the O(n·deg) backing array and the gather plan's arrays. t
+// must be the topology g was built from (same shape: population, degree,
+// rewire rule); Views over g stay valid and observe the new rows. This
+// is the executor-pooling fast path: per replicate the topology seed
+// changes but the shape never does. With one worker a Rebuild whose
+// plan fits the previous arrays allocates nothing.
 func Rebuild(g *Graph, t Topology, n int, seed uint64, workers int) error {
 	rt, ok := t.(rowTopology)
 	if !ok {
@@ -477,21 +473,38 @@ func Rebuild(g *Graph, t Topology, n int, seed uint64, workers int) error {
 	if err := t.Validate(n); err != nil {
 		return err
 	}
-	spec := rt.rowSpec(n)
-	if g.n != n || g.deg != spec.deg {
+	if g.n != n || g.deg != rt.degree() {
 		return fmt.Errorf("topo: Rebuild shape mismatch: graph is %d×%d, topology %q wants %d×%d",
-			g.n, g.deg, t.Name(), n, spec.deg)
+			g.n, g.deg, t.Name(), n, rt.degree())
 	}
-	if (g.dyn == nil) != (spec.dyn == nil) || (g.dyn != nil && *g.dyn != *spec.dyn) {
+	d, dyn := t.(dynamicRewire)
+	if (g.dyn != nil) != dyn || (dyn && *g.dyn != d) {
 		return fmt.Errorf("topo: Rebuild rewire-rule mismatch for topology %q", t.Name())
 	}
 	g.seed = seed
-	g.fillRows(spec.fill, workers)
+	g.fillRows(rt, workers)
 	// The gather plan indexes the rows just refilled; refresh it in the
 	// same pass so Views (which read the plan through the graph pointer)
 	// observe a consistent adjacency/plan pair.
 	g.refreshPlan()
 	return nil
+}
+
+// rowStream is one row-construction worker's generator: a Source
+// reseeded per row and the rng.Batch that consumes it.
+type rowStream struct {
+	src   rng.Source
+	batch rng.Batch
+}
+
+// fillRange writes rows [lo, hi) of g from t.
+func (rs *rowStream) fillRange(g *Graph, t rowTopology, lo, hi int) {
+	rs.batch.Init(&rs.src, g.deg+1)
+	for i := lo; i < hi; i++ {
+		rs.src.Reseed(rng.StreamSeed(g.seed, uint64(i)))
+		rs.batch.Reset()
+		t.fillRow(g.n, i, &rs.batch, g.adj[i*g.deg:(i+1)*g.deg])
+	}
 }
 
 // fillRows writes every row of the flat adjacency, sharding rows across
@@ -501,16 +514,18 @@ func Rebuild(g *Graph, t Topology, n int, seed uint64, workers int) error {
 // consumes its streams through a rng.Batch, generating outputs in bulk
 // chunks instead of one call per draw. Leftover pre-generated values are
 // discarded at the next row's reseed, which is unobservable: each row's
-// stream is never read again.
-func (g *Graph) fillRows(fill func(i int, src *rng.Batch, row []int32), workers int) {
-	n, deg, seed := g.n, g.deg, g.seed
-	if workers < 1 {
-		workers = 1
-	}
+// stream is never read again. A single worker fills inline through the
+// graph's own rowStream, so a sequential Rebuild spawns and allocates
+// nothing.
+func (g *Graph) fillRows(t rowTopology, workers int) {
+	n := g.n
 	if workers > n {
 		workers = n
 	}
-	chunk := deg + 1
+	if workers <= 1 {
+		g.rows.fillRange(g, t, 0, n)
+		return
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers
@@ -520,14 +535,8 @@ func (g *Graph) fillRows(fill func(i int, src *rng.Batch, row []int32), workers 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var src rng.Source
-			var batch rng.Batch
-			batch.Init(&src, chunk)
-			for i := lo; i < hi; i++ {
-				src.Reseed(rng.StreamSeed(seed, uint64(i)))
-				batch.Reset()
-				fill(i, &batch, g.adj[i*deg:(i+1)*deg])
-			}
+			var rs rowStream
+			rs.fillRange(g, t, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

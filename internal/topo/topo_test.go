@@ -362,6 +362,69 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 	}
 }
 
+// TestGatherPlanExactSize: the gather plan's arrays are sized by a
+// counting pass, not grown by append — after Build every array's length
+// equals its capacity — and a Rebuild reuses them: a same-seed Rebuild
+// on one worker allocates nothing and keeps the exact sizes, and a
+// reseed keeps the offsets consistent with the arrays. Scattered graphs,
+// whose plan would stay dormant, never build one.
+func TestGatherPlanExactSize(t *testing.T) {
+	// 64², so the torus is admissible and random rows spread over 64
+	// bitset words, too many to merge.
+	const n = 4096
+	check := func(t *testing.T, what string, g *Graph, live bool) {
+		t.Helper()
+		if g.planLive != live {
+			t.Fatalf("%s: planLive = %v, want %v", what, g.planLive, live)
+		}
+		p := g.plan
+		if !live {
+			if p != nil {
+				t.Fatalf("%s: dormant plan was built", what)
+			}
+			return
+		}
+		if len(p.segs) != cap(p.segs) || len(p.ents) != cap(p.ents) ||
+			len(p.segPtr) != cap(p.segPtr) || len(p.entPtr) != cap(p.entPtr) {
+			t.Fatalf("%s: plan len/cap segs %d/%d ents %d/%d segPtr %d/%d entPtr %d/%d", what,
+				len(p.segs), cap(p.segs), len(p.ents), cap(p.ents),
+				len(p.segPtr), cap(p.segPtr), len(p.entPtr), cap(p.entPtr))
+		}
+		if int(p.segPtr[n]) != len(p.segs) || int(p.entPtr[n]) != len(p.ents) {
+			t.Fatalf("%s: plan offsets end at (%d, %d), arrays hold (%d, %d)",
+				what, p.segPtr[n], p.entPtr[n], len(p.segs), len(p.ents))
+		}
+	}
+	for _, tc := range []struct {
+		tp   Topology
+		live bool
+	}{
+		{Ring(2), true}, {Torus(), true}, {SmallWorld(4, 0.3), true},
+		{RandomRegular(8), false}, {DynamicRewire(6, 0.4), false},
+	} {
+		g, err := tc.tp.Build(n, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, tc.tp.Name()+" Build", g, tc.live)
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := Rebuild(g, tc.tp, n, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: same-seed Rebuild allocated %v times", tc.tp.Name(), allocs)
+		}
+		check(t, tc.tp.Name()+" same-seed Rebuild", g, tc.live)
+		if err := Rebuild(g, tc.tp, n, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		if p := g.plan; tc.live && (int(p.segPtr[n]) != len(p.segs) || int(p.entPtr[n]) != len(p.ents)) {
+			t.Fatalf("%s: reseeded plan offsets end at (%d, %d), arrays hold (%d, %d)",
+				tc.tp.Name(), p.segPtr[n], p.entPtr[n], len(p.segs), len(p.ents))
+		}
+	}
+}
+
 // TestViewValidAcrossRebuild: Views created before a Rebuild stay valid,
 // observe the new rows, and support concurrent per-worker reads of the
 // refreshed plan (run under -race in CI).

@@ -55,9 +55,11 @@ type ServeConfig struct {
 	// (0 = 40, enough for a stable success-rate estimate).
 	DefaultReplicates int
 	// Batch is the lockstep width fallback-tier studies run with (see
-	// StudySpec.Batch; 0 or 1 = sequential, max MaxBatch). Answer bytes
-	// are identical at every width — batching only changes how fast the
-	// fallback tier turns a cold cell into a cached answer.
+	// StudySpec.Batch; 0 or 1 = sequential, max MaxBatch). It applies
+	// only where lockstep runs; elsewhere a study's replicates spread
+	// one per task across its workers. Answer bytes are identical at
+	// every width — batching only changes how fast the fallback tier
+	// turns a cold cell into a cached answer.
 	Batch int
 }
 

@@ -24,14 +24,14 @@ type StudySpec struct {
 	// every parallelism level.
 	Workers int
 	// Batch is the lockstep width W: each worker runs up to W replicates
-	// word-parallel through one transposed executor when the replicate
-	// configuration supports it (complete topology, trend-rule protocol,
-	// agent engines; see the sim package's lockstep executor), falling
-	// back to sequential per-replicate runs otherwise. 0 or 1 disables
-	// batching; the maximum is MaxBatch (one replicate per bit of a
-	// uint64 word). Like Workers, Batch affects scheduling only: reports
-	// are bit-identical at every Workers × Batch combination. The
-	// EngineMarkovChain form ignores Batch.
+	// word-parallel through one transposed executor. Batch applies only
+	// where lockstep runs (complete topology, trend-rule protocol, agent
+	// engines, no custom StateInit; see the sim package's lockstep
+	// executor); elsewhere replicates spread one per task across
+	// Workers. 0 or 1 disables batching; the maximum is MaxBatch (one
+	// replicate per bit of a uint64 word). Like Workers, Batch affects
+	// scheduling only: reports are bit-identical at every Workers × Batch
+	// combination. The EngineMarkovChain form ignores Batch.
 	Batch int
 	// Options is the per-replicate template for the common case (FET
 	// under the worst-case defaults). Options.Seed is the study's root
@@ -49,8 +49,10 @@ type StudySpec struct {
 	// replicate's worker goroutine) and returns the observers attached to
 	// that replicate's run, so per-round visibility composes with the
 	// concurrent worker pool: each replicate gets its own instances.
-	// Returning nil attaches none. Observers must not mutate shared
-	// state without their own synchronization.
+	// Returning nil attaches none. The Study serializes the calls, so
+	// Observe itself may update shared bookkeeping; the observers it
+	// returns run concurrently and must not mutate shared state without
+	// their own synchronization.
 	Observe func(replicate int) []Observer
 }
 
@@ -109,6 +111,7 @@ type Study struct {
 	batch      int
 	rootSeed   uint64
 	observe    func(replicate int) []Observer
+	observeMu  sync.Mutex // serializes observe calls across workers
 
 	// pool leases per-replicate round executors: every O(n) buffer (the
 	// packed opinion bitsets, per-agent RNG states, resettable agent
@@ -268,10 +271,7 @@ func (s *Study) Workers() int { return s.workers }
 // ones finish within one simulated round. The caller must drain the
 // channel or cancel ctx, or the worker pool leaks.
 func (s *Study) Stream(ctx context.Context) <-chan RunResult {
-	batch := s.batch
-	if s.chain || batch < 1 {
-		batch = 1
-	}
+	batch := s.width()
 	out := make(chan RunResult)
 	go func() {
 		defer close(out)
@@ -322,6 +322,17 @@ func (s *Study) Stream(ctx context.Context) <-chan RunResult {
 		s.release()
 	}()
 	return out
+}
+
+// width is the number of replicates one worker task runs: the Batch
+// width where the lockstep executor can run the configuration, 1
+// elsewhere. It is decided here, at run time, rather than in NewStudy,
+// which stays a cheap validation step.
+func (s *Study) width() int {
+	if s.chain {
+		return 1
+	}
+	return sim.LockstepWidth(s.cfg, s.batch)
 }
 
 // release drops the study's idle pooled executors.
@@ -402,10 +413,17 @@ func (s *Study) runReplicate(ctx context.Context, i int) RunResult {
 	if s.observe != nil {
 		// Fresh observer instances per replicate: the template's slice is
 		// never shared across concurrently running replicates.
-		cfg.Observers = append(append([]Observer(nil), cfg.Observers...), s.observe(i)...)
+		cfg.Observers = append(append([]Observer(nil), cfg.Observers...), s.observers(i)...)
 	}
 	rr.Result, rr.Err = s.pool.RunContext(ctx, cfg)
 	return rr
+}
+
+// observers calls the Observe hook for replicate i, one call at a time.
+func (s *Study) observers(i int) []Observer {
+	s.observeMu.Lock()
+	defer s.observeMu.Unlock()
+	return s.observe(i)
 }
 
 // runBatch executes replicates [lo, min(lo+batch, Replicates)) as one
@@ -429,7 +447,7 @@ func (s *Study) runBatch(ctx context.Context, lo, batch int) []RunResult {
 		if s.observe != nil || len(s.cfg.Observers) > 0 {
 			lanes[l].Observers = append([]Observer(nil), s.cfg.Observers...)
 			if s.observe != nil {
-				lanes[l].Observers = append(lanes[l].Observers, s.observe(i)...)
+				lanes[l].Observers = append(lanes[l].Observers, s.observers(i)...)
 			}
 		}
 	}

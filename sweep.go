@@ -65,11 +65,12 @@ type SweepSpec struct {
 	Workers int
 	// Batch is the per-cell lockstep width W (see StudySpec.Batch): a
 	// worker claims up to W consecutive replicates of one cell and runs
-	// them word-parallel when the cell's configuration supports the
-	// lockstep executor, falling back to sequential runs otherwise.
-	// 0 or 1 disables batching; the maximum is MaxBatch. Custom-runner
-	// scenarios and EngineMarkovChain cells always run per-replicate.
-	// Like Workers, Batch never affects results.
+	// them word-parallel. Batch applies only to cells whose configuration
+	// the lockstep executor supports; every other cell — sparse
+	// topologies, aggregate and exact engines, custom-runner scenarios,
+	// EngineMarkovChain — spreads its replicates one per task across
+	// Workers. 0 or 1 disables batching; the maximum is MaxBatch. Like
+	// Workers, Batch never affects results.
 	Batch int
 	// Seed is the sweep's root seed.
 	Seed uint64
@@ -175,9 +176,6 @@ type sweepCell struct {
 	study  *Study
 	runner ScenarioRunner
 	params ScenarioParams
-	// batch is the cell's lockstep scheduling width (1 = per-replicate;
-	// always 1 for runner and chain cells).
-	batch int
 }
 
 // release frees the cell study's pooled executors once the cell's last
@@ -200,12 +198,20 @@ func (c *sweepCell) runReplicate(ctx context.Context, i int) RunResult {
 	return rr
 }
 
+// width is the number of replicates one task of the cell runs: the
+// cell study's lockstep width, 1 for runner cells.
+func (c *sweepCell) width() int {
+	if c.study == nil {
+		return 1
+	}
+	return c.study.width()
+}
+
 // runBatch executes the cell's replicates starting at lo — one lockstep
-// batch for study-backed cells with a batch width, a single replicate
-// otherwise.
-func (c *sweepCell) runBatch(ctx context.Context, lo int) []RunResult {
-	if c.batch > 1 && c.study != nil {
-		return c.study.runBatch(ctx, lo, c.batch)
+// batch of up to width replicates, or a single replicate at width 1.
+func (c *sweepCell) runBatch(ctx context.Context, lo, width int) []RunResult {
+	if width > 1 {
+		return c.study.runBatch(ctx, lo, width)
 	}
 	return []RunResult{c.runReplicate(ctx, lo)}
 }
@@ -460,7 +466,7 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 		Ell:       ell,
 		MaxRounds: maxRounds,
 		Seed:      cellSeed,
-	}, batch: 1}
+	}}
 	switch {
 	case sc.Run != nil:
 		init, sources := sc.resolved()
@@ -492,7 +498,6 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 			return cell, err
 		}
 		cell.study = study
-		cell.batch = batch
 		return cell, nil
 	}
 }
@@ -620,10 +625,15 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 		}
 
 		// Tasks are batch-granular: a task is a cell plus the start index
-		// of up to cell.batch consecutive replicates, which the claiming
-		// worker runs as one lockstep batch (cells with batch 1 degenerate
-		// to the historical one-replicate-per-task scheduling). Results
-		// still flow back one replicate at a time.
+		// of up to width[cell] consecutive replicates, which the claiming
+		// worker runs as one lockstep batch (cells lockstep cannot run
+		// have width 1: one replicate per task). Results still flow back
+		// one replicate at a time. Widths are fixed here, before any
+		// worker starts, so the feeder and the workers only read them.
+		width := make([]int, len(s.cells))
+		for _, c := range todo {
+			width[c] = s.cells[c].width()
+		}
 		type task struct{ cell, rep int }
 		type taskDone struct {
 			cell int
@@ -637,7 +647,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 			go func() {
 				defer wg.Done()
 				for t := range tasks {
-					for _, res := range s.cells[t.cell].runBatch(ctx, t.rep) {
+					for _, res := range s.cells[t.cell].runBatch(ctx, t.rep, width[t.cell]) {
 						select {
 						case results <- taskDone{t.cell, res}:
 						case <-ctx.Done():
@@ -650,8 +660,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 		go func() {
 		feed:
 			for _, c := range todo {
-				step := s.cells[c].batch
-				for r := 0; r < s.replicates; r += step {
+				for r := 0; r < s.replicates; r += width[c] {
 					select {
 					case tasks <- task{c, r}:
 					case <-ctx.Done():

@@ -237,30 +237,53 @@ func buildCLITools(t *testing.T) string {
 	return dir
 }
 
+// goldenAtWorkers rewrites a fetsim golden captured at one worker
+// (-jobs 1) to the output expected at -jobs workers: only the
+// "replicates R across W workers" header line names the worker count,
+// every other byte is scheduling-independent.
+func goldenAtWorkers(t *testing.T, golden []byte, workers int) []byte {
+	t.Helper()
+	const one = " across 1 workers\n"
+	if bytes.Count(golden, []byte(one)) != 1 {
+		t.Fatalf("golden has no single %q header line", strings.TrimSpace(one))
+	}
+	return bytes.Replace(golden, []byte(one), []byte(fmt.Sprintf(" across %d workers\n", workers)), 1)
+}
+
 // TestGoldenFetsimByteIdentical: the default-topology regression guard.
 // testdata/golden_fetsim.txt was captured from the pre-topology tree at
-// fixed seeds; the refactored fetsim must reproduce it byte for byte —
-// no silent RNG-stream reshuffle for existing users.
+// fixed seeds and one worker; the refactored fetsim must reproduce it
+// byte for byte — no silent RNG-stream reshuffle for existing users —
+// at -jobs 1, and at -jobs 4 -batch 32 up to the worker count in the
+// header.
 func TestGoldenFetsimByteIdentical(t *testing.T) {
 	bin := buildCLITools(t)
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_fetsim.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(filepath.Join(bin, "fetsim"),
-		"-n", "1024", "-seed", "7", "-replicates", "8").CombinedOutput()
-	if err != nil {
-		t.Fatalf("fetsim: %v\n%s", err, out)
-	}
-	if !bytes.Equal(out, golden) {
-		t.Fatalf("fetsim output diverged from the pre-topology golden:\n--- golden\n%s\n--- got\n%s", golden, out)
+	for _, sched := range []struct {
+		args []string
+		want []byte
+	}{
+		{[]string{"-jobs", "1"}, golden},
+		{[]string{"-jobs", "4", "-batch", "32"}, goldenAtWorkers(t, golden, 4)},
+	} {
+		args := append([]string{"-n", "1024", "-seed", "7", "-replicates", "8"}, sched.args...)
+		out, err := exec.Command(filepath.Join(bin, "fetsim"), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("fetsim %v: %v\n%s", sched.args, err, out)
+		}
+		if !bytes.Equal(out, sched.want) {
+			t.Fatalf("fetsim %v output diverged from the pre-topology golden:\n--- want\n%s\n--- got\n%s", sched.args, sched.want, out)
+		}
 	}
 
 	goldenTraj, err := os.ReadFile(filepath.Join("testdata", "golden_fetsim_traj.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = exec.Command(filepath.Join(bin, "fetsim"),
+	out, err := exec.Command(filepath.Join(bin, "fetsim"),
 		"-n", "512", "-seed", "3", "-trajectory").CombinedOutput()
 	if err != nil {
 		t.Fatalf("fetsim -trajectory: %v\n%s", err, out)
@@ -406,21 +429,26 @@ func runCLIGolden(t *testing.T, bin string, args ...string) []byte {
 // just distributionally equal.
 func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 	bin := buildCLITools(t)
+	sparseStudy := []string{"-n", "1024", "-seed", "11", "-replicates", "8", "-init", "half",
+		"-topology", "random-regular:8", "-rounds", "96"}
 	cases := []struct {
 		golden string
 		tool   string
 		args   []string
+		// spread, when set, reruns the case at 4 workers: the output must
+		// equal the golden up to the header's worker count.
+		spread []string
 	}{
-		{"golden_sparse_fetsim.txt", "fetsim", []string{
-			"-n", "1024", "-seed", "11", "-replicates", "8", "-init", "half",
-			"-topology", "random-regular:8", "-rounds", "96"}},
+		{"golden_sparse_fetsim.txt", "fetsim",
+			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "1"),
+			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "4", "-batch", "32")},
 		{"golden_sparse_fetsim_traj.txt", "fetsim", []string{
 			"-n", "512", "-seed", "3", "-init", "half",
-			"-topology", "dynamic:8:0.2", "-trajectory", "-rounds", "64"}},
+			"-topology", "dynamic:8:0.2", "-trajectory", "-rounds", "64"}, nil},
 		{"golden_sparse_fetsweep.csv", "fetsweep", []string{
 			"-ns", "256,1024", "-trials", "8", "-scenarios", "worst-case",
 			"-topologies", "random-regular:8,small-world:4:0.1,dynamic:8:0.2",
-			"-seed", "9", "-workers", "4", "-rounds", "120", "-format", "csv"}},
+			"-seed", "9", "-workers", "4", "-rounds", "120", "-format", "csv"}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
@@ -432,6 +460,13 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 			if !bytes.Equal(out, golden) {
 				t.Fatalf("%s output diverged from the pre-rewrite golden:\n--- golden\n%s\n--- got\n%s",
 					tc.tool, golden, out)
+			}
+			if tc.spread == nil {
+				return
+			}
+			out = runCLIGolden(t, filepath.Join(bin, tc.tool), tc.spread...)
+			if want := goldenAtWorkers(t, golden, 4); !bytes.Equal(out, want) {
+				t.Fatalf("%s %v output diverged from the golden:\n--- want\n%s\n--- got\n%s", tc.tool, tc.spread, want, out)
 			}
 		})
 	}
