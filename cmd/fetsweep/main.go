@@ -1,13 +1,13 @@
 // Command fetsweep runs parameter-grid sweeps over the FET simulation —
 // the phase-diagram tool. It is a thin CLI over the root Sweep API: the
 // cross-product of -ns × -ells × -engines × -topologies × -scenarios
-// expands into grid cells, every cell runs -trials replicates, and all
+// expands into grid cells, every cell runs -replicates replicates, and all
 // cells × replicates draw from one shared worker pool. Results are
 // bit-identical for any -workers value on a fixed -seed.
 //
 // Usage:
 //
-//	fetsweep [-ns 256,1024,4096,16384] [-trials 40] [-engines fast] [-seed 42]
+//	fetsweep [-ns 256,1024,4096,16384] [-replicates 40] [-engines fast] [-seed 42]
 //	fetsweep -scenarios worst-case,noisy,trend-flip -format csv > phase.csv
 //	fetsweep -ns 4096 -ells 1,2,4,8,16,24 -format json
 //	fetsweep -ns 1048576,16777216 -engines aggregate,chain
@@ -24,8 +24,7 @@
 // aggregate-sparse (its degree-annealed analogue for random-regular and
 // dynamic topologies), or chain (the (K_t, K_{t+1}) Markov chain).
 // aggregate, aggregate-sparse and chain scale to populations of
-// hundreds of millions; -chain is kept as an alias
-// for -engines chain. -scenarios names presets from the scenario
+// hundreds of millions. -scenarios names presets from the scenario
 // registry (list them with `fetlab -scenarios`).
 //
 // The default table output appends a polylog fit of the median
@@ -65,27 +64,17 @@ func main() {
 		engines    = flag.String("engines", "fast", "comma-separated engines: fast, exact, parallel, aggregate, aggregate-sparse, chain")
 		topologies = flag.String("topologies", "complete", "comma-separated observation topologies: complete, ring[:k], torus, random-regular[:k], small-world[:k[:beta]], dynamic[:k[:p]]")
 		scenarios  = flag.String("scenarios", passivespread.DefaultScenario, "comma-separated scenario names (see `fetlab -scenarios`)")
-		trials     = flag.Int("trials", 40, "replicates per grid cell")
+		replicates = flag.Int("replicates", 40, "replicates per grid cell")
 		workers    = flag.Int("workers", 0, "shared worker pool for the whole grid (0 = GOMAXPROCS)")
 		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch within a cell lockstep can run; other cells spread replicates across -workers (0 or 1 = off, max 64; never changes results)")
 		rounds     = flag.Int("rounds", 0, "round cap per cell (0 = 400·log₂ n)")
 		seed       = flag.Uint64("seed", 42, "root random seed")
 		c          = flag.Float64("c", passivespread.DefaultC, "sample-size constant: ℓ = ⌈c·log₂ n⌉")
 		format     = flag.String("format", "table", "output format: table, csv, json or shard")
-		chain      = flag.Bool("chain", false, "alias for -engines chain")
 		shard      = flag.String("shard", "", `run one deterministic grid slice: "i/m" (shard i of m, 1-based)`)
 		ckptDir    = flag.String("checkpoint", "", "durable per-cell checkpoint directory (resume mid-grid after a kill)")
 	)
 	flag.Parse()
-
-	if *chain {
-		enginesSet := false
-		flag.Visit(func(f *flag.Flag) { enginesSet = enginesSet || f.Name == "engines" })
-		if enginesSet && *engines != "chain" {
-			fatalf(2, "-chain conflicts with -engines %s", *engines)
-		}
-		*engines = "chain"
-	}
 
 	ns, err := parseNs(*nsFlag)
 	if err != nil {
@@ -127,7 +116,7 @@ func main() {
 		Engines:       engineKinds,
 		Topologies:    topologyList,
 		Scenarios:     scenarioList,
-		Replicates:    *trials,
+		Replicates:    *replicates,
 		Workers:       *workers,
 		Batch:         *batch,
 		Seed:          *seed,

@@ -6,11 +6,13 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 
+	"passivespread/internal/sched"
 	"passivespread/internal/tablefmt"
 )
 
@@ -151,31 +153,6 @@ func newReport(e Experiment) *Report {
 // distinct trial indices (each trial derives its own RNG stream).
 func parallelTimes(cfg Config, trials int, f func(trial int) float64) []float64 {
 	out := make([]float64, trials)
-	workers := cfg.workers()
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
-		for i := 0; i < trials; i++ {
-			out[i] = f(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = f(i)
-			}
-		}()
-	}
-	for i := 0; i < trials; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	sched.Run(context.Background(), cfg.workers(), trials, func(i int) { out[i] = f(i) })
 	return out
 }

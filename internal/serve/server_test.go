@@ -263,6 +263,31 @@ func TestServerTypedErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedBody: a body over maxBodyBytes is cut off
+// and answered with the typed invalidArgument envelope, on every tool
+// that decodes a body.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	s, fb := newTestServer(t, Config{})
+	h := s.Handler()
+	body := `{"n":128,"scenario":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, tool := range []string{ToolStudyRun, ToolStudyGet, ToolSweepInspect} {
+		w := post(t, h, "/v1/tools/"+tool, body)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want %d", tool, w.Code, http.StatusBadRequest)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error == nil || env.Error.Code != CodeInvalidArgument {
+			t.Fatalf("%s: envelope %s, want code %s", tool, w.Body, CodeInvalidArgument)
+		}
+		if !strings.Contains(env.Error.Message, "request body: larger than") {
+			t.Fatalf("%s: message %q, want the size cap named", tool, env.Error.Message)
+		}
+	}
+	if fb.runs.Load() != 0 {
+		t.Fatalf("an oversized body started %d runs", fb.runs.Load())
+	}
+}
+
 func TestServerStreamedRun(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()

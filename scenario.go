@@ -185,17 +185,36 @@ func (sc Scenario) chainCompatible() bool {
 	}
 }
 
-// options builds the Options-form study template for a chain cell.
-func (sc Scenario) options(n, ell, maxRounds int, cellSeed uint64) Options {
-	return Options{
+// cell builds the executor of one scenario cell at resolved grid values
+// through newCell. The template is the Options form — which carries a
+// custom runner's ScenarioParams and is the only form the chain engine
+// accepts — plus, for every other engine, the Config form it runs.
+func (sc Scenario) cell(n, ell, maxRounds int, engine EngineKind, topology Topology, parallelism int, cellSeed uint64,
+	replicates, batch int) (cellExec, error) {
+	init, sources := sc.resolved()
+	spec := StudySpec{Replicates: replicates, Batch: batch, Options: Options{
 		N:         n,
 		Ell:       ell,
 		Seed:      cellSeed,
-		Sources:   sc.Sources,
-		Init:      sc.Init,
+		Sources:   sources,
+		Init:      init,
 		MaxRounds: maxRounds,
-		Engine:    EngineMarkovChain,
+		Engine:    engine,
+	}}
+	if engine != EngineMarkovChain {
+		cfg := sc.config(n, ell, maxRounds, engine, topology, parallelism, cellSeed)
+		spec.Config = &cfg
 	}
+	return newCell(&spec, sc.Run)
+}
+
+// engineLabel is the engine name a custom-runner scenario's cells
+// report: EngineLabel, or the scenario name when that is empty.
+func (sc Scenario) engineLabel() string {
+	if sc.EngineLabel != "" {
+		return sc.EngineLabel
+	}
+	return sc.Name
 }
 
 // The scenario registry. Registration order is tracked internally, but

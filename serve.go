@@ -8,7 +8,6 @@ import (
 	"math"
 	"strings"
 
-	"passivespread/internal/rng"
 	"passivespread/internal/serve"
 	"passivespread/internal/stats"
 	"passivespread/internal/topo"
@@ -260,10 +259,7 @@ func (b *serveBackend) Resolve(q serve.Query) (CellKey, error) {
 	// Engine: custom-runner scenarios schedule themselves; everything
 	// else resolves or validates an engine against the topology.
 	if eff.Run != nil {
-		label := eff.EngineLabel
-		if label == "" {
-			label = eff.Name
-		}
+		label := eff.engineLabel()
 		if q.Engine != "" && q.Engine != label {
 			return CellKey{}, invalidf("engine: scenario %q schedules itself (engine label %q); omit the engine or name the label", name, label)
 		}
@@ -428,52 +424,14 @@ func (b *serveBackend) Run(ctx context.Context, key CellKey, progress func(done,
 		return nil, err
 	}
 	total := key.Replicates
-	results := make([]RunResult, total)
-	if cell.scenario.Run != nil {
-		init, sources := cell.scenario.resolved()
-		for i := 0; i < total; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p := ScenarioParams{
-				N: key.N, Ell: key.Ell, Sources: sources, MaxRounds: key.MaxRounds,
-				Init: init, Seed: rng.StreamSeed(key.Seed, uint64(i)),
-			}
-			rr := RunResult{Replicate: i, Seed: p.Seed}
-			rr.Result, rr.Err = cell.scenario.Run(ctx, p)
-			results[i] = rr
-			if progress != nil {
-				progress(i+1, total)
-			}
-		}
-	} else {
-		var study *Study
-		if cell.engine == EngineMarkovChain {
-			study, err = NewStudy(StudySpec{
-				Replicates: total,
-				Options:    cell.scenario.options(key.N, key.Ell, key.MaxRounds, key.Seed),
-			})
-		} else {
-			cfg := cell.scenario.config(key.N, key.Ell, key.MaxRounds, cell.engine, cell.topology, 1, key.Seed)
-			study, err = NewStudy(StudySpec{Replicates: total, Batch: b.batch, Config: &cfg})
-		}
-		if err != nil {
-			return nil, asToolError(err)
-		}
-		done := 0
-		for rr := range study.Stream(ctx) {
-			results[rr.Replicate] = rr
-			done++
-			if progress != nil {
-				progress(done, total)
-			}
-		}
-		if done < total {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("study lost %d of %d replicates", total-done, total)
-		}
+	exec, err := cell.scenario.cell(key.N, key.Ell, key.MaxRounds, cell.engine, cell.topology, 1, key.Seed, total, b.batch)
+	if err != nil {
+		return nil, asToolError(err)
+	}
+	study := &Study{replicates: total, workers: poolWorkers(0, total), cell: exec}
+	results, err := study.collect(ctx, progress)
+	if err != nil {
+		return nil, err
 	}
 	for i := range results {
 		if err := results[i].Err; err != nil {

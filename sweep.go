@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,52 +167,10 @@ type SweepReport struct {
 	Rows []SweepRow `json:"rows"`
 }
 
-// sweepCell pairs a cell's public identity with its executable form:
-// either a prepared Study (synchronous engines, chain) or a scenario
-// runner with resolved parameters.
+// sweepCell pairs a cell's public identity with its executor.
 type sweepCell struct {
-	meta   SweepCell
-	study  *Study
-	runner ScenarioRunner
-	params ScenarioParams
-}
-
-// release frees the cell study's pooled executors once the cell's last
-// replicate has been aggregated (or the sweep was cancelled).
-func (c *sweepCell) release() {
-	if c.study != nil {
-		c.study.release()
-	}
-}
-
-// runReplicate executes replicate i of the cell with its derived seed.
-func (c *sweepCell) runReplicate(ctx context.Context, i int) RunResult {
-	if c.study != nil {
-		return c.study.runReplicate(ctx, i)
-	}
-	p := c.params
-	p.Seed = rng.StreamSeed(c.meta.Seed, uint64(i))
-	rr := RunResult{Replicate: i, Seed: p.Seed}
-	rr.Result, rr.Err = c.runner(ctx, p)
-	return rr
-}
-
-// width is the number of replicates one task of the cell runs: the
-// cell study's lockstep width, 1 for runner cells.
-func (c *sweepCell) width() int {
-	if c.study == nil {
-		return 1
-	}
-	return c.study.width()
-}
-
-// runBatch executes the cell's replicates starting at lo — one lockstep
-// batch of up to width replicates, or a single replicate at width 1.
-func (c *sweepCell) runBatch(ctx context.Context, lo, width int) []RunResult {
-	if width > 1 {
-		return c.study.runBatch(ctx, lo, width)
-	}
-	return []RunResult{c.runReplicate(ctx, lo)}
+	meta SweepCell
+	exec cellExec
 }
 
 // Sweep is a prepared parameter grid. Construct with NewSweep; run with
@@ -376,13 +333,6 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	if parallelism == 0 {
 		parallelism = 1
 	}
-	batch := spec.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch > spec.Replicates {
-		batch = spec.Replicates
-	}
 	s := &Sweep{replicates: spec.Replicates, seed: spec.Seed, shard: spec.Shard}
 	s.cells = make([]sweepCell, 0, len(scenarios)*len(engines)*len(topologies)*len(spec.Ns)*len(ells))
 	for _, sc := range scenarios {
@@ -406,7 +356,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 							maxRounds = DefaultMaxRounds(n)
 						}
 						cell, err := newSweepCell(idx, sc, engine, cellTopo, n, ell, maxRounds, parallelism,
-							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates, batch)
+							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates, spec.Batch)
 						if err != nil {
 							return nil, fmt.Errorf("cell %d (scenario %s, engine %s, topology %s, n=%d, ℓ=%d): %w",
 								idx, sc.Name, EngineName(engine), topo.DisplayName(cellTopo), n, ell, err)
@@ -440,17 +390,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 		s.ckpt = store
 	}
 
-	workers := spec.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := len(s.planned) * spec.Replicates; workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1 // an empty shard still needs a well-formed (idle) pool
-	}
-	s.workers = workers
+	s.workers = poolWorkers(spec.Workers, len(s.planned)*spec.Replicates)
 	return s, nil
 }
 
@@ -467,39 +407,14 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 		MaxRounds: maxRounds,
 		Seed:      cellSeed,
 	}}
-	switch {
-	case sc.Run != nil:
-		init, sources := sc.resolved()
-		cell.meta.Engine = sc.EngineLabel
-		if cell.meta.Engine == "" {
-			cell.meta.Engine = sc.Name
-		}
-		cell.runner = sc.Run
-		cell.params = ScenarioParams{N: n, Ell: ell, Sources: sources, MaxRounds: maxRounds, Init: init}
-		return cell, nil
-	case engine == EngineMarkovChain:
-		if !sc.chainCompatible() {
-			return cell, fmt.Errorf("%w: Scenarios: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
-		}
-		study, err := NewStudy(StudySpec{
-			Replicates: replicates,
-			Workers:    1, // the sweep schedules replicates itself
-			Options:    sc.options(n, ell, maxRounds, cellSeed),
-		})
-		if err != nil {
-			return cell, err
-		}
-		cell.study = study
-		return cell, nil
-	default:
-		cfg := sc.config(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed)
-		study, err := NewStudy(StudySpec{Replicates: replicates, Workers: 1, Batch: batch, Config: &cfg})
-		if err != nil {
-			return cell, err
-		}
-		cell.study = study
-		return cell, nil
+	if sc.Run != nil {
+		cell.meta.Engine = sc.engineLabel()
+	} else if engine == EngineMarkovChain && !sc.chainCompatible() {
+		return cell, fmt.Errorf("%w: Scenarios: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
 	}
+	var err error
+	cell.exec, err = sc.cell(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed, replicates, batch)
+	return cell, err
 }
 
 func engineNames(engines []EngineKind) []string {
@@ -612,7 +527,6 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 					todo = append(todo, c)
 					continue
 				}
-				s.cells[c].release()
 				select {
 				case out <- row:
 				case <-ctx.Done():
@@ -624,96 +538,61 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 			}
 		}
 
-		// Tasks are batch-granular: a task is a cell plus the start index
-		// of up to width[cell] consecutive replicates, which the claiming
-		// worker runs as one lockstep batch (cells lockstep cannot run
-		// have width 1: one replicate per task). Results still flow back
-		// one replicate at a time. Widths are fixed here, before any
-		// worker starts, so the feeder and the workers only read them.
-		width := make([]int, len(s.cells))
-		for _, c := range todo {
-			width[c] = s.cells[c].width()
+		// One task pool over the cells left to run. The worker that
+		// delivers a cell's last replicate aggregates, releases and
+		// checkpoints the cell; mu guards only the per-cell tallies.
+		cells := make([]cellExec, len(todo))
+		for k, c := range todo {
+			cells[k] = s.cells[c].exec
 		}
-		type task struct{ cell, rep int }
-		type taskDone struct {
-			cell int
-			res  RunResult
+		var mu sync.Mutex
+		pending := make([][]RunResult, len(todo))
+		remaining := make([]int, len(todo))
+		for k := range remaining {
+			remaining[k] = s.replicates
 		}
-		tasks := make(chan task)
-		results := make(chan taskDone)
-		var wg sync.WaitGroup
-		for w := 0; w < s.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range tasks {
-					for _, res := range s.cells[t.cell].runBatch(ctx, t.rep, width[t.cell]) {
-						select {
-						case results <- taskDone{t.cell, res}:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}()
-		}
-		go func() {
-		feed:
-			for _, c := range todo {
-				for r := 0; r < s.replicates; r += width[c] {
-					select {
-					case tasks <- task{c, r}:
-					case <-ctx.Done():
-						break feed
-					}
-				}
+		schedule(ctx, s.workers, s.replicates, cells, func(k int, r RunResult) bool {
+			mu.Lock()
+			if pending[k] == nil {
+				pending[k] = make([]RunResult, s.replicates)
 			}
-			close(tasks)
-			wg.Wait()
-			close(results)
-		}()
-
-		pending := make([][]RunResult, len(s.cells))
-		remaining := make([]int, len(s.cells))
-		for i := range remaining {
-			remaining[i] = s.replicates
-		}
-		for d := range results {
-			cell := d.cell
-			if pending[cell] == nil {
-				pending[cell] = make([]RunResult, s.replicates)
+			results := pending[k]
+			results[r.Replicate] = r
+			remaining[k]--
+			last := remaining[k] == 0
+			if last {
+				pending[k] = nil
 			}
-			pending[cell][d.res.Replicate] = d.res
-			if remaining[cell]--; remaining[cell] > 0 {
-				continue
+			mu.Unlock()
+			if !last {
+				return true
 			}
-			row, ok := s.row(cell, pending[cell])
-			pending[cell] = nil
+			row, ok := s.row(todo[k], results)
 			// The cell's last replicate returned its leased executor
 			// before its result was delivered, so the cell's pooled
 			// buffers can be freed as the grid progresses.
-			s.cells[cell].release()
+			cells[k].release()
 			if !ok {
-				continue // interrupted mid-run; drop, don't misreport
+				return true // interrupted mid-run; drop, don't misreport
 			}
 			// Durability point: the checkpoint hits disk before the row
 			// is delivered, so a consumer never sees a result the fabric
 			// could lose. Rows carrying a replicate failure are not
 			// persisted — a rerun re-attempts them.
 			if s.ckpt != nil && row.Err == "" {
-				s.saveCheckpoint(cell, row)
+				s.saveCheckpoint(todo[k], row)
 			}
 			select {
 			case out <- row:
+				return true
 			case <-ctx.Done():
-				// The consumer may be gone; keep draining results so the
-				// workers can exit.
+				return false // the consumer may be gone
 			}
-		}
+		})
 		// Cancellation can leave interrupted cells with leased-and-
 		// returned executors; every worker has exited, so sweep them all.
 		for i := range s.cells {
-			s.cells[i].release()
+			s.cells[i].exec.release()
 		}
 	}()
 	return out

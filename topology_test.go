@@ -305,7 +305,7 @@ func TestGoldenFetsweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := exec.Command(filepath.Join(bin, "fetsweep"),
-		"-ns", "256,1024", "-trials", "8", "-scenarios", "worst-case,noisy",
+		"-ns", "256,1024", "-replicates", "8", "-scenarios", "worst-case,noisy",
 		"-seed", "9", "-workers", "4", "-format", "csv").CombinedOutput()
 	if err != nil {
 		t.Fatalf("fetsweep: %v\n%s", err, out)
@@ -446,7 +446,7 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 			"-n", "512", "-seed", "3", "-init", "half",
 			"-topology", "dynamic:8:0.2", "-trajectory", "-rounds", "64"}, nil},
 		{"golden_sparse_fetsweep.csv", "fetsweep", []string{
-			"-ns", "256,1024", "-trials", "8", "-scenarios", "worst-case",
+			"-ns", "256,1024", "-replicates", "8", "-scenarios", "worst-case",
 			"-topologies", "random-regular:8,small-world:4:0.1,dynamic:8:0.2",
 			"-seed", "9", "-workers", "4", "-rounds", "120", "-format", "csv"}, nil},
 	}
