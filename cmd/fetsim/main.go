@@ -12,6 +12,7 @@
 //	fetsim -n 4096 -topology small-world:4:0.1 [-replicates 20]
 //	fetsim -n 100000000 -engine aggregate-sparse -topology random-regular:8
 //	fetsim -n 1024 -topology ring:2 -trajectory
+//	fetsim -n 4096 -replicates 640 -batch 32 -cpuprofile cpu.pprof
 //
 // -topology selects the observation topology (default complete, the
 // paper's uniform mixing): ring[:k], torus, random-regular[:k],
@@ -20,6 +21,9 @@
 // aggregate-sparse for the degree-annealed ones (random-regular,
 // dynamic), which reaches n = 10⁸ the way aggregate does under
 // uniform mixing.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of the run; their messages go to stderr, so stdout is unchanged.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"strings"
 
 	"passivespread"
+	"passivespread/internal/prof"
 )
 
 func main() {
@@ -50,8 +55,17 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
 		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch where lockstep runs (complete topology, trend protocol, fast/parallel engine); elsewhere replicates spread across -jobs (0 or 1 = off, max 64; never changes results)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	stop, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	if *correct != 0 && *correct != 1 {
 		fatalf("-correct must be 0 or 1")
@@ -167,7 +181,7 @@ func main() {
 		fmt.Printf("t_con      mean %.1f, median %.1f, p95 %.1f, max %.0f\n",
 			conv.Rounds.Mean, conv.Rounds.Median, conv.Rounds.P95, conv.Rounds.Max)
 		if conv.Converged < conv.Replicates {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -184,7 +198,7 @@ func main() {
 		}
 	}
 	if !res.Converged {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -233,7 +247,16 @@ func bar(x float64, width int) string {
 	return "[" + strings.Repeat("#", filled) + strings.Repeat(".", width-filled) + "]"
 }
 
+// stopProfiles ends the -cpuprofile/-memprofile capture; exit runs it
+// before the process ends, since os.Exit skips deferred calls.
+var stopProfiles = func() {}
+
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
+}
+
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
+	exit(2)
 }

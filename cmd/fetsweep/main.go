@@ -44,6 +44,9 @@
 // directory resumes mid-grid, skipping finished cells. -format shard
 // emits the mergeable artifact (rows plus per-cell keys and digests)
 // that `fetmerge -verify` checks and joins.
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of the run; their messages go to stderr, so stdout is unchanged.
 package main
 
 import (
@@ -55,6 +58,7 @@ import (
 	"strings"
 
 	"passivespread"
+	"passivespread/internal/prof"
 )
 
 func main() {
@@ -73,8 +77,17 @@ func main() {
 		format     = flag.String("format", "table", "output format: table, csv, json or shard")
 		shard      = flag.String("shard", "", `run one deterministic grid slice: "i/m" (shard i of m, 1-based)`)
 		ckptDir    = flag.String("checkpoint", "", "durable per-cell checkpoint directory (resume mid-grid after a kill)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	stop, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf(2, "%v", err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	ns, err := parseNs(*nsFlag)
 	if err != nil {
@@ -320,7 +333,12 @@ func parseScenarios(s string) ([]passivespread.Scenario, error) {
 	return out, nil
 }
 
+// stopProfiles ends the -cpuprofile/-memprofile capture; fatalf runs it
+// before the process ends, since os.Exit skips deferred calls.
+var stopProfiles = func() {}
+
 func fatalf(code int, format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	stopProfiles()
 	os.Exit(code)
 }

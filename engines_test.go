@@ -1,6 +1,7 @@
 package passivespread
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -98,5 +99,36 @@ func TestAggregateEngineHugePopulation(t *testing.T) {
 	}
 	if res.Round < 2 || res.Round > 100 {
 		t.Fatalf("t_con = %d at n = 10⁸, outside the plausible polylog band", res.Round)
+	}
+}
+
+// TestAggregateEngineMillionNearAbsorption replays the fetsim study
+// (-engine aggregate -n 1000000 -replicates 40 -seed 2 -init all-wrong)
+// that once panicked: near absorption at ℓ = 60 the observed fraction's
+// complement to the ℓ-th power is subnormal, and the occupancy step's
+// binomial pmf came out 1.7·10⁻⁷ off unit mass.
+func TestAggregateEngineMillionNearAbsorption(t *testing.T) {
+	const n = 1_000_000
+	cfg := Config{
+		N:             n,
+		Sources:       1,
+		Correct:       OpinionOne,
+		Protocol:      NewFET(SampleSize(n)),
+		Init:          AllWrong(OpinionOne),
+		Seed:          2,
+		MaxRounds:     DefaultMaxRounds(n),
+		Engine:        EngineAggregate,
+		CorruptStates: true,
+	}
+	study, err := NewStudy(StudySpec{Replicates: 40, Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := study.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv := report.Convergence; conv.Converged != conv.Replicates {
+		t.Fatalf("converged %d/%d", conv.Converged, conv.Replicates)
 	}
 }

@@ -73,7 +73,11 @@ func PMFVector(n int, p float64) []float64 {
 	default:
 		q := 1 - p
 		f := math.Pow(q, float64(n))
-		if f > 0 {
+		// A subnormal q^n carries too few mantissa bits to seed the
+		// recurrence: every term inherits its relative error (1.7·10⁻⁷
+		// of total mass at n = 60, q ≈ 5·10⁻⁶), so it counts as
+		// underflow too.
+		if f >= minNormal {
 			// Forward recurrence P(k+1) = P(k)·(n−k)/(k+1)·p/q.
 			r := p / q
 			for k := 0; k <= n; k++ {
@@ -89,6 +93,9 @@ func PMFVector(n int, p float64) []float64 {
 	}
 	return pmf
 }
+
+// minNormal is the smallest positive normal float64, 2^−1022.
+const minNormal = 0x1p-1022
 
 // logBinomPMF returns log P(Binomial(n, p) = k) for 0 < p < 1.
 func logBinomPMF(n, k int, p float64) float64 {

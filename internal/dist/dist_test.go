@@ -165,3 +165,34 @@ func TestDriftAgainstMonteCarlo(t *testing.T) {
 		}
 	}
 }
+
+// TestPMFVectorSubnormalLeadingTerm pins the case that once broke the
+// aggregate engine at n = 10⁶: ℓ = 60 at an observed fraction so close
+// to 1 that (1−p)^ℓ is subnormal. Seeding the forward recurrence with
+// that term put the total mass 1.7·10⁻⁷ off 1, past Multinomial's
+// tolerance.
+func TestPMFVectorSubnormalLeadingTerm(t *testing.T) {
+	p := math.Float64frombits(0x3feffff583a53b8e)
+	if f := math.Pow(1-p, 60); f == 0 || f >= minNormal {
+		t.Fatalf("(1−p)^60 = %v, want subnormal", f)
+	}
+	pmf := PMFVector(60, p)
+	sum := 0.0
+	for k, v := range pmf {
+		if v < 0 || math.IsNaN(v) {
+			t.Fatalf("pmf[%d] = %v", k, v)
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Fatalf("pmf sums to %v, want 1", sum)
+	}
+	// The two top terms against their closed forms.
+	q := 1 - p
+	if want := math.Pow(p, 60); math.Abs(pmf[60]-want) > 1e-14 {
+		t.Errorf("pmf[60] = %v, want %v", pmf[60], want)
+	}
+	if want := 60 * q * math.Pow(p, 59); math.Abs(pmf[59]-want) > 1e-14 {
+		t.Errorf("pmf[59] = %v, want %v", pmf[59], want)
+	}
+}

@@ -100,10 +100,12 @@ func (k CellKey) Validate() error {
 	if k.Sources < 0 {
 		return fmt.Errorf("cell key: sources: %d, want ≥ 0", k.Sources)
 	}
-	if k.NoiseEps < 0 || k.NoiseEps >= 0.5 {
+	// Negated in-range tests, so NaN (which "noise_eps=NaN" would parse
+	// to, and which never equals itself) is rejected too.
+	if !(k.NoiseEps >= 0 && k.NoiseEps < 0.5) {
 		return fmt.Errorf("cell key: noise_eps: %v, want in [0, 1/2)", k.NoiseEps)
 	}
-	if k.FlipFrac < 0 || k.FlipFrac >= 1 {
+	if !(k.FlipFrac >= 0 && k.FlipFrac < 1) {
 		return fmt.Errorf("cell key: flip_frac: %v, want in [0, 1)", k.FlipFrac)
 	}
 	return nil

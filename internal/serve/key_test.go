@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,8 @@ func TestCellKeyValidateRejects(t *testing.T) {
 		{"negative sources", func(k *CellKey) { k.Sources = -1 }},
 		{"noise too large", func(k *CellKey) { k.NoiseEps = 0.5 }},
 		{"flip too large", func(k *CellKey) { k.FlipFrac = 1 }},
+		{"NaN noise", func(k *CellKey) { k.NoiseEps = math.NaN() }},
+		{"NaN flip", func(k *CellKey) { k.FlipFrac = math.NaN() }},
 	}
 	for _, tc := range cases {
 		k := validKey()

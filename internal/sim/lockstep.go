@@ -13,12 +13,16 @@ import (
 // to 64 replicates of one configuration — same shape, different
 // per-replicate seeds — advance through the round loop together, with
 // the population transposed so that one uint64 word holds the same
-// agent's opinion across all lanes. The per-agent trend-compare update
-// (the TrendLockstep contract) is replayed directly against per-lane
-// tabulated binomial thresholds, with the per-agent xoshiro draws and
-// the threshold scans inlined into one kernel, so a batch amortizes the
-// round loop's dispatch and bookkeeping across W replicates while
-// staying bit-identical to running each lane alone: every lane consumes
+// agent's opinion across all lanes, while each lane's per-agent state
+// (streams, stored counts) is one contiguous block. The per-agent
+// trend-compare update (the TrendLockstep contract) is replayed directly
+// against per-lane tabulated binomial thresholds, one lane at a time,
+// with the xoshiro draws inlined into one kernel that sweeps the lane's
+// agents in address order; the compared draw is decided by two
+// threshold compares (trendVerdict) and only the stored draw is
+// inverted. A batch amortizes the round loop's dispatch and bookkeeping
+// across W replicates while staying bit-identical to running each lane
+// alone: every lane consumes
 // exactly the sequential fast path's RNG stream layout
 // (StreamSeed(laneSeed, 0) initializer, StreamSeed(laneSeed, j+1) for
 // agent j, d = DrawsPerRound outputs per agent per round).
@@ -121,10 +125,9 @@ func lockstepSupported(c *Config) bool {
 // O(n·W) buffers are allocated at construction and reused across
 // batches through the pool, and a steady-state round allocates nothing.
 type lockstepExecutor struct {
-	cfg   *Config
-	lanes int // W, the batch width (pool shape)
-	d     int // protocol draws per round (1 or 2)
-	m     int // the single declared sample size
+	cfg *Config
+	d   int // protocol draws per round (1 or 2)
+	m   int // the single declared sample size
 
 	// scratch replays per-agent construction-time RNG (CorruptState)
 	// during populate; the lockstep kernel never invokes agent Steps.
@@ -139,23 +142,21 @@ type lockstepExecutor struct {
 	// interface seam, which would otherwise heap-allocate it per lane.
 	initSrc rng.Source
 
-	// srcs and prev are lane-major per agent: index agent*lanes+lane, so
-	// one agent's lanes are contiguous for the kernel's inner loop. cur
-	// is the transposed opinion buffer: bit l of cur[j] is agent j's
-	// opinion in lane l. There is no double buffer — on the tabulated
-	// fast path observations never read the opinion bitset, so in-place
-	// update is byte-equivalent to the sequential engine's swap.
+	// srcs and prev are lane-major: index lane*n+agent, so one lane's
+	// agents are contiguous for the kernel's per-lane sweep (and for
+	// populate, the degenerate pin and the debt settlement). cur is the
+	// transposed opinion buffer: bit l of cur[j] is agent j's opinion in
+	// lane l. There is no double buffer — on the tabulated fast path
+	// observations never read the opinion bitset, so in-place update is
+	// byte-equivalent to the sequential engine's swap.
 	srcs []rng.Source
 	prev []uint16
 	cur  []uint64
 
 	ones   []int                    // per-lane 1-opinion counts
-	deltas []int                    // per-lane ones delta of the current round
 	debt   []uint32                 // per-lane skipped degenerate rounds
 	pinned []int8                   // per-lane pinned prev sign (−1 none, 0, 1)
 	thr    []rng.BinomialThresholds // per-lane round law
-	tcols  [][]uint64               // per-lane threshold slices for the kernel
-	gcols  []*rng.GuideTable        // per-lane scan-guide tables
 
 	states []laneState // per-lane driver bookkeeping, pooled with the buffers
 }
@@ -168,7 +169,6 @@ func newLockstepExecutor(c *Config, lanes int) *lockstepExecutor {
 	m, _ := singleSampleSize(proto.SampleSizes())
 	n := c.N
 	e := &lockstepExecutor{
-		lanes:    lanes,
 		d:        proto.DrawsPerRound(),
 		m:        m,
 		isSource: make([]bool, n),
@@ -177,12 +177,9 @@ func newLockstepExecutor(c *Config, lanes int) *lockstepExecutor {
 		prev:     make([]uint16, n*lanes),
 		cur:      make([]uint64, n),
 		ones:     make([]int, lanes),
-		deltas:   make([]int, lanes),
 		debt:     make([]uint32, lanes),
 		pinned:   make([]int8, lanes),
 		thr:      make([]rng.BinomialThresholds, lanes),
-		tcols:    make([][]uint64, lanes),
-		gcols:    make([]*rng.GuideTable, lanes),
 		states:   make([]laneState, lanes),
 	}
 	for i := 0; i < c.Sources; i++ {
@@ -202,43 +199,45 @@ func newLockstepExecutor(c *Config, lanes int) *lockstepExecutor {
 // starts from the state its replicate would reach alone.
 func (e *lockstepExecutor) populate(c *Config, lanes []LaneRun) error {
 	e.cfg = c
-	n, W := c.N, e.lanes
-	for j := range e.cur {
-		e.cur[j] = 0
+	n, s0 := c.N, c.Sources
+	cur := e.cur
+	for j := range cur {
+		cur[j] = 0
 	}
 	for l := range lanes {
 		seed := lanes[l].Seed
 		for i := range e.initBuf {
 			e.initBuf[i] = 0
 		}
-		for i := 0; i < c.Sources; i++ {
+		for i := 0; i < s0; i++ {
 			e.initBuf[i] = c.Correct
 		}
 		e.initSrc.Reseed(rng.StreamSeed(seed, 0))
 		c.Init.Assign(e.initBuf, e.isSource, &e.initSrc)
-		for i := 0; i < c.Sources; i++ {
+		for i := 0; i < s0; i++ {
 			if e.initBuf[i] != c.Correct {
 				return fmt.Errorf("sim: initializer %q overwrote a source opinion", c.Init.Name())
 			}
 		}
-		bit := uint64(1) << uint(l)
+		shift := uint(l)
 		ones := 0
-		for j := 0; j < n; j++ {
-			if e.initBuf[j] == 1 {
-				e.cur[j] |= bit
-				ones++
-			}
+		for j, b := range e.initBuf {
+			b &= 1
+			cur[j] |= uint64(b) << shift
+			ones += int(b)
 		}
 		e.ones[l] = ones
-		for j := c.Sources; j < n; j++ {
-			idx := j*W + l
-			src := &e.srcs[idx]
-			src.Reseed(rng.StreamSeed(seed, uint64(j)+1))
+		srcs := e.srcs[l*n+s0 : (l+1)*n]
+		prev := e.prev[l*n+s0 : (l+1)*n]
+		corrupt := c.CorruptStates && e.scratchCorrupt != nil
+		for i := range srcs {
+			src := &srcs[i]
+			src.Reseed(rng.StreamSeed(seed, uint64(s0+i)+1))
 			e.scratchReset.ResetAgent()
-			if c.CorruptStates && e.scratchCorrupt != nil {
+			if corrupt {
 				e.scratchCorrupt.CorruptState(src)
 			}
-			e.prev[idx] = uint16(e.scratchPrev.PrevCount())
+			prev[i] = uint16(e.scratchPrev.PrevCount())
 		}
 		e.debt[l] = 0
 		e.pinned[l] = -1
@@ -253,7 +252,7 @@ func (e *lockstepExecutor) populate(c *Config, lanes []LaneRun) error {
 //fet:hotpath
 func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 	c := e.cfg
-	n, W := c.N, e.lanes
+	n, s0 := c.N, c.Sources
 
 	// Re-pin the sources in every active lane (under FlipCorrectAt the
 	// displayed opinions must follow the flip before observations).
@@ -261,7 +260,7 @@ func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 	if correct == OpinionOne {
 		want = ^uint64(0)
 	}
-	for i := 0; i < c.Sources; i++ {
+	for i := 0; i < s0; i++ {
 		changed := (e.cur[i] ^ want) & active
 		if changed == 0 {
 			continue
@@ -292,8 +291,9 @@ func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 				pin, pv = uint16(e.m), 1
 			}
 			if e.pinned[l] != pv {
-				for j := c.Sources; j < n; j++ {
-					e.prev[j*W+l] = pin
+				prev := e.prev[l*n+s0 : (l+1)*n]
+				for j := range prev {
+					prev[j] = pin
 				}
 				e.pinned[l] = pv
 			}
@@ -302,92 +302,112 @@ func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 		}
 		if e.debt[l] > 0 {
 			adv := int(e.debt[l]) * e.d
-			for j := c.Sources; j < n; j++ {
+			srcs := e.srcs[l*n+s0 : (l+1)*n]
+			for j := range srcs {
 				//fet:allow rngmirror: settles exactly debt·d deferred draws per agent stream — the outputs the skipped degenerate rounds would have consumed
-				e.srcs[j*W+l].Advance(adv)
+				srcs[j].Advance(adv)
 			}
 			e.debt[l] = 0
 		}
 		e.pinned[l] = -1
 		e.thr[l].Reset(e.m, xObs)
-		e.tcols[l] = e.thr[l].Thresholds()
-		e.gcols[l] = e.thr[l].Guide()
 		live |= 1 << uint(l)
-		e.deltas[l] = 0
 	}
-	if live == 0 {
-		return
-	}
-	e.kernel(live)
 	for msk := live; msk != 0; msk &= msk - 1 {
 		l := bits.TrailingZeros64(msk)
-		e.ones[l] += e.deltas[l]
+		e.ones[l] += e.kernel(l)
 	}
 }
 
-// kernel sweeps the non-source agents once, advancing every live lane:
-// per (agent, lane) it draws the protocol's d stream outputs with the
-// xoshiro step inlined, inverts each against the lane's threshold table
-// — the guide table starts the scan within an expected single compare
-// of the answer — and applies the trend-compare rule against the lane's
-// stored count, branchlessly. Everything is straight-line over
-// preallocated buffers: zero allocations, no interface dispatch, and
-// independent lanes give the superscalar core independent RNG
-// dependency chains to overlap.
+// kernel advances live lane l one round and returns the lane's change
+// in 1-opinions. It is one contiguous sweep over the lane's non-source
+// agents: per agent it draws the protocol's d stream outputs with the
+// xoshiro step inlined, applies the trend-compare rule against the
+// stored count, and flips bit l of the agent's opinion word. The rule
+// needs only the sign of c′ − p, which two threshold compares decide
+// without inverting the first draw (trendVerdict); only the stored draw
+// — FET's second, SimpleTrend's single — is inverted, with the guide
+// table starting its scan within an expected single compare of the
+// answer. The lane's tables, bit shift and delta are locals, and the
+// sweep is straight-line over preallocated buffers: zero allocations,
+// no interface dispatch.
 //
 //fet:hotpath
-func (e *lockstepExecutor) kernel(live uint64) {
+func (e *lockstepExecutor) kernel(l int) int {
 	c := e.cfg
-	n, W := c.N, e.lanes
-	d2 := e.d == 2
-	srcs := e.srcs
-	prev := e.prev
-	cur := e.cur
-	tcols := e.tcols
-	gcols := e.gcols
-	deltas := e.deltas
-	for j := c.Sources; j < n; j++ {
-		base := j * W
-		word := cur[j]
-		for lm := live; lm != 0; lm &= lm - 1 {
-			l := bits.TrailingZeros64(lm)
-			idx := base + l
-			src := &srcs[idx]
-			t := tcols[l]
-			g := gcols[l]
-
+	n, s0 := c.N, c.Sources
+	t := e.thr[l].Thresholds()
+	g := e.thr[l].Guide()
+	srcs := e.srcs[l*n+s0 : (l+1)*n]
+	prev := e.prev[l*n+s0 : (l+1)*n]
+	// Reslicing to len(srcs) lets the compiler drop the bounds checks on
+	// prev[j] and cur[j] in the sweeps.
+	cur := e.cur[s0:n]
+	cur = cur[:len(srcs)]
+	prev = prev[:len(srcs)]
+	shift := uint(l) & 63 // l < 64; the mask spares the compiler's oversized-shift guard
+	delta := 0
+	if e.d == 2 {
+		for j := range srcs {
+			src := &srcs[j]
+			p := int(prev[j])
 			//fet:allow rngmirror: one output per protocol draw — the same single consumption as the tabulated SampleU path
+			up, down := trendVerdict(t, src.Uint64()>>11, p)
+			//fet:allow rngmirror: second of the protocol's d=2 draws, single consumption as above
 			mant := src.Uint64() >> 11
 			k := int(g[mant>>rng.GuideShift])
 			for mant >= t[k] {
 				k++
 			}
-			c0 := k
-			store := c0
-			if d2 {
-				//fet:allow rngmirror: second of the protocol's d=2 draws, single consumption as above
-				mant = src.Uint64() >> 11
-				k = int(g[mant>>rng.GuideShift])
-				for mant >= t[k] {
-					k++
-				}
-				store = k
-			}
-			p := int(prev[idx])
-			prev[idx] = uint16(store)
-			bit := (word >> uint(l)) & 1
-			out := bit
-			switch {
-			case c0 > p:
-				out = 1
-			case c0 < p:
-				out = 0
-			}
-			word ^= (out ^ bit) << uint(l)
-			deltas[l] += int(out) - int(bit)
+			prev[j] = uint16(k)
+			var dj int
+			cur[j], dj = setTrendBit(cur[j], shift, up, down)
+			delta += dj
 		}
-		cur[j] = word
+		return delta
 	}
+	for j := range srcs {
+		//fet:allow rngmirror: one output per protocol draw — the same single consumption as the tabulated SampleU path
+		mant := srcs[j].Uint64() >> 11
+		k := int(g[mant>>rng.GuideShift])
+		for mant >= t[k] {
+			k++
+		}
+		p := int(prev[j])
+		prev[j] = uint16(k)
+		var dj int
+		cur[j], dj = setTrendBit(cur[j], shift, k > p, k < p)
+		delta += dj
+	}
+	return delta
+}
+
+// setTrendBit applies the trend rule's outcome to bit shift of the
+// opinion word w: set it when up, clear it when down, keep it
+// otherwise. It returns the new word and the change in 1-opinions.
+func setTrendBit(w uint64, shift uint, up, down bool) (uint64, int) {
+	bit := (w >> shift) & 1
+	out := bit
+	if up {
+		out = 1
+	}
+	if down {
+		out = 0
+	}
+	return w ^ (out^bit)<<shift, int(out) - int(bit)
+}
+
+// trendVerdict decides the trend rule for one draw without inverting
+// it: with c′ the count mant inverts to against the threshold table t
+// (the smallest k with mant < t[k]) and p ∈ [0, m] the stored count, it
+// reports up = c′ > p and down = c′ < p. t is nondecreasing on [0, m)
+// and every 53-bit mant lies below t[m] = 2^53, so "mant < t[k]" is
+// monotone in k and c′ > p ⟺ mant ≥ t[p], c′ < p ⟺ p > 0 ∧ mant <
+// t[p−1]. (At p = m the first compare is never true: mant < 2^53.)
+func trendVerdict(t []uint64, mant uint64, p int) (up, down bool) {
+	up = mant >= t[p]
+	down = p > 0 && mant < t[p-1]
+	return up, down
 }
 
 // runLockstepLoop drives one populated batch to completion: the shared

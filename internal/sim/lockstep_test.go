@@ -514,3 +514,55 @@ func TestLockstepSteadyStateAllocs(t *testing.T) {
 		t.Errorf("pooled lockstep batch allocated %.0f objects, want ≤ 8", allocs)
 	}
 }
+
+// overshootFraction returns a success probability at which the
+// accumulated CDF of Binomial(m, x) overshoots 1 before its forced last
+// entry, so the threshold table has t[m−1] > t[m] = 2^53.
+func overshootFraction(m int) (float64, bool) {
+	for i := 1; i < 1<<14; i++ {
+		x := float64(i) / (1 << 14)
+		t := rng.NewBinomialThresholds(m, x).Thresholds()
+		if t[m-1] > t[m] {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
+// TestTrendVerdictMatchesInversion: the lockstep kernel's two-compare
+// verdict on the compared draw equals the sign of SampleRaw(raw) − p —
+// for every stored count p ∈ [0, m], at raws on both sides of every
+// threshold and at random raws, including a table whose accumulated CDF
+// overshoots 1 before its last entry.
+func TestTrendVerdictMatchesInversion(t *testing.T) {
+	src := rng.New(41)
+	for _, m := range []int{1, 2, 36, 64} {
+		xs := []float64{1e-3, 0.2, 0.5, 0.8, 0.999}
+		if x, ok := overshootFraction(m); ok {
+			xs = append(xs, x)
+		} else if m >= 36 {
+			t.Fatalf("m = %d: no fraction overshoots the CDF; the test lost its edge case", m)
+		}
+		for _, x := range xs {
+			thr := rng.NewBinomialThresholds(m, x)
+			tab := thr.Thresholds()
+			var raws []uint64
+			for _, tk := range tab {
+				raws = append(raws, (tk-1)<<11, tk<<11)
+			}
+			for i := 0; i < 256; i++ {
+				raws = append(raws, src.Uint64())
+			}
+			for p := 0; p <= m; p++ {
+				for _, raw := range raws {
+					c := thr.SampleRaw(raw)
+					up, down := trendVerdict(tab, raw>>11, p)
+					if up != (c > p) || down != (c < p) {
+						t.Fatalf("m=%d x=%v p=%d raw=%#x: verdict (up %v, down %v), SampleRaw = %d",
+							m, x, p, raw, up, down, c)
+					}
+				}
+			}
+		}
+	}
+}
