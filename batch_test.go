@@ -22,12 +22,12 @@ func scenarioSpec(t *testing.T, name string, n int, seed uint64) StudySpec {
 	return StudySpec{Config: &cfg}
 }
 
-// TestStudyBatchBitIdenticalMatrix is the batching acceptance contract:
-// for lockstep-eligible configurations and for every fallback class
-// (exact engine, aggregate engine, graph topologies), the StudyReport is
-// byte-identical at every Workers × Batch combination — batching is
-// scheduling, never semantics. Replicates is deliberately not a multiple
-// of any batch width, so every run exercises a ragged final batch.
+// TestStudyBatchBitIdenticalMatrix is the scheduling acceptance
+// contract: for trend-executor configurations and for every other
+// executor (exact engine, aggregate engine, graph topologies), the
+// StudyReport is byte-identical at every Workers × Batch combination.
+// Batch is accepted for compatibility and has no effect; Replicates is
+// deliberately not a multiple of any width it once batched by.
 func TestStudyBatchBitIdenticalMatrix(t *testing.T) {
 	regular, err := ParseTopology("random-regular:8")
 	if err != nil {
@@ -230,11 +230,10 @@ func (b roundBarrier) ObserveRound(ev RoundEvent) error {
 	}
 }
 
-// TestStudySparseReplicatesRunConcurrently: a configuration lockstep
-// cannot run (a sparse topology) spreads its replicates across the
-// workers even under a Batch width, instead of queueing them as the
-// lanes of one task. Both replicates must be inside round 1 at the same
-// time, and the results must equal the sequential run's.
+// TestStudySparseReplicatesRunConcurrently: a study's replicates
+// spread across the workers whatever its Batch width, one replicate per
+// task. Both replicates must be inside round 1 at the same time, and
+// the results must equal the sequential run's.
 func TestStudySparseReplicatesRunConcurrently(t *testing.T) {
 	regular, err := ParseTopology("random-regular:8")
 	if err != nil {
@@ -270,11 +269,10 @@ func TestStudySparseReplicatesRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestSweepPerReplicateCellsBitIdentical: cells lockstep cannot run —
-// sparse agent cells and aggregate cells, on both the complete graph
-// and a degree-annealed sparse one — are scheduled one replicate per
-// task, and their rows at Workers 4 × Batch 32 equal those at
-// Workers 1 × Batch 1.
+// TestSweepPerReplicateCellsBitIdentical: sparse agent cells and
+// aggregate cells, on both the complete graph and a degree-annealed
+// sparse one, are scheduled one replicate per task, and their rows at
+// Workers 4 × Batch 32 equal those at Workers 1 × Batch 1.
 func TestSweepPerReplicateCellsBitIdentical(t *testing.T) {
 	worst, _ := ScenarioByName(DefaultScenario)
 	half, _ := ScenarioByName("half-split")

@@ -278,10 +278,10 @@ func BenchmarkReplicateAlloc(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "replicates/sec")
 	})
 
-	// The lockstep shape: 32 replicates per word through one transposed
-	// executor. Steady state (the executor is built once, then reused per
-	// batch) must average 0 allocs per replicate, which the CI allocation
-	// gate enforces via the n= row-name convention.
+	// The trend executor's shape (the row keeps its historical name and
+	// its Batch 32, which has no effect): one pooled executor reused per
+	// replicate. Steady state must average 0 allocs per replicate, which
+	// the CI allocation gate enforces via the n= row-name convention.
 	b.Run("n=4096/lockstep", func(b *testing.B) {
 		study, err := NewStudy(StudySpec{
 			Replicates: b.N,
@@ -353,9 +353,10 @@ func BenchmarkCompete(b *testing.B) {
 // BenchmarkStudyReplicates measures the batch throughput of the Study
 // API — replicates per second per engine at fixed n = 4096, worst-case
 // start, default worker pool — plus the lockstep rows: the same agent
-// study with 8 and 32 replicates per word on a single worker, isolating
-// the word-parallel speedup from worker-pool parallelism. Recorded
-// results live in BENCH_study.json.
+// study on a single worker, isolating the per-replicate cost from
+// worker-pool parallelism. The rows keep their historical names and
+// their Batch widths 8 and 32, which have no effect. Recorded results
+// live in BENCH_study.json.
 func BenchmarkStudyReplicates(b *testing.B) {
 	engines := []struct {
 		name string

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"passivespread/internal/adversary"
@@ -20,15 +19,8 @@ import (
 // decides which form a cell takes. Replicate i of a cell with root seed
 // s runs with StreamSeed(s, i), whichever task and worker run it.
 type cellExec interface {
-	// width is the number of replicates one task of the cell runs: the
-	// lockstep width where the lockstep executor can run the cell, 1
-	// elsewhere. It is decided at run time rather than in newCell, which
-	// stays a cheap validation step.
-	width() int
-	// run executes the task of up to w = width() replicates starting at
-	// lo (fewer at the cell's last replicate) and returns their results
-	// in replicate order.
-	run(ctx context.Context, lo, w int) []RunResult
+	// run executes replicate i.
+	run(ctx context.Context, i int) RunResult
 	// release frees the cell's idle pooled executors (and stops the
 	// parallel engine's persistent shard workers). The cell stays
 	// runnable.
@@ -61,9 +53,7 @@ func newCell(spec *StudySpec, run ScenarioRunner) (cellExec, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: Config: %v", ErrInvalidOptions, err)
 		}
-		c := newAgentCell(spec)
-		c.cfg = *cfg
-		return c, nil
+		return &agentCell{cfg: *cfg, observe: spec.Observe}, nil
 	}
 	if spec.Options.Engine == EngineMarkovChain {
 		if spec.Observe != nil {
@@ -71,12 +61,11 @@ func newCell(spec *StudySpec, run ScenarioRunner) (cellExec, error) {
 		}
 		return newChainCell(spec.Options)
 	}
-	c := newAgentCell(spec)
-	var err error
-	if c.cfg, err = spec.Options.config(); err != nil {
+	cfg, err := spec.Options.config()
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &agentCell{cfg: cfg, observe: spec.Observe}, nil
 }
 
 // poolWorkers resolves a requested worker count (0 = GOMAXPROCS)
@@ -90,61 +79,31 @@ func poolWorkers(requested, units int) int {
 }
 
 // schedule runs every replicate of cells through one sched.Run pool of
-// workers. A task is (cell, first replicate, width): up to width()
-// consecutive replicates of one cell, which the claiming worker runs as
-// one lockstep batch where the cell supports it. Tasks are handed out
-// cell by cell in slice order, each cell's replicates ascending. emit
-// receives each result on the worker that ran it, with the cell's
-// position in cells; returning false drops the rest of that task's
-// results (the consumer is gone). A Study is the one-cell case.
-func schedule(ctx context.Context, workers, replicates int, cells []cellExec, emit func(cell int, r RunResult) bool) {
-	// Widths are fixed here, before any worker starts, so the workers
-	// only read them. first[k] is cell k's first task index.
-	width := make([]int, len(cells))
-	first := make([]int, len(cells)+1)
-	for k, c := range cells {
-		width[k] = c.width()
-		first[k+1] = first[k] + (replicates+width[k]-1)/width[k]
-	}
-	sched.Run(ctx, workers, first[len(cells)], func(i int) {
-		k := sort.Search(len(cells), func(k int) bool { return first[k+1] > i })
-		for _, r := range cells[k].run(ctx, (i-first[k])*width[k], width[k]) {
-			if !emit(k, r) {
-				return
-			}
-		}
+// workers, one replicate per task, handed out cell by cell in slice
+// order with each cell's replicates ascending. emit receives each
+// result on the worker that ran it, with the cell's position in cells.
+// A Study is the one-cell case.
+func schedule(ctx context.Context, workers, replicates int, cells []cellExec, emit func(cell int, r RunResult)) {
+	sched.Run(ctx, workers, len(cells)*replicates, func(i int) {
+		k := i / replicates
+		emit(k, cells[k].run(ctx, i%replicates))
 	})
 }
 
-// agentCell runs a cell on the agent-level engines: one replicate per
-// task through the executor pool, or a lockstep batch per task where
-// sim.LockstepWidth admits the template.
+// agentCell runs a cell on the agent-level engines, one replicate per
+// task through the executor pool.
 type agentCell struct {
-	cfg        Config // the replicate template; cfg.Seed is the root seed
-	replicates int
-	batch      int // the requested lockstep width, resolved to 1…replicates
-	observe    func(replicate int) []Observer
-	observeMu  sync.Mutex // serializes observe calls across workers
+	cfg       Config // the replicate template; cfg.Seed is the root seed
+	observe   func(replicate int) []Observer
+	observeMu sync.Mutex // serializes observe calls across workers
 
 	// pool leases per-replicate round executors: every O(n) buffer (the
-	// packed opinion bitsets, per-agent RNG states, resettable agent
-	// objects, topology adjacency and View scratch) is reused across the
-	// cell's replicates instead of reallocated, with bit-identical
-	// results. Idle executors are dropped by release.
+	// packed opinion bitsets, per-agent RNG states and stored counts,
+	// resettable agent objects, topology adjacency and View scratch) is
+	// reused across the cell's replicates instead of reallocated, with
+	// bit-identical results. Idle executors are dropped by release.
 	pool sim.Pool
 }
-
-// newAgentCell returns the agent cell of spec with its template left
-// for the caller to fill in.
-func newAgentCell(spec *StudySpec) *agentCell {
-	return &agentCell{
-		replicates: spec.Replicates,
-		batch:      max(1, min(spec.Batch, spec.Replicates)),
-		observe:    spec.Observe,
-	}
-}
-
-func (c *agentCell) width() int { return sim.LockstepWidth(c.cfg, c.batch) }
 
 func (c *agentCell) release() { c.pool.Release() }
 
@@ -155,50 +114,19 @@ func (c *agentCell) observers(i int) []Observer {
 	return c.observe(i)
 }
 
-// run executes replicate lo alone at w = 1, and replicates
-// [lo, min(lo+w, replicates)) as one lockstep batch otherwise. Each lane
-// keeps the exact per-replicate contract — seed StreamSeed(root, i),
-// fresh observer instances from the template slice plus Observe(i) — so
-// every RunResult is bit-identical to the one-replicate path. A
-// batch-level rejection (which RunLockstep reserves for invalid
-// configurations) surfaces on every lane of the batch.
-func (c *agentCell) run(ctx context.Context, lo, w int) []RunResult {
-	if w == 1 {
-		cfg := c.cfg
-		cfg.Seed = rng.StreamSeed(c.cfg.Seed, uint64(lo))
-		if c.observe != nil {
-			// Fresh observer instances per replicate: the template's slice
-			// is never shared across concurrently running replicates.
-			cfg.Observers = append(append([]Observer(nil), cfg.Observers...), c.observers(lo)...)
-		}
-		rr := RunResult{Replicate: lo, Seed: cfg.Seed}
-		rr.Result, rr.Err = c.pool.RunContext(ctx, cfg)
-		return []RunResult{rr}
+// run executes replicate i with seed StreamSeed(root, i) and fresh
+// observer instances from the template slice plus Observe(i).
+func (c *agentCell) run(ctx context.Context, i int) RunResult {
+	cfg := c.cfg
+	cfg.Seed = rng.StreamSeed(c.cfg.Seed, uint64(i))
+	if c.observe != nil {
+		// Fresh observer instances per replicate: the template's slice
+		// is never shared across concurrently running replicates.
+		cfg.Observers = append(append([]Observer(nil), cfg.Observers...), c.observers(i)...)
 	}
-	w = min(w, c.replicates-lo)
-	lanes := make([]sim.LaneRun, w)
-	laneOut := make([]sim.LaneResult, w)
-	for l := range lanes {
-		i := lo + l
-		lanes[l].Seed = rng.StreamSeed(c.cfg.Seed, uint64(i))
-		if c.observe != nil || len(c.cfg.Observers) > 0 {
-			lanes[l].Observers = append([]Observer(nil), c.cfg.Observers...)
-			if c.observe != nil {
-				lanes[l].Observers = append(lanes[l].Observers, c.observers(i)...)
-			}
-		}
-	}
-	err := c.pool.RunLockstep(ctx, c.cfg, lanes, laneOut)
-	results := make([]RunResult, w)
-	for l := range results {
-		results[l] = RunResult{Replicate: lo + l, Seed: lanes[l].Seed}
-		if err != nil {
-			results[l].Err = err
-			continue
-		}
-		results[l].Result, results[l].Err = laneOut[l].Result, laneOut[l].Err
-	}
-	return results
+	rr := RunResult{Replicate: i, Seed: cfg.Seed}
+	rr.Result, rr.Err = c.pool.RunContext(ctx, cfg)
+	return rr
 }
 
 // chainCell runs a cell on the EngineMarkovChain pseudo-engine: one
@@ -270,14 +198,12 @@ func chainStart(init Initializer, correct byte) (x0, x1 float64, err error) {
 	}
 }
 
-func (c *chainCell) width() int { return 1 }
-
 func (c *chainCell) release() {}
 
-// run advances replicate lo's chain to absorption and reports it in the
+// run advances replicate i's chain to absorption and reports it in the
 // common Result shape. The context is checked after every chain step.
-func (c *chainCell) run(ctx context.Context, lo, _ int) []RunResult {
-	rr := RunResult{Replicate: lo, Seed: rng.StreamSeed(c.seed, uint64(lo))}
+func (c *chainCell) run(ctx context.Context, i int) RunResult {
+	rr := RunResult{Replicate: i, Seed: rng.StreamSeed(c.seed, uint64(i))}
 	ch := markov.New(c.n, c.ell, rr.Seed)
 	start := ch.StateAt(c.x0, c.x1)
 	cres := ch.Run(markov.RunConfig{
@@ -288,7 +214,7 @@ func (c *chainCell) run(ctx context.Context, lo, _ int) []RunResult {
 	})
 	if err := ctx.Err(); err != nil {
 		rr.Err = err
-		return []RunResult{rr}
+		return rr
 	}
 	rr.Result = Result{
 		Converged: cres.Converged,
@@ -301,7 +227,7 @@ func (c *chainCell) run(ctx context.Context, lo, _ int) []RunResult {
 		// the initial fraction, then one entry per executed round.
 		rr.Result.Trajectory = append([]float64{float64(start.K1) / float64(c.n)}, cres.Trajectory...)
 	}
-	return []RunResult{rr}
+	return rr
 }
 
 // runnerCell runs a custom-runner scenario's cell: one ScenarioRunner
@@ -311,14 +237,12 @@ type runnerCell struct {
 	params ScenarioParams // Seed is the root seed
 }
 
-func (c *runnerCell) width() int { return 1 }
-
 func (c *runnerCell) release() {}
 
-func (c *runnerCell) run(ctx context.Context, lo, _ int) []RunResult {
+func (c *runnerCell) run(ctx context.Context, i int) RunResult {
 	p := c.params
-	p.Seed = rng.StreamSeed(c.params.Seed, uint64(lo))
-	rr := RunResult{Replicate: lo, Seed: p.Seed}
+	p.Seed = rng.StreamSeed(c.params.Seed, uint64(i))
+	rr := RunResult{Replicate: i, Seed: p.Seed}
 	rr.Result, rr.Err = c.runner(ctx, p)
-	return []RunResult{rr}
+	return rr
 }

@@ -53,7 +53,7 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", 0, "resident answer-cache budget in bytes (0 = 64 MiB)")
 		cacheDir   = flag.String("cache-dir", "", "persistent cache directory (empty = memory only)")
 		replicates = flag.Int("replicates", 0, "default replicates per query (0 = 40)")
-		batch      = flag.Int("batch", 0, "lockstep width for fallback-tier studies lockstep can run; other studies run one replicate per worker task (0 or 1 = off, max 64; never changes answer bytes)")
+		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 	)
 	flag.Parse()
 	if err := run(*addr, *workers, *cacheBytes, *cacheDir, *replicates, *batch); err != nil {

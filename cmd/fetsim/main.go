@@ -12,7 +12,7 @@
 //	fetsim -n 4096 -topology small-world:4:0.1 [-replicates 20]
 //	fetsim -n 100000000 -engine aggregate-sparse -topology random-regular:8
 //	fetsim -n 1024 -topology ring:2 -trajectory
-//	fetsim -n 4096 -replicates 640 -batch 32 -cpuprofile cpu.pprof
+//	fetsim -n 4096 -replicates 640 -cpuprofile cpu.pprof
 //
 // -topology selects the observation topology (default complete, the
 // paper's uniform mixing): ring[:k], torus, random-regular[:k],
@@ -53,7 +53,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
 		replicates = flag.Int("replicates", 1, "number of replicate runs (a study when > 1)")
 		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch where lockstep runs (complete topology, trend protocol, fast/parallel engine); elsewhere replicates spread across -jobs (0 or 1 = off, max 64; never changes results)")
+		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
@@ -114,7 +114,7 @@ func main() {
 		study, err = passivespread.NewStudy(passivespread.StudySpec{
 			Replicates: *replicates,
 			Workers:    *jobs,
-			Batch:      *batch, // validated here; the chain engine runs per-replicate
+			Batch:      *batch, // validated here; no effect
 			Options: passivespread.Options{
 				N:                *n,
 				Ell:              *ell,

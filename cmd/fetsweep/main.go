@@ -70,7 +70,7 @@ func main() {
 		scenarios  = flag.String("scenarios", passivespread.DefaultScenario, "comma-separated scenario names (see `fetlab -scenarios`)")
 		replicates = flag.Int("replicates", 40, "replicates per grid cell")
 		workers    = flag.Int("workers", 0, "shared worker pool for the whole grid (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch within a cell lockstep can run; other cells spread replicates across -workers (0 or 1 = off, max 64; never changes results)")
+		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 		rounds     = flag.Int("rounds", 0, "round cap per cell (0 = 400·log₂ n)")
 		seed       = flag.Uint64("seed", 42, "root random seed")
 		c          = flag.Float64("c", passivespread.DefaultC, "sample-size constant: ℓ = ⌈c·log₂ n⌉")

@@ -2,8 +2,8 @@
 // RNG stream access.
 //
 // The batched hot paths (rng.Batch, the fast observer's per-agent
-// prefetch, the graph observer's fused counting kernels, lockstep's
-// per-lane debt) are all mirrors: they must consume exactly the same
+// prefetch, the graph observer's fused counting kernels, the trend
+// executor's inlined draws and degenerate-round debt) are all mirrors: they must consume exactly the same
 // number of stream outputs, in the same order, as the unbatched
 // per-draw path they replace — otherwise every later draw of that
 // stream diverges and the bit-identity gates fail far from the cause.

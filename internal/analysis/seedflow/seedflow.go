@@ -2,7 +2,7 @@
 // rule: every generator seed is StreamSeed(root, i).
 //
 // Sharding, the content-addressed serve cache, checkpoint resume and
-// lockstep batching all assume that the generator consumed by
+// per-replicate scheduling all assume that the generator consumed by
 // (replicate i, agent j) is a pure function of (root seed, stream
 // index) — never of scheduling, and never of an ad-hoc arithmetic
 // mangle whose cross-stream decorrelation nobody has argued. seedflow

@@ -32,6 +32,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"passivespread/internal/rng"
 	"passivespread/internal/sim"
@@ -60,6 +61,11 @@ func SampleSize(n int, c float64) int {
 // FET is the Follow the Emerging Trend protocol (Protocol 1).
 type FET struct {
 	ell int
+	// name is Name, formatted on first use: pooled runs key executors
+	// by it per replicate and then allocate nothing, and NewFET stays
+	// one allocation.
+	nameOnce sync.Once
+	name     string
 }
 
 var _ sim.Protocol = (*FET)(nil)
@@ -74,7 +80,10 @@ func NewFET(ell int) *FET {
 }
 
 // Name implements sim.Protocol.
-func (f *FET) Name() string { return fmt.Sprintf("FET(ℓ=%d)", f.ell) }
+func (f *FET) Name() string {
+	f.nameOnce.Do(func() { f.name = fmt.Sprintf("FET(ℓ=%d)", f.ell) })
+	return f.name
+}
 
 // Ell returns the per-half sample size ℓ.
 func (f *FET) Ell() int { return f.ell }
@@ -101,8 +110,7 @@ func (f *FET) DrawsPerRound() int { return 2 }
 
 // LockstepRule implements sim.TrendLockstep: FETAgent.Step is exactly
 // the trend-compare rule with d = 2 (count′ compared, count′′ stored),
-// so the lockstep replicate engine may replay it word-parallel across
-// lanes with bit-identical results.
+// so the trend executor may replay it with bit-identical results.
 func (f *FET) LockstepRule() {}
 
 // NewAgent implements sim.Protocol.
@@ -179,7 +187,9 @@ func (a *FETAgent) PrevCount() int { return a.prevCount }
 // partitioned FET. It is retained as an ablation baseline (experiment
 // E14): it works in practice but is harder to analyze.
 type SimpleTrend struct {
-	ell int
+	ell      int
+	nameOnce sync.Once
+	name     string // Name, formatted on first use (see FET)
 }
 
 var _ sim.Protocol = (*SimpleTrend)(nil)
@@ -194,7 +204,10 @@ func NewSimpleTrend(ell int) *SimpleTrend {
 }
 
 // Name implements sim.Protocol.
-func (s *SimpleTrend) Name() string { return fmt.Sprintf("SimpleTrend(ℓ=%d)", s.ell) }
+func (s *SimpleTrend) Name() string {
+	s.nameOnce.Do(func() { s.name = fmt.Sprintf("SimpleTrend(ℓ=%d)", s.ell) })
+	return s.name
+}
 
 // Ell returns the per-round sample size ℓ.
 func (s *SimpleTrend) Ell() int { return s.ell }

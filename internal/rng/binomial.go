@@ -262,9 +262,8 @@ func (b *BinomialCDF) CDF(k int) float64 {
 // conversion, no float compare — while remaining bit-exact:
 // SampleRaw(raw) == SampleU(UnitFloat(raw)) for every raw uint64
 // (UnitThreshold's defining property, m < T[k] ⟺ float64(m)/2^53 <
-// cdf[k], applied entry-wise). The lockstep replicate engine tabulates
-// one of these per lane per round and scans it inline in its agent
-// kernel.
+// cdf[k], applied entry-wise). The trend executor tabulates one of
+// these per round and scans it inline in its agent kernel.
 //
 // The thresholds are nondecreasing over [0, n) — the accumulated CDF
 // only grows — and T[n] = 2^53 strictly exceeds every 53-bit mantissa,

@@ -239,7 +239,7 @@ func TestBinomialCDFPanicsOnNegativeN(t *testing.T) {
 }
 
 // TestBinomialThresholdsMatchesSampleU is the bit-identity foundation of
-// the lockstep replicate engine: for every raw stream output,
+// the trend executor: for every raw stream output,
 // SampleRaw(raw) must equal the float path's SampleU(UnitFloat(raw)) —
 // both scan directions, every p regime (degenerate ends, skewed
 // log-space tails, the p > 1/2 downward scan), and under in-place Reset
@@ -333,7 +333,7 @@ func TestBinomialThresholdsMonotone(t *testing.T) {
 }
 
 func TestBinomialThresholdsGuide(t *testing.T) {
-	// The guide-started upward scan — the lockstep kernel's inlined
+	// The guide-started upward scan — the trend kernel's inlined
 	// inversion — must return SampleRaw's exact answer for every raw
 	// output, and every guide entry must lower-bound its bucket.
 	src := New(97)

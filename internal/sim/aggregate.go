@@ -16,7 +16,7 @@ import (
 // every agent; only the per-agent identities are forgotten, which the
 // opinion-fraction statistics never depended on).
 type aggregateExecutor struct {
-	cfg   *Config
+	cfg   Config
 	proto AggregateProtocol
 	// sparse and annealedK select the degree-annealed round update
 	// (EngineAggregateSparse): annealedK is the topology's uniform
@@ -64,7 +64,7 @@ func newAggregateExecutor(c *Config) (*aggregateExecutor, error) {
 	}
 
 	e := &aggregateExecutor{
-		cfg:       c,
+		cfg:       *c,
 		proto:     proto,
 		sparse:    sparse,
 		annealedK: annealedK,
@@ -107,7 +107,7 @@ func newAggregateExecutor(c *Config) (*aggregateExecutor, error) {
 // preferring the initializer's aggregate form and falling back to a
 // one-off materialized assignment for moderate populations.
 func (e *aggregateExecutor) initialOnes(nonSources int) (int, error) {
-	c := e.cfg
+	c := &e.cfg
 	if agg, ok := c.Init.(AggregateInitializer); ok {
 		ones := agg.AggregateOnes(c.N, nonSources, e.sourceOnes, e.src)
 		if ones < 0 || ones > nonSources {
@@ -151,7 +151,7 @@ func (e *aggregateExecutor) close() {}
 
 // Step implements roundExecutor.
 func (e *aggregateExecutor) Step(correct byte) error {
-	c := e.cfg
+	c := &e.cfg
 	e.sourceOnes = int(correct) * c.Sources
 	nonSourceOnes := e.occ.Ones()
 	e.ones = e.sourceOnes + nonSourceOnes

@@ -197,165 +197,89 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return runLoop(ctx, &c, exec)
 }
 
-// laneState is one replicate's round-loop bookkeeping — absorption
-// detection, mid-run environment flips, observer dispatch, early stops —
-// factored out of the loop so the sequential runLoop and the lockstep
-// replicate driver (which interleaves up to 64 of these, one per lane)
-// share a single copy of the semantics. Methods mirror the loop's
-// phases: init before round 0, maybeFlip at the top of a round, step the
-// population, then afterRound; result renders the final Result.
-type laneState struct {
-	n            int
-	correct      byte
-	absorbWindow int
-	flipAt       int
-	runToEnd     bool
-	observers    []Observer
-	rec          *TrajectoryRecorder
-	correctRun   int
-	absorbed     bool
-	absorbedAt   int
-	stopped      bool
-}
-
-func (ls *laneState) allCorrect(ones int) bool {
-	if ls.correct == OpinionOne {
-		return ones == ls.n
-	}
-	return ones == 0
-}
-
-// init prepares the bookkeeping for one replicate of c starting from
-// ones 1-opinions, with the given per-replicate observers (the caller
-// resolves them: Config.Observers for the sequential loop, per-lane
-// lists for the lockstep driver).
-func (ls *laneState) init(c *Config, observers []Observer, ones int) {
-	ls.n = c.N
-	ls.correct = c.Correct
-	ls.absorbWindow = c.AbsorbWindow
-	ls.flipAt = c.FlipCorrectAt
-	ls.runToEnd = c.RunToEnd
-	ls.stopped = false
-	ls.rec = nil
-
-	// Trajectory recording is an Observer instance; x_0 precedes the
-	// first event, so the orchestrator seeds it here.
-	if c.RecordTrajectory {
-		ls.rec = &TrajectoryRecorder{Xs: make([]float64, 0, c.MaxRounds+1)}
-		ls.rec.Xs = append(ls.rec.Xs, float64(ones)/float64(ls.n))
-		observers = append(append(make([]Observer, 0, len(observers)+1), observers...), ls.rec)
-	}
-	ls.observers = observers
-
-	ls.correctRun = 0
-	if ls.allCorrect(ones) {
-		ls.correctRun = 1
-	}
-	ls.absorbed = ls.correctRun >= ls.absorbWindow
-	ls.absorbedAt = -1
-	if ls.absorbed {
-		ls.absorbedAt = 0
-	}
-}
-
-// maybeFlip applies the FlipCorrectAt environment change at the top of
-// a round: the sources switch to the new correct opinion and
-// convergence is judged against it from here on.
-func (ls *laneState) maybeFlip(round int) {
-	if ls.flipAt > 0 && round == ls.flipAt {
-		ls.correct = 1 - ls.correct
-		ls.correctRun = 0
-		ls.absorbed = false
-		ls.absorbedAt = -1
-	}
-}
-
-// afterRound runs the post-step bookkeeping for an executed round:
-// absorption tracking, observer dispatch (ErrStopRun requests a clean
-// early stop that still lets the remaining observers see the event),
-// and the early-exit decision. halt reports that the replicate is done
-// (stop requested, or absorbed with no pending flip and no RunToEnd);
-// a non-nil err aborts the replicate.
-func (ls *laneState) afterRound(round, ones int) (halt bool, err error) {
-	newX := float64(ones) / float64(ls.n)
-	if ls.allCorrect(ones) {
-		ls.correctRun++
-	} else {
-		ls.correctRun = 0
-		ls.absorbed = false
-		ls.absorbedAt = -1
-	}
-	if !ls.absorbed && ls.correctRun >= ls.absorbWindow {
-		ls.absorbed = true
-		ls.absorbedAt = round + 1 - ls.correctRun + 1 // first round of the run
-	}
-
-	stop := false
-	ev := RoundEvent{Round: round, X: newX, Ones: ones, Correct: ls.correct, Absorbed: ls.absorbed}
-	for _, obs := range ls.observers {
-		if err := obs.ObserveRound(ev); err != nil {
-			if errors.Is(err, ErrStopRun) {
-				// A stop request still lets the remaining observers
-				// (including the trajectory recorder) see the event.
-				stop = true
-				continue
-			}
-			return false, err
-		}
-	}
-	if stop {
-		ls.stopped = true
-		return true, nil
-	}
-	pendingFlip := ls.flipAt > 0 && round < ls.flipAt
-	return ls.absorbed && !ls.runToEnd && !pendingFlip, nil
-}
-
-// result renders the replicate's Result after rounds executed rounds
-// with a final population of ones 1-opinions.
-func (ls *laneState) result(rounds, ones int) Result {
-	res := Result{
-		Round:        -1,
-		Rounds:       rounds,
-		FinalX:       float64(ones) / float64(ls.n),
-		Converged:    ls.absorbed,
-		StoppedEarly: ls.stopped,
-	}
-	if ls.absorbed {
-		res.Round = ls.absorbedAt
-	}
-	if ls.rec != nil {
-		res.Trajectory = ls.rec.Xs
-	}
-	return res
-}
-
 // runLoop is the engine-independent round loop shared by RunContext and
 // the pooled Pool.RunContext: c must already carry defaults and exec must
-// be populated for this replicate. The caller owns the executor's
-// lifecycle (close or pool return).
-func runLoop(ctx context.Context, cfgp *Config, exec roundExecutor) (Result, error) {
-	c := *cfgp
-	var ls laneState
-	ls.init(&c, c.Observers, exec.Ones())
+// be populated for this replicate. It owns all protocol-independent
+// bookkeeping — absorption detection, mid-run environment flips, observer
+// dispatch, early stops. The caller owns the executor's lifecycle (close
+// or pool return).
+func runLoop(ctx context.Context, c *Config, exec roundExecutor) (Result, error) {
+	n := c.N
+	correct := c.Correct
+	observers := c.Observers
+	// Trajectory recording is an Observer instance; x_0 precedes the
+	// first event, so the orchestrator seeds it here.
+	var rec *TrajectoryRecorder
+	if c.RecordTrajectory {
+		rec = &TrajectoryRecorder{Xs: make([]float64, 0, c.MaxRounds+1)}
+		rec.Xs = append(rec.Xs, float64(exec.Ones())/float64(n))
+		observers = append(append(make([]Observer, 0, len(observers)+1), observers...), rec)
+	}
+
+	// correctRun counts consecutive all-correct rounds; absorbedAt is the
+	// first round of the final all-correct run once it reaches the absorb
+	// window, −1 while the run is not absorbed.
+	correctRun := 0
+	if exec.Ones() == int(correct)*n {
+		correctRun = 1
+	}
+	absorbedAt := -1
+	if correctRun >= c.AbsorbWindow {
+		absorbedAt = 0
+	}
+	stopped := false
 
 	round := 0
 	for ; round < c.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		ls.maybeFlip(round)
-		if err := exec.Step(ls.correct); err != nil {
+		if c.FlipCorrectAt > 0 && round == c.FlipCorrectAt {
+			// The environment changes: the sources switch to the new
+			// correct opinion and convergence is judged against it.
+			correct = 1 - correct
+			correctRun, absorbedAt = 0, -1
+		}
+		if err := exec.Step(correct); err != nil {
 			return Result{}, err
 		}
-		halt, err := ls.afterRound(round, exec.Ones())
-		if err != nil {
-			return Result{}, err
+		ones := exec.Ones()
+		if ones == int(correct)*n {
+			correctRun++
+		} else {
+			correctRun, absorbedAt = 0, -1
 		}
-		if halt {
+		if absorbedAt < 0 && correctRun >= c.AbsorbWindow {
+			absorbedAt = round + 2 - correctRun
+		}
+
+		ev := RoundEvent{Round: round, X: float64(ones) / float64(n), Ones: ones, Correct: correct, Absorbed: absorbedAt >= 0}
+		for _, obs := range observers {
+			if err := obs.ObserveRound(ev); err != nil {
+				if !errors.Is(err, ErrStopRun) {
+					return Result{}, err
+				}
+				// A stop request still lets the remaining observers
+				// (including the trajectory recorder) see the event.
+				stopped = true
+			}
+		}
+		pendingFlip := c.FlipCorrectAt > 0 && round < c.FlipCorrectAt
+		if stopped || absorbedAt >= 0 && !c.RunToEnd && !pendingFlip {
 			round++
 			break
 		}
 	}
-	return ls.result(round, exec.Ones()), nil
+
+	res := Result{
+		Converged:    absorbedAt >= 0,
+		Round:        absorbedAt,
+		Rounds:       round,
+		FinalX:       float64(exec.Ones()) / float64(n),
+		StoppedEarly: stopped,
+	}
+	if rec != nil {
+		res.Trajectory = rec.Xs
+	}
+	return res, nil
 }

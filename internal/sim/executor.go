@@ -14,8 +14,10 @@ import (
 // time, while the orchestrator keeps all protocol-independent bookkeeping.
 //
 // Implementations: the per-agent executors (exact, fast, parallel) hold
-// packed opinion bitsets and agent arrays; the aggregate executor holds
-// only per-state occupancy counts.
+// packed opinion bitsets and agent arrays; the trend executor holds
+// packed opinions, streams and stored counts for the trend-rule
+// protocols on the fast engine; the aggregate executor holds only
+// per-state occupancy counts.
 type roundExecutor interface {
 	// Ones returns the current number of 1-opinions across the whole
 	// population, sources included.
@@ -30,17 +32,52 @@ type roundExecutor interface {
 	close()
 }
 
+// pooledExecutor is a roundExecutor over an explicit per-agent
+// population, which the Pool re-populates for each replicate of its
+// shape instead of rebuilding.
+type pooledExecutor interface {
+	roundExecutor
+	// populate initializes the executor for one replicate of c, with
+	// exactly the RNG consumption of a fresh construction. c is passed
+	// by value: the executor keeps it, and a pooled lease allocates
+	// nothing.
+	populate(c Config) error
+}
+
 // newRoundExecutor builds the executor selected by cfg.Engine from an
 // already-validated config.
 func newRoundExecutor(c *Config) (roundExecutor, error) {
 	switch c.Engine {
 	case EngineAgentFast, EngineAgentExact, EngineAgentParallel:
-		return newAgentExecutor(c, nil)
+		e, err := newPooledExecutor(c, nil)
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
 	case EngineAggregate, EngineAggregateSparse:
 		return newAggregateExecutor(c)
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %v", c.Engine)
 	}
+}
+
+// newPooledExecutor builds and populates the executor for an agent
+// engine: the trend executor where trendSupported(c) holds, the generic
+// agentExecutor otherwise. The pool p supplies the read-only state
+// executors share; nil builds it privately.
+func newPooledExecutor(c *Config, p *Pool) (pooledExecutor, error) {
+	if trendSupported(c) {
+		e, err := newTrendExecutor(c)
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
+	}
+	e, err := newAgentExecutor(c, p)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // agentExecutor advances an explicit per-agent population. It backs the
@@ -54,7 +91,7 @@ func newRoundExecutor(c *Config) (roundExecutor, error) {
 // adjacency — is reused across replicates, and the round loop itself
 // runs with zero steady-state allocations.
 type agentExecutor struct {
-	cfg *Config
+	cfg Config // the current replicate's configuration
 	// opinions and next are the packed double-buffered population: one
 	// bit per agent, swapped after every round. Observers hold pointers
 	// to the structs (whose addresses never change), so the swap needs no
@@ -212,7 +249,7 @@ func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 	if e.workers > 1 {
 		e.startWorkers(c)
 	}
-	if err := e.populate(c); err != nil {
+	if err := e.populate(*c); err != nil {
 		e.close()
 		return nil, err
 	}
@@ -281,8 +318,9 @@ func (e *agentExecutor) startWorkers(c *Config) {
 // construction — initializer stream 0, agent streams 1..n, the
 // topology's derived stream — so a pooled replicate is bit-identical to
 // an unpooled one.
-func (e *agentExecutor) populate(c *Config) error {
-	e.cfg = c
+func (e *agentExecutor) populate(cfg Config) error {
+	e.cfg = cfg
+	c := &e.cfg
 	e.round = 0
 	n := c.N
 
@@ -369,7 +407,7 @@ func (e *agentExecutor) Ones() int { return e.ones }
 //
 //fet:hotpath
 func (e *agentExecutor) Step(correct byte) error {
-	c := e.cfg
+	c := &e.cfg
 	n := c.N
 
 	// Re-pin the sources: under FlipCorrectAt the correct opinion changes

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -68,20 +69,29 @@ func hotpathConfig(engine EngineKind, parallelism int, tp topo.Topology) Config 
 
 // TestStepZeroAllocsPerRound pins the round loop at zero steady-state
 // allocations on every agent engine path: the sequential fast engine
-// (tabulated binomials retabulated in place), the sharded parallel
-// engine (persistent word-aligned shard workers, executor-owned
-// deltas/errs — the stepParallel per-call slices are gone), the exact
-// engine, and the literal graph path including dynamic rewiring.
+// (tabulated binomials retabulated in place), the trend executor's
+// kernel (d = 2 and d = 1), the sharded parallel engine (persistent
+// word-aligned shard workers, executor-owned deltas/errs — the
+// stepParallel per-call slices are gone), the exact engine, and the
+// literal graph path including dynamic rewiring.
 func TestStepZeroAllocsPerRound(t *testing.T) {
+	trend := func(draws int) Config {
+		c := hotpathConfig(EngineAgentFast, 0, nil)
+		c.Protocol = lsTrend(8, draws)
+		return c
+	}
 	cases := []struct {
 		name string
 		cfg  Config
+		kind string // the executor newRoundExecutor must pick
 	}{
-		{"fast", hotpathConfig(EngineAgentFast, 0, nil)},
-		{"parallel", hotpathConfig(EngineAgentParallel, 4, nil)},
-		{"exact", hotpathConfig(EngineAgentExact, 0, nil)},
-		{"graph", hotpathConfig(EngineAgentFast, 0, topo.RandomRegular(8))},
-		{"graph-dynamic", hotpathConfig(EngineAgentParallel, 4, topo.DynamicRewire(8, 0.2))},
+		{"fast", hotpathConfig(EngineAgentFast, 0, nil), "*sim.agentExecutor"},
+		{"trend", trend(2), trendKind},
+		{"trend-d1", trend(1), trendKind},
+		{"parallel", hotpathConfig(EngineAgentParallel, 4, nil), "*sim.agentExecutor"},
+		{"exact", hotpathConfig(EngineAgentExact, 0, nil), "*sim.agentExecutor"},
+		{"graph", hotpathConfig(EngineAgentFast, 0, topo.RandomRegular(8)), "*sim.agentExecutor"},
+		{"graph-dynamic", hotpathConfig(EngineAgentParallel, 4, topo.DynamicRewire(8, 0.2)), "*sim.agentExecutor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,11 +99,14 @@ func TestStepZeroAllocsPerRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := newAgentExecutor(&c, nil)
+			e, err := newRoundExecutor(&c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.close()
+			if kind := fmt.Sprintf("%T", e); kind != tc.kind {
+				t.Fatalf("runs on %s, want %s", kind, tc.kind)
+			}
 			// Warm up: first rounds grow the binomial tables and recycle
 			// the first goroutine descriptors.
 			for r := 0; r < 8; r++ {

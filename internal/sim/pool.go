@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -14,14 +13,16 @@ import (
 // share an executor via populate. Everything else a replicate varies —
 // seed, correct opinion, initializer, noise, corruption hooks, round
 // caps, observers — is (re)applied per lease by populate and the
-// orchestrator. lanes is the lockstep batch width (0 for sequential
-// executors): lockstep buffers are sized n·lanes, so batches of
-// different widths are different shapes.
+// orchestrator. stateInit separates configs with a StateInit hook,
+// which needs live agent objects and so never runs on the trend
+// executor; within one key the choice between the trend executor and
+// the generic agentExecutor is therefore fixed.
 type poolKey struct {
-	engine                    EngineKind
-	n, sources, shards, lanes int
-	protocol                  string
-	topology                  string
+	engine             EngineKind
+	n, sources, shards int
+	protocol           string
+	topology           string
+	stateInit          bool
 }
 
 // Pool reuses agent executors — and with them every O(n) replicate
@@ -45,10 +46,9 @@ type poolKey struct {
 // workers (leaked otherwise for EngineAgentParallel). The Pool remains
 // usable after Release.
 type Pool struct {
-	mu       sync.Mutex
-	free     map[poolKey][]*agentExecutor
-	freeLock map[poolKey][]*lockstepExecutor
-	ladders  map[ladderKey]*rng.JumpLadder
+	mu      sync.Mutex
+	free    map[poolKey][]pooledExecutor
+	ladders map[ladderKey]*rng.JumpLadder
 }
 
 // ladderKey is a jump ladder's shape: the whole-round step count of its
@@ -112,12 +112,13 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	key := poolKey{
-		engine:   c.Engine,
-		n:        c.N,
-		sources:  c.Sources,
-		protocol: c.Protocol.Name(),
-		topology: topo.DisplayName(c.Topology),
-		shards:   1,
+		engine:    c.Engine,
+		n:         c.N,
+		sources:   c.Sources,
+		protocol:  c.Protocol.Name(),
+		topology:  topo.DisplayName(c.Topology),
+		shards:    1,
+		stateInit: c.StateInit != nil,
 	}
 	if c.Engine == EngineAgentParallel {
 		key.shards = resolvedWorkers(&c)
@@ -125,91 +126,21 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 
 	e := p.get(key)
 	if e == nil {
-		e, err = newAgentExecutor(&c, p)
-	} else {
-		err = e.populate(&c)
+		e, err = newPooledExecutor(&c, p)
+	} else if err = e.populate(c); err != nil {
+		e.close()
 	}
 	if err != nil {
-		if e != nil {
-			e.close()
-		}
 		return Result{}, err
 	}
+	// The idle executor keeps this replicate's Config until its next
+	// lease or Release.
 	res, runErr := runLoop(ctx, &c, e)
-	e.cfg = nil // do not retain the lease's Config across idle periods
 	p.put(key, e)
 	return res, runErr
 }
 
-// RunLockstep runs len(lanes) replicates of cfg's shape — lane l seeded
-// with lanes[l].Seed and observed by lanes[l].Observers — writing each
-// lane's outcome to out[l]. Outcomes are bit-identical to running every
-// lane alone through RunContext: when the configuration supports the
-// lockstep executor (see lockstepSupported) the whole batch advances
-// word-parallel through a pooled transposed executor; otherwise, and for
-// single-lane batches, each lane falls back to the sequential path.
-// cfg.Seed and cfg.Observers are ignored — both are per-lane.
-//
-// A non-nil return means the batch itself was rejected (bad
-// configuration, mismatched slice lengths, too many lanes) and no lane
-// ran. Per-lane failures — context cancellation, observer errors — are
-// reported in out[l].Err, and lanes already finished keep their
-// results. A nil *Pool degrades to unpooled sequential runs.
-func (p *Pool) RunLockstep(ctx context.Context, cfg Config, lanes []LaneRun, out []LaneResult) error {
-	if len(out) != len(lanes) {
-		return fmt.Errorf("sim: RunLockstep with %d lanes but %d result slots", len(lanes), len(out))
-	}
-	if len(lanes) > maxLockstepLanes {
-		return fmt.Errorf("sim: RunLockstep with %d lanes, max %d", len(lanes), maxLockstepLanes)
-	}
-	if len(lanes) == 0 {
-		return nil
-	}
-	cfg.Observers = nil
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return err
-	}
-	if p == nil || len(lanes) == 1 || !lockstepSupported(&c) {
-		for l := range lanes {
-			lc := cfg
-			lc.Seed = lanes[l].Seed
-			lc.Observers = lanes[l].Observers
-			var res Result
-			var runErr error
-			if p == nil {
-				res, runErr = RunContext(ctx, lc)
-			} else {
-				res, runErr = p.RunContext(ctx, lc)
-			}
-			out[l] = LaneResult{Result: res, Err: runErr}
-		}
-		return nil
-	}
-
-	key := poolKey{
-		engine:   c.Engine,
-		n:        c.N,
-		sources:  c.Sources,
-		protocol: c.Protocol.Name(),
-		topology: topo.DisplayName(c.Topology),
-		shards:   1,
-		lanes:    len(lanes),
-	}
-	e := p.getLock(key)
-	if e == nil {
-		e = newLockstepExecutor(&c, len(lanes))
-	}
-	if err := e.populate(&c, lanes); err != nil {
-		return err
-	}
-	runLockstepLoop(ctx, &c, e, lanes, out)
-	e.cfg = nil // do not retain the lease's Config across idle periods
-	p.putLock(key, e)
-	return nil
-}
-
-func (p *Pool) get(key poolKey) *agentExecutor {
+func (p *Pool) get(key poolKey) pooledExecutor {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	frees := p.free[key]
@@ -221,34 +152,13 @@ func (p *Pool) get(key poolKey) *agentExecutor {
 	return e
 }
 
-func (p *Pool) put(key poolKey, e *agentExecutor) {
+func (p *Pool) put(key poolKey, e pooledExecutor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.free == nil {
-		p.free = make(map[poolKey][]*agentExecutor)
+		p.free = make(map[poolKey][]pooledExecutor)
 	}
 	p.free[key] = append(p.free[key], e)
-}
-
-func (p *Pool) getLock(key poolKey) *lockstepExecutor {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	frees := p.freeLock[key]
-	if len(frees) == 0 {
-		return nil
-	}
-	e := frees[len(frees)-1]
-	p.freeLock[key] = frees[:len(frees)-1]
-	return e
-}
-
-func (p *Pool) putLock(key poolKey, e *lockstepExecutor) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.freeLock == nil {
-		p.freeLock = make(map[poolKey][]*lockstepExecutor)
-	}
-	p.freeLock[key] = append(p.freeLock[key], e)
 }
 
 // Release closes and drops every idle executor and the shared jump
@@ -267,12 +177,6 @@ func (p *Pool) Release() {
 			e.close()
 		}
 		delete(p.free, key)
-	}
-	//fet:allow detrand: shutdown drain; dropping references has no observable order
-	for key := range p.freeLock {
-		// Lockstep executors own no background resources — dropping the
-		// references releases their buffers.
-		delete(p.freeLock, key)
 	}
 	clear(p.ladders)
 }

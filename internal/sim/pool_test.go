@@ -63,7 +63,9 @@ func TestPoolSharesJumpLadder(t *testing.T) {
 
 	var frees []*agentExecutor
 	for _, fs := range p.free {
-		frees = append(frees, fs...)
+		for _, e := range fs {
+			frees = append(frees, e.(*agentExecutor))
+		}
 	}
 	if len(frees) != 2 {
 		t.Fatalf("pool holds %d idle executors, want the 2 leased concurrently", len(frees))

@@ -105,11 +105,10 @@ type FixedDraws interface {
 	DrawsPerRound() int
 }
 
-// TrendLockstep is implemented by protocols eligible for the lockstep
-// replicate engine (Pool.RunLockstep), which advances up to 64
-// replicates of one configuration through the round loop together. The
-// marker asserts that, on the tabulated fast path, the protocol's whole
-// per-agent update is the trend-compare rule:
+// TrendLockstep is implemented by protocols eligible for the trend
+// executor, which EngineAgentFast runs their replicates on under
+// uniform mixing. The marker asserts that, on the tabulated fast path,
+// the protocol's whole per-agent update is the trend-compare rule:
 //
 //	draw DrawsPerRound() counts c_0 … c_{d−1}, each a CountOnes of the
 //	single declared sample size; adopt opinion 1 if c_0 exceeds the
@@ -117,7 +116,7 @@ type FixedDraws interface {
 //	store c_{d−1} for the next round.
 //
 // with d ∈ {1, 2} (FET compares c_0 and stores c_1; SimpleTrend uses
-// one count for both) and no Sample calls. The lockstep engine replays
+// one count for both) and no Sample calls. The trend executor replays
 // this rule itself — agents' Step methods are never invoked — so the
 // marker is a promise, cross-checked by the bit-identity test battery,
 // not a derived fact. Eligible protocols' agents must additionally
@@ -131,8 +130,8 @@ type TrendLockstep interface {
 }
 
 // PrevCounter is implemented by trend-following agents exposing their
-// stored previous-round count. The lockstep engine reads it once per
-// replicate to transpose the agent state into its lane-major buffers.
+// stored previous-round count. The trend executor reads it once per
+// replicate to copy the agent state into its stored-count buffer.
 type PrevCounter interface {
 	PrevCount() int
 }

@@ -1,0 +1,501 @@
+package sim
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"passivespread/internal/rng"
+	"passivespread/internal/topo"
+)
+
+// lsTrendProto is a test protocol implementing exactly the TrendLockstep
+// contract through its Step method, with configurable draw count: d = 2
+// mirrors FET (compare the first count, store the second), d = 1 mirrors
+// SimpleTrend (one count for both). The bit-identity battery runs it
+// through both the generic fast path (agents stepping) and the trend
+// executor (rule replayed by the kernel) and demands identical results.
+// Build it with lsTrend: the name is computed once, so a pooled lease
+// allocates nothing.
+type lsTrendProto struct {
+	ell   int
+	draws int
+	name  string
+}
+
+func lsTrend(ell, draws int) lsTrendProto {
+	return lsTrendProto{ell: ell, draws: draws, name: fmt.Sprintf("ls-trend(d=%d,ell=%d)", draws, ell)}
+}
+
+func (p lsTrendProto) Name() string       { return p.name }
+func (p lsTrendProto) SampleSizes() []int { return []int{p.ell} }
+func (p lsTrendProto) DrawsPerRound() int { return p.draws }
+func (p lsTrendProto) LockstepRule()      {}
+func (p lsTrendProto) NewAgent(*rng.Source) Agent {
+	return &lsTrendAgent{ell: p.ell, draws: p.draws}
+}
+
+type lsTrendAgent struct {
+	ell, draws, prev int
+}
+
+func (a *lsTrendAgent) Step(cur byte, obs Observation) byte {
+	c0 := obs.CountOnes(a.ell)
+	store := c0
+	if a.draws == 2 {
+		store = obs.CountOnes(a.ell)
+	}
+	next := cur
+	switch {
+	case c0 > a.prev:
+		next = OpinionOne
+	case c0 < a.prev:
+		next = OpinionZero
+	}
+	a.prev = store
+	return next
+}
+
+func (a *lsTrendAgent) PrevCount() int               { return a.prev }
+func (a *lsTrendAgent) ResetAgent()                  { a.prev = 0 }
+func (a *lsTrendAgent) CorruptState(src *rng.Source) { a.prev = src.Intn(a.ell + 1) }
+
+var (
+	_ TrendLockstep    = lsTrendProto{}
+	_ PrevCounter      = (*lsTrendAgent)(nil)
+	_ AgentResetter    = (*lsTrendAgent)(nil)
+	_ StateCorruptible = (*lsTrendAgent)(nil)
+)
+
+// randomBernoulliInit draws each non-source opinion independently,
+// consuming initializer-stream outputs so the trend populate's
+// initializer replay is exercised.
+type randomBernoulliInit struct{ p float64 }
+
+func (randomBernoulliInit) Name() string { return "random-bernoulli" }
+func (r randomBernoulliInit) Assign(op []byte, isSource []bool, src *rng.Source) {
+	for i := range op {
+		if !isSource[i] {
+			op[i] = OpinionZero
+			if src.Bernoulli(r.p) {
+				op[i] = OpinionOne
+			}
+		}
+	}
+}
+
+// eventLog records every RoundEvent a replicate delivers.
+type eventLog struct{ events []RoundEvent }
+
+func (l *eventLog) ObserveRound(ev RoundEvent) error {
+	l.events = append(l.events, ev)
+	return nil
+}
+
+// runGeneric is the independent reference: cfg's replicate on the
+// generic agentExecutor, built directly, whose agents step through the
+// tabulated fastObserver (or the sharded sweep under
+// EngineAgentParallel).
+func runGeneric(t *testing.T, ctx context.Context, cfg Config) (Result, error) {
+	t.Helper()
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatalf("withDefaults: %v", err)
+	}
+	e, err := newAgentExecutor(&c, nil)
+	if err != nil {
+		t.Fatalf("newAgentExecutor: %v", err)
+	}
+	defer e.close()
+	if _, ok := e.observers[0].(*fastObserver); !ok && topo.IsComplete(c.Topology) && c.Engine != EngineAgentExact {
+		t.Fatalf("reference runs on %T, want the fastObserver", e.observers[0])
+	}
+	return runLoop(ctx, &c, e)
+}
+
+// executorKind reports which executor newRoundExecutor picks for cfg.
+func executorKind(t *testing.T, cfg Config) string {
+	t.Helper()
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatalf("withDefaults: %v", err)
+	}
+	e, err := newRoundExecutor(&c)
+	if err != nil {
+		t.Fatalf("newRoundExecutor: %v", err)
+	}
+	defer e.close()
+	return fmt.Sprintf("%T", e)
+}
+
+const trendKind = "*sim.trendExecutor"
+
+// TestLockstepBitIdenticalMatrix: for every scenario, w replicates run
+// through a pooled Pool.RunContext — the trend executor wherever
+// trendSupported admits the config — must equal the generic
+// agentExecutor + fastObserver reference bit for bit, in their Results
+// and in every RoundEvent their observers receive.
+func TestLockstepBitIdenticalMatrix(t *testing.T) {
+	base := Config{
+		N:             300,
+		Protocol:      lsTrend(12, 2),
+		Init:          allWrongInit{},
+		Correct:       OpinionOne,
+		MaxRounds:     400,
+		CorruptStates: true,
+	}
+	scenarios := []struct {
+		name   string
+		mut    func(*Config)
+		kernel bool // the config runs on the trend executor
+	}{
+		{"worst-case", func(*Config) {}, true},
+		{"simple-trend", func(c *Config) { c.Protocol = lsTrend(7, 1) }, true},
+		{"random-init", func(c *Config) { c.Init = randomBernoulliInit{p: 0.5} }, true},
+		{"correct-zero", func(c *Config) {
+			c.Correct = OpinionZero
+			c.Init = allCorrectInit{} // every non-source starts wrong (at 1)
+		}, true},
+		{"three-sources", func(c *Config) { c.Sources = 3 }, true},
+		{"noise", func(c *Config) { c.NoiseEps = 0.02 }, true},
+		{"run-to-end", func(c *Config) {
+			// Absorption happens long before MaxRounds, so the tail is a
+			// long degenerate episode exercising the debt counter.
+			c.RunToEnd = true
+			c.MaxRounds = 120
+		}, true},
+		{"flip-out-of-absorption", func(c *Config) {
+			// The run absorbs, idles degenerate until the flip, then the
+			// sources switch sides: the run leaves the degenerate episode
+			// through the bulk stream-advance settlement and reconverges
+			// to 0.
+			c.FlipCorrectAt = 90
+			c.MaxRounds = 400
+		}, true},
+		{"absorb-window-3", func(c *Config) { c.AbsorbWindow = 3 }, true},
+		{"trajectory", func(c *Config) { c.RecordTrajectory = true; c.MaxRounds = 60; c.RunToEnd = true }, true},
+		{"observer-stop", func(c *Config) {
+			c.Observers = []Observer{StopWhen(func(ev RoundEvent) bool { return ev.Round == 25 })}
+		}, true},
+		// EngineAgentParallel keeps its sharded executor and stays
+		// bit-identical to the fast reference.
+		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 4 }, false},
+	}
+	widths := []int{2, 5, 32, 64}
+
+	for _, sc := range scenarios {
+		for _, w := range widths {
+			t.Run(fmt.Sprintf("%s/w=%d", sc.name, w), func(t *testing.T) {
+				cfg := base
+				sc.mut(&cfg)
+				if got := executorKind(t, cfg) == trendKind; got != sc.kernel {
+					t.Fatalf("runs on the trend executor: %v, want %v", got, sc.kernel)
+				}
+				pool := NewPool()
+				defer pool.Release()
+				for i := 0; i < w; i++ {
+					rc := cfg
+					rc.Seed = rng.StreamSeed(uint64(0xC0FFEE+w), uint64(i))
+					var gotLog, wantLog eventLog
+					rc.Observers = append(append([]Observer(nil), cfg.Observers...), &gotLog)
+					got, gotErr := pool.RunContext(context.Background(), rc)
+					rc.Observers = append(append([]Observer(nil), cfg.Observers...), &wantLog)
+					want, wantErr := runGeneric(t, context.Background(), rc)
+					if gotErr != nil || wantErr != nil {
+						t.Fatalf("replicate %d: errs kernel=%v reference=%v", i, gotErr, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("replicate %d diverged:\nkernel:    %+v\nreference: %+v", i, got, want)
+					}
+					if !reflect.DeepEqual(gotLog.events, wantLog.events) {
+						t.Fatalf("replicate %d: round events diverged", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTrendExecutorPooledReuseBitIdentical: one pooled trend executor
+// re-leased across seeds, initializers, noise, corruption and correct
+// opinions of one shape reproduces a freshly built executor's run bit
+// for bit, and the pool really reuses it.
+func TestTrendExecutorPooledReuseBitIdentical(t *testing.T) {
+	base := Config{
+		N:         257,
+		Protocol:  lsTrend(9, 2),
+		Init:      randomBernoulliInit{p: 0.3},
+		Correct:   OpinionOne,
+		MaxRounds: 300,
+	}
+	variants := []func(*Config){
+		func(c *Config) { c.CorruptStates = true },
+		func(c *Config) { c.Init = allWrongInit{} },
+		func(c *Config) { c.NoiseEps = 0.01 },
+		func(c *Config) { c.Correct = OpinionZero; c.Init = allCorrectInit{}; c.CorruptStates = true },
+		func(c *Config) { c.FlipCorrectAt = 60; c.RecordTrajectory = true },
+		func(*Config) {},
+	}
+	p := NewPool()
+	defer p.Release()
+	var first *trendExecutor
+	for v, mut := range variants {
+		cfg := base
+		mut(&cfg)
+		cfg.Seed = uint64(1000 + v)
+		got, err := p.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("variant %d: %v", v, err)
+		}
+		c, err := cfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := newTrendExecutor(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runLoop(context.Background(), &c, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("variant %d diverged:\npooled: %+v\nfresh:  %+v", v, got, want)
+		}
+		var idle []pooledExecutor
+		for _, fs := range p.free {
+			idle = append(idle, fs...)
+		}
+		if len(idle) != 1 {
+			t.Fatalf("variant %d: pool holds %d idle executors, want 1", v, len(idle))
+		}
+		e, ok := idle[0].(*trendExecutor)
+		if !ok {
+			t.Fatalf("variant %d: pooled %T, want the trend executor", v, idle[0])
+		}
+		if first == nil {
+			first = e
+		} else if e != first {
+			t.Fatalf("variant %d: the pool rebuilt the executor instead of reusing it", v)
+		}
+	}
+}
+
+// TestLockstepFallbackIneligible: configurations outside the trend
+// executor's envelope run on the generic agentExecutor, with results
+// identical to the directly built reference.
+func TestLockstepFallbackIneligible(t *testing.T) {
+	base := Config{
+		N:         128,
+		Protocol:  lsTrend(8, 2),
+		Init:      allWrongInit{},
+		Correct:   OpinionOne,
+		MaxRounds: 300,
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"exact-engine", func(c *Config) { c.Engine = EngineAgentExact }},
+		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 3 }},
+		{"graph-topology", func(c *Config) { c.Topology = topo.RandomRegular(8) }},
+		{"non-trend-protocol", func(c *Config) { c.Protocol = majorityProtocol{m: 5} }},
+		{"state-init", func(c *Config) {
+			c.StateInit = func(_ int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = 3 }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mut(&cfg)
+			c, err := cfg.withDefaults()
+			if err != nil {
+				t.Fatalf("withDefaults: %v", err)
+			}
+			if trendSupported(&c) {
+				t.Fatalf("config unexpectedly eligible for the trend executor")
+			}
+			if kind := executorKind(t, cfg); kind != "*sim.agentExecutor" {
+				t.Fatalf("runs on %s, want the generic agentExecutor", kind)
+			}
+			p := NewPool()
+			defer p.Release()
+			for i := uint64(0); i < 4; i++ {
+				rc := cfg
+				rc.Seed = rng.StreamSeed(7, i)
+				got, err := p.RunContext(context.Background(), rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := runGeneric(t, context.Background(), rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("replicate %d diverged", i)
+				}
+			}
+		})
+	}
+}
+
+// TestLockstepNilPoolDegrades: a nil *Pool runs a trend replicate
+// unpooled, with the pooled path's result.
+func TestLockstepNilPoolDegrades(t *testing.T) {
+	cfg := Config{
+		N:         100,
+		Protocol:  lsTrend(6, 2),
+		Init:      allWrongInit{},
+		MaxRounds: 200,
+	}
+	var np *Pool
+	p := NewPool()
+	defer p.Release()
+	for i := uint64(0); i < 4; i++ {
+		cfg.Seed = rng.StreamSeed(3, i)
+		got, err := np.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("replicate %d diverged", i)
+		}
+	}
+}
+
+// TestLockstepCancellation: cancelling mid-run stops a trend replicate
+// with the context error at the next round boundary, and the executor
+// returned to the pool by the aborted run serves the next replicate bit
+// for bit.
+func TestLockstepCancellation(t *testing.T) {
+	cfg := Config{
+		N:             300,
+		Protocol:      lsTrend(12, 2),
+		Init:          allWrongInit{},
+		Correct:       OpinionOne,
+		MaxRounds:     400,
+		CorruptStates: true,
+		Seed:          99,
+	}
+	want, err := runGeneric(t, context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Rounds < 5 {
+		t.Fatalf("degenerate reference: %d rounds", want.Rounds)
+	}
+	cancelAt := want.Rounds / 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rounds := 0
+	cut := cfg
+	cut.Observers = []Observer{ObserverFunc(func(ev RoundEvent) error {
+		rounds++
+		if ev.Round == cancelAt {
+			cancel()
+		}
+		return nil
+	})}
+	p := NewPool()
+	defer p.Release()
+	if _, err := p.RunContext(ctx, cut); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if rounds != cancelAt+1 {
+		t.Errorf("ran %d rounds after cancelling in round %d", rounds, cancelAt)
+	}
+	got, err := p.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replicate after the aborted run diverged:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestLockstepSteadyStateAllocs: once the pool holds a trend executor, a
+// whole further replicate — hundreds of rounds, degenerate tail
+// included — allocates nothing.
+func TestLockstepSteadyStateAllocs(t *testing.T) {
+	cfg := Config{
+		N:             512,
+		Protocol:      lsTrend(10, 2),
+		Init:          allWrongInit{},
+		Correct:       OpinionOne,
+		MaxRounds:     200,
+		RunToEnd:      true,
+		CorruptStates: true,
+		Seed:          11,
+	}
+	p := NewPool()
+	defer p.Release()
+	if _, err := p.RunContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := p.RunContext(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pooled trend replicate allocated %v objects, want 0", allocs)
+	}
+}
+
+// overshootFraction returns a success probability at which the
+// accumulated CDF of Binomial(m, x) overshoots 1 before its forced last
+// entry, so the threshold table has t[m−1] > t[m] = 2^53.
+func overshootFraction(m int) (float64, bool) {
+	for i := 1; i < 1<<14; i++ {
+		x := float64(i) / (1 << 14)
+		t := rng.NewBinomialThresholds(m, x).Thresholds()
+		if t[m-1] > t[m] {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
+// TestTrendVerdictMatchesInversion: the lockstep kernel's two-compare
+// verdict on the compared draw equals the sign of SampleRaw(raw) − p —
+// for every stored count p ∈ [0, m], at raws on both sides of every
+// threshold and at random raws, including a table whose accumulated CDF
+// overshoots 1 before its last entry.
+func TestTrendVerdictMatchesInversion(t *testing.T) {
+	src := rng.New(41)
+	for _, m := range []int{1, 2, 36, 64} {
+		xs := []float64{1e-3, 0.2, 0.5, 0.8, 0.999}
+		if x, ok := overshootFraction(m); ok {
+			xs = append(xs, x)
+		} else if m >= 36 {
+			t.Fatalf("m = %d: no fraction overshoots the CDF; the test lost its edge case", m)
+		}
+		for _, x := range xs {
+			thr := rng.NewBinomialThresholds(m, x)
+			tab := thr.Thresholds()
+			var raws []uint64
+			for _, tk := range tab {
+				raws = append(raws, (tk-1)<<11, tk<<11)
+			}
+			for i := 0; i < 256; i++ {
+				raws = append(raws, src.Uint64())
+			}
+			for p := 0; p <= m; p++ {
+				for _, raw := range raws {
+					c := thr.SampleRaw(raw)
+					up, down := trendVerdict(tab, raw>>11, p)
+					if up != (c > p) || down != (c < p) {
+						t.Fatalf("m=%d x=%v p=%d raw=%#x: verdict (up %v, down %v), SampleRaw = %d",
+							m, x, p, raw, up, down, c)
+					}
+				}
+			}
+		}
+	}
+}

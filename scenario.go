@@ -190,9 +190,9 @@ func (sc Scenario) chainCompatible() bool {
 // custom runner's ScenarioParams and is the only form the chain engine
 // accepts — plus, for every other engine, the Config form it runs.
 func (sc Scenario) cell(n, ell, maxRounds int, engine EngineKind, topology Topology, parallelism int, cellSeed uint64,
-	replicates, batch int) (cellExec, error) {
+	replicates int) (cellExec, error) {
 	init, sources := sc.resolved()
-	spec := StudySpec{Replicates: replicates, Batch: batch, Options: Options{
+	spec := StudySpec{Replicates: replicates, Options: Options{
 		N:         n,
 		Ell:       ell,
 		Seed:      cellSeed,

@@ -53,12 +53,8 @@ type ServeConfig struct {
 	// DefaultReplicates resolves a query's zero replicates field
 	// (0 = 40, enough for a stable success-rate estimate).
 	DefaultReplicates int
-	// Batch is the lockstep width fallback-tier studies run with (see
-	// StudySpec.Batch; 0 or 1 = sequential, max MaxBatch). It applies
-	// only where lockstep runs; elsewhere a study's replicates spread
-	// one per task across its workers. Answer bytes are identical at
-	// every width — batching only changes how fast the fallback tier
-	// turns a cold cell into a cached answer.
+	// Batch is accepted for compatibility; it has no effect (see
+	// StudySpec.Batch). Values outside 0…MaxBatch are still rejected.
 	Batch int
 }
 
@@ -80,7 +76,7 @@ func NewServer(cfg ServeConfig) (*Server, error) {
 		return nil, fmt.Errorf("%w: Batch: %d, want 0…%d", ErrInvalidOptions, cfg.Batch, MaxBatch)
 	}
 	return serve.New(serve.Config{
-		Backend:    &serveBackend{defaultReplicates: reps, batch: cfg.Batch},
+		Backend:    &serveBackend{defaultReplicates: reps},
 		Workers:    cfg.Workers,
 		CacheBytes: cfg.CacheBytes,
 		CacheDir:   cfg.CacheDir,
@@ -115,9 +111,6 @@ func (s *Sweep) CellKeys() []CellKey {
 // ParseTopology/ParseEngine, and the Study API.
 type serveBackend struct {
 	defaultReplicates int
-	// batch is the lockstep width for fallback-tier studies (0/1 =
-	// sequential); it never changes answer bytes.
-	batch int
 }
 
 // resolvedCell is a key plus its executable ingredients.
@@ -424,11 +417,17 @@ func (b *serveBackend) Run(ctx context.Context, key CellKey, progress func(done,
 		return nil, err
 	}
 	total := key.Replicates
-	exec, err := cell.scenario.cell(key.N, key.Ell, key.MaxRounds, cell.engine, cell.topology, 1, key.Seed, total, b.batch)
+	exec, err := cell.scenario.cell(key.N, key.Ell, key.MaxRounds, cell.engine, cell.topology, 1, key.Seed, total)
 	if err != nil {
 		return nil, asToolError(err)
 	}
-	study := &Study{replicates: total, workers: poolWorkers(0, total), cell: exec}
+	workers := poolWorkers(0, total)
+	if b.Tier(key) == serve.TierFallback {
+		// A fallback study runs on one worker, so the server's Workers
+		// slots bound the cores the fallback tier occupies.
+		workers = 1
+	}
+	study := &Study{replicates: total, workers: workers, cell: exec}
 	results, err := study.collect(ctx, progress)
 	if err != nil {
 		return nil, err

@@ -18,15 +18,9 @@ type StudySpec struct {
 	// (root seed, replicate index) alone, so results are bit-identical at
 	// every parallelism level.
 	Workers int
-	// Batch is the lockstep width W: each worker runs up to W replicates
-	// word-parallel through one transposed executor. Batch applies only
-	// where lockstep runs (complete topology, trend-rule protocol, agent
-	// engines, no custom StateInit; see the sim package's lockstep
-	// executor); elsewhere replicates spread one per task across
-	// Workers. 0 or 1 disables batching; the maximum is MaxBatch (one
-	// replicate per bit of a uint64 word). Like Workers, Batch affects
-	// scheduling only: reports are bit-identical at every Workers × Batch
-	// combination. The EngineMarkovChain form ignores Batch.
+	// Batch is accepted for compatibility; it has no effect: every
+	// replicate runs as its own task. Values outside 0…MaxBatch are
+	// still rejected.
 	Batch int
 	// Options is the per-replicate template for the common case (FET
 	// under the worst-case defaults). Options.Seed is the study's root
@@ -51,8 +45,9 @@ type StudySpec struct {
 	Observe func(replicate int) []Observer
 }
 
-// MaxBatch is the largest StudySpec.Batch (and SweepSpec.Batch) width:
-// the lockstep executor packs one replicate per bit of a uint64 word.
+// MaxBatch is the largest StudySpec.Batch, SweepSpec.Batch and
+// ServeConfig.Batch value accepted. Batch is accepted for
+// compatibility; it has no effect.
 const MaxBatch = 64
 
 // StreamSeed exposes the repository's SplitMix64 stream-derivation rule:
@@ -143,12 +138,10 @@ func (s *Study) Stream(ctx context.Context) <-chan RunResult {
 	out := make(chan RunResult)
 	go func() {
 		defer close(out)
-		schedule(ctx, s.workers, s.replicates, []cellExec{s.cell}, func(_ int, r RunResult) bool {
+		schedule(ctx, s.workers, s.replicates, []cellExec{s.cell}, func(_ int, r RunResult) {
 			select {
 			case out <- r:
-				return true
 			case <-ctx.Done():
-				return false
 			}
 		})
 		// All leases are back: free the pooled executors.
@@ -224,6 +217,6 @@ func censorConvergence(results []RunResult) (times []float64, converged []bool) 
 // executed inline, with its error unwrapped.
 func (s *Study) runSingle(ctx context.Context) (Result, error) {
 	defer s.cell.release()
-	r := s.cell.run(ctx, 0, 1)[0]
+	r := s.cell.run(ctx, 0)
 	return r.Result, r.Err
 }

@@ -62,14 +62,8 @@ type SweepSpec struct {
 	// starve the grid and the last straggler cell still saturates the
 	// hardware. Scheduling never affects results.
 	Workers int
-	// Batch is the per-cell lockstep width W (see StudySpec.Batch): a
-	// worker claims up to W consecutive replicates of one cell and runs
-	// them word-parallel. Batch applies only to cells whose configuration
-	// the lockstep executor supports; every other cell — sparse
-	// topologies, aggregate and exact engines, custom-runner scenarios,
-	// EngineMarkovChain — spreads its replicates one per task across
-	// Workers. 0 or 1 disables batching; the maximum is MaxBatch. Like
-	// Workers, Batch never affects results.
+	// Batch is accepted for compatibility; it has no effect (see
+	// StudySpec.Batch). Values outside 0…MaxBatch are still rejected.
 	Batch int
 	// Seed is the sweep's root seed.
 	Seed uint64
@@ -356,7 +350,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 							maxRounds = DefaultMaxRounds(n)
 						}
 						cell, err := newSweepCell(idx, sc, engine, cellTopo, n, ell, maxRounds, parallelism,
-							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates, spec.Batch)
+							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates)
 						if err != nil {
 							return nil, fmt.Errorf("cell %d (scenario %s, engine %s, topology %s, n=%d, ℓ=%d): %w",
 								idx, sc.Name, EngineName(engine), topo.DisplayName(cellTopo), n, ell, err)
@@ -396,7 +390,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 
 // newSweepCell prepares one grid cell.
 func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n, ell, maxRounds, parallelism int,
-	cellSeed uint64, replicates, batch int) (sweepCell, error) {
+	cellSeed uint64, replicates int) (sweepCell, error) {
 	cell := sweepCell{meta: SweepCell{
 		Index:     idx,
 		Scenario:  sc.Name,
@@ -413,7 +407,7 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 		return cell, fmt.Errorf("%w: Scenarios: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
 	}
 	var err error
-	cell.exec, err = sc.cell(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed, replicates, batch)
+	cell.exec, err = sc.cell(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed, replicates)
 	return cell, err
 }
 
@@ -551,7 +545,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 		for k := range remaining {
 			remaining[k] = s.replicates
 		}
-		schedule(ctx, s.workers, s.replicates, cells, func(k int, r RunResult) bool {
+		schedule(ctx, s.workers, s.replicates, cells, func(k int, r RunResult) {
 			mu.Lock()
 			if pending[k] == nil {
 				pending[k] = make([]RunResult, s.replicates)
@@ -565,7 +559,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 			}
 			mu.Unlock()
 			if !last {
-				return true
+				return
 			}
 			row, ok := s.row(todo[k], results)
 			// The cell's last replicate returned its leased executor
@@ -573,7 +567,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 			// buffers can be freed as the grid progresses.
 			cells[k].release()
 			if !ok {
-				return true // interrupted mid-run; drop, don't misreport
+				return // interrupted mid-run; drop, don't misreport
 			}
 			// Durability point: the checkpoint hits disk before the row
 			// is delivered, so a consumer never sees a result the fabric
@@ -584,9 +578,7 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 			}
 			select {
 			case out <- row:
-				return true
-			case <-ctx.Done():
-				return false // the consumer may be gone
+			case <-ctx.Done(): // the consumer may be gone
 			}
 		})
 		// Cancellation can leave interrupted cells with leased-and-
