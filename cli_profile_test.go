@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// TestCLIProfilesLeaveStdoutUnchanged: -cpuprofile and -memprofile on
-// fetsim and fetsweep write non-empty profiles and announce them on
-// stderr only — stdout stays byte-identical to an unprofiled run.
+// TestCLIProfilesLeaveStdoutUnchanged: -cpuprofile, -memprofile and
+// -trace on fetsim, fetsweep and fetlab write non-empty files and
+// announce them on stderr only — stdout stays byte-identical to an
+// unprofiled run.
 func TestCLIProfilesLeaveStdoutUnchanged(t *testing.T) {
 	bin := buildCLITools(t)
 	for _, tc := range []struct {
@@ -20,6 +21,7 @@ func TestCLIProfilesLeaveStdoutUnchanged(t *testing.T) {
 	}{
 		{"fetsim", []string{"-n", "1024", "-seed", "7", "-replicates", "16", "-batch", "8"}},
 		{"fetsweep", []string{"-ns", "256,1024", "-replicates", "4", "-seed", "9", "-format", "csv"}},
+		{"fetlab", []string{"-run", "E16", "-quick", "-seed", "3"}},
 	} {
 		run := func(extra ...string) (stdout, stderr []byte) {
 			t.Helper()
@@ -33,12 +35,12 @@ func TestCLIProfilesLeaveStdoutUnchanged(t *testing.T) {
 		}
 		plain, _ := run()
 		dir := t.TempDir()
-		cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-		profiled, stderr := run("-cpuprofile", cpu, "-memprofile", mem)
+		cpu, mem, trace := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof"), filepath.Join(dir, "trace.out")
+		profiled, stderr := run("-cpuprofile", cpu, "-memprofile", mem, "-trace", trace)
 		if !bytes.Equal(plain, profiled) {
 			t.Errorf("%s: stdout changed under profiling:\n--- plain\n%s\n--- profiled\n%s", tc.tool, plain, profiled)
 		}
-		for _, path := range []string{cpu, mem} {
+		for _, path := range []string{cpu, mem, trace} {
 			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 				t.Errorf("%s: profile %s missing or empty (%v)", tc.tool, path, err)
 			}

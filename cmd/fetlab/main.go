@@ -10,10 +10,15 @@
 //	fetlab -topologies
 //	fetlab -run E01,E02 [-quick] [-seed 42] [-format text|markdown]
 //	fetlab -all [-quick]
+//	fetlab -run E16 -quick -cpuprofile cpu.pprof
 //
 // The grid-shaped experiments (E01, E13) run through the root Sweep
 // layer; -scenarios lists the scenario registry that Sweep (and the
 // fetsweep tool) draw presets from.
+//
+// -cpuprofile, -memprofile and -trace write runtime/pprof CPU and heap
+// profiles and a runtime/trace execution trace of the run; their
+// messages go to stderr, so stdout is unchanged.
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"strings"
 
 	"passivespread"
+	"passivespread/cmd/internal/prof"
 )
 
 func main() {
@@ -37,7 +43,16 @@ func main() {
 		format     = flag.String("format", "text", "output format: text or markdown")
 		workers    = flag.Int("workers", 0, "parallel trial workers (0 = all CPUs)")
 	)
+	profiles := prof.Register()
 	flag.Parse()
+
+	stop, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	if *list {
 		for _, e := range passivespread.Experiments() {
@@ -74,7 +89,7 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "nothing to do: pass -list, -all, or -run IDs")
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 
 	cfg := passivespread.ExperimentConfig{Seed: *seed, Quick: *quick, Parallelism: *workers}
@@ -99,6 +114,15 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		exit(1)
 	}
+}
+
+// stopProfiles ends the -cpuprofile/-memprofile/-trace capture; exit
+// runs it before the process ends, since os.Exit skips deferred calls.
+var stopProfiles = func() {}
+
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }

@@ -22,8 +22,9 @@
 // dynamic), which reaches n = 10⁸ the way aggregate does under
 // uniform mixing.
 //
-// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
-// of the run; their messages go to stderr, so stdout is unchanged.
+// -cpuprofile, -memprofile and -trace write runtime/pprof CPU and heap
+// profiles and a runtime/trace execution trace of the run; their
+// messages go to stderr, so stdout is unchanged.
 package main
 
 import (
@@ -35,7 +36,7 @@ import (
 	"strings"
 
 	"passivespread"
-	"passivespread/internal/prof"
+	"passivespread/cmd/internal/prof"
 )
 
 func main() {
@@ -55,12 +56,11 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
 		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
+	profiles := prof.Register()
 	flag.Parse()
 
-	stop, err := prof.Start(*cpuProfile, *memProfile)
+	stop, err := profiles.Start()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -247,7 +247,7 @@ func bar(x float64, width int) string {
 	return "[" + strings.Repeat("#", filled) + strings.Repeat(".", width-filled) + "]"
 }
 
-// stopProfiles ends the -cpuprofile/-memprofile capture; exit runs it
+// stopProfiles ends the -cpuprofile/-memprofile/-trace capture; exit runs it
 // before the process ends, since os.Exit skips deferred calls.
 var stopProfiles = func() {}
 

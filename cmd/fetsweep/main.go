@@ -45,8 +45,9 @@
 // emits the mergeable artifact (rows plus per-cell keys and digests)
 // that `fetmerge -verify` checks and joins.
 //
-// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
-// of the run; their messages go to stderr, so stdout is unchanged.
+// -cpuprofile, -memprofile and -trace write runtime/pprof CPU and heap
+// profiles and a runtime/trace execution trace of the run; their
+// messages go to stderr, so stdout is unchanged.
 package main
 
 import (
@@ -58,7 +59,7 @@ import (
 	"strings"
 
 	"passivespread"
-	"passivespread/internal/prof"
+	"passivespread/cmd/internal/prof"
 )
 
 func main() {
@@ -77,12 +78,11 @@ func main() {
 		format     = flag.String("format", "table", "output format: table, csv, json or shard")
 		shard      = flag.String("shard", "", `run one deterministic grid slice: "i/m" (shard i of m, 1-based)`)
 		ckptDir    = flag.String("checkpoint", "", "durable per-cell checkpoint directory (resume mid-grid after a kill)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
+	profiles := prof.Register()
 	flag.Parse()
 
-	stop, err := prof.Start(*cpuProfile, *memProfile)
+	stop, err := profiles.Start()
 	if err != nil {
 		fatalf(2, "%v", err)
 	}
@@ -333,7 +333,7 @@ func parseScenarios(s string) ([]passivespread.Scenario, error) {
 	return out, nil
 }
 
-// stopProfiles ends the -cpuprofile/-memprofile capture; fatalf runs it
+// stopProfiles ends the -cpuprofile/-memprofile/-trace capture; fatalf runs it
 // before the process ends, since os.Exit skips deferred calls.
 var stopProfiles = func() {}
 

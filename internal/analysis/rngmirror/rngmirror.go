@@ -13,16 +13,17 @@
 // rngmirror reports, outside internal/rng:
 //
 //   - calls to the raw-consumption kernels Source.Uint64, Fill,
-//     Advance, CountPacked, CountPackedBlocks and Jump. Every such
-//     site is a hand-maintained draw-count proof, and must say so:
+//     Advance, CountPacked, CountPackedBlocks and Jump, and the
+//     package-level lane kernel CountPackedLanes. Every such site is a
+//     hand-maintained draw-count proof, and must say so:
 //     //fet:allow rngmirror: <the accounting argument>.
 //
 // And inside internal/rng:
 //
 //   - raw-consumption kernels (Fill, Advance, CountPacked,
-//     CountPackedBlocks) whose doc comment does not state their exact
-//     consumption (the word "exactly") — the documentation the outside
-//     annotations lean on.
+//     CountPackedBlocks, CountPackedLanes) whose doc comment does not
+//     state their exact consumption (the word "exactly") — the
+//     documentation the outside annotations lean on.
 package rngmirror
 
 import (
@@ -51,6 +52,12 @@ var rawMethods = map[string]bool{
 	"Jump":              true,
 }
 
+// rawFuncs are the package-level rng functions that consume the
+// stream outputs of the Sources they are handed.
+var rawFuncs = map[string]bool{
+	"CountPackedLanes": true,
+}
+
 // documentedKernels must declare their exact consumption in their doc
 // comment inside internal/rng.
 var documentedKernels = map[string]bool{
@@ -58,6 +65,7 @@ var documentedKernels = map[string]bool{
 	"Advance":           true,
 	"CountPacked":       true,
 	"CountPackedBlocks": true,
+	"CountPackedLanes":  true,
 }
 
 func isRNGPkg(path string) bool { return fwk.PathTail(path, "rng") }
@@ -73,15 +81,21 @@ func run(pass *fwk.Pass) error {
 				return true
 			}
 			callee := fwk.FuncFor(pass.TypesInfo, call)
-			if callee == nil || !isRNGPkg(fwk.PkgPath(callee)) || !rawMethods[callee.Name()] {
+			if callee == nil || !isRNGPkg(fwk.PkgPath(callee)) {
 				return true
 			}
-			if !isSourceMethod(callee) {
+			var what string
+			switch {
+			case rawMethods[callee.Name()] && isSourceMethod(callee):
+				what = "rng.Source." + callee.Name()
+			case rawFuncs[callee.Name()] && isPackageFunc(callee):
+				what = "rng." + callee.Name()
+			default:
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"raw rng.Source.%s consumption outside internal/rng: state the draw-count accounting that keeps this site an exact mirror of the per-draw path (//fet:allow rngmirror: ...) or use a typed draw",
-				callee.Name())
+				"raw %s consumption outside internal/rng: state the draw-count accounting that keeps this site an exact mirror of the per-draw path (//fet:allow rngmirror: ...) or use a typed draw",
+				what)
 			return true
 		})
 	}
@@ -103,13 +117,19 @@ func isSourceMethod(fn *types.Func) bool {
 	return ok && named.Obj().Name() == "Source"
 }
 
+// isPackageFunc reports whether fn is a function, not a method.
+func isPackageFunc(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil
+}
+
 // checkKernelDocs enforces, inside internal/rng, that each raw-
 // consumption kernel documents its exact stream consumption.
 func checkKernelDocs(pass *fwk.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !documentedKernels[fn.Name.Name] {
+			if !ok || !documentedKernels[fn.Name.Name] {
 				continue
 			}
 			if fn.Doc == nil || !strings.Contains(strings.ToLower(fn.Doc.Text()), "exactly") {

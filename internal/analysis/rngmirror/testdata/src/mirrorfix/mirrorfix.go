@@ -22,6 +22,15 @@ func accounted(src *rng.Source, buf []uint64) {
 	src.Fill(buf)
 }
 
+func lanes(srcs []*rng.Source, rows []uint64, counts [][]int32) {
+	rng.CountPackedLanes(srcs, rows, 61, 40, counts) // want `raw rng\.CountPackedLanes consumption outside internal/rng`
+}
+
+func accountedLanes(srcs []*rng.Source, rows []uint64, counts [][]int32) {
+	//fet:allow rngmirror: consumes exactly len(counts[k])·40 outputs per source, the caller's whole round
+	rng.CountPackedLanes(srcs, rows, 61, 40, counts)
+}
+
 func typed(src *rng.Source) int {
 	return src.Intn(10)
 }

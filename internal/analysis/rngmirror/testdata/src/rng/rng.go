@@ -23,3 +23,15 @@ func (s *Source) Uint64() uint64 { s.s++; return s.s }
 
 // Intn is a typed draw: the accounting is internal to rng.
 func (s *Source) Intn(n int) int { return int(s.Uint64() % uint64(n)) }
+
+// CountPackedLanes advances each source by exactly len(counts[k])·m
+// outputs, counting set row bits.
+func CountPackedLanes(srcs []*Source, rows []uint64, shift uint, m int, counts [][]int32) {
+	for k, s := range srcs {
+		for b := range counts[k] {
+			for i := 0; i < m; i++ {
+				counts[k][b] += int32(rows[k] >> (s.Uint64() >> shift) & 1)
+			}
+		}
+	}
+}

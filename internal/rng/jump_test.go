@@ -160,10 +160,10 @@ func TestCountPackedBlocksMatchesCountPacked(t *testing.T) {
 				b := *a
 				row := a.Uint64()
 				b.Uint64()
-				counts := make([]int, blocks)
+				counts := make([]int32, blocks)
 				a.CountPackedBlocks(row, shift, m, counts)
 				for blk := 0; blk < blocks; blk++ {
-					if want := b.CountPacked(row, shift, m); counts[blk] != want {
+					if want := int32(b.CountPacked(row, shift, m)); counts[blk] != want {
 						t.Fatalf("shift %d blocks %d m %d: block %d = %d, want %d",
 							shift, blocks, m, blk, counts[blk], want)
 					}
@@ -238,9 +238,40 @@ func BenchmarkAdvance80(b *testing.B) {
 func BenchmarkCountPackedBlocks(b *testing.B) {
 	s := New(42)
 	row := s.Uint64()
-	counts := make([]int, 2)
+	counts := make([]int32, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.CountPackedBlocks(row, 61, 80, counts)
+	}
+}
+
+// BenchmarkCountPackedLanes counts the same round shape as
+// BenchmarkCountPackedBlocks (2 blocks of 80 outputs, degree 8) on
+// MaxLanes sources per op, through the dispatched kernel and the
+// portable CountPackedBlocks loop; ns/lane is the per-source cost to
+// set against BenchmarkCountPackedBlocks' ns/op.
+func BenchmarkCountPackedLanes(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		kernel func([]*Source, []uint64, uint, int, [][]int32)
+	}{
+		{"dispatch", CountPackedLanes},
+		{"generic", countPackedLanesGeneric},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srcs := make([]*Source, MaxLanes)
+			rows := make([]uint64, MaxLanes)
+			counts := make([][]int32, MaxLanes)
+			for k := range srcs {
+				srcs[k] = New(uint64(42 + k))
+				rows[k] = srcs[k].Uint64()
+				counts[k] = make([]int32, 2)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.kernel(srcs, rows, 61, 80, counts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*MaxLanes), "ns/lane")
+		})
 	}
 }

@@ -248,18 +248,19 @@ func (s *Source) CountPacked(row uint64, shift uint, m int) int {
 
 // CountPackedBlocks runs len(counts) consecutive CountPacked(row,
 // shift, m) draws with a single state round-trip, storing each block's
-// count. It consumes exactly len(counts)·m outputs — the whole round of
-// a FixedDraws protocol on the fused graph path, counted at bind time.
+// count. It consumes exactly len(counts)·m outputs — one agent's whole
+// round of a FixedDraws protocol on the fused graph path. It is the
+// scalar reference of CountPackedLanes, and that kernel's portable path.
 //
 // For rows of at most 64 bits (shift ≥ 58, every packed-row degree) the
 // bit extraction runs through a per-call byte table indexed by the high
 // Mul64 word — bit i of row at byte i, hi(x·2^k) ≡ x >> (64−k) — which
 // replaces the hot loop's two variable shifts (CL-tied, multi-µop on
 // amd64) with one widening multiply and one L1 load per output.
-func (s *Source) CountPackedBlocks(row uint64, shift uint, m int, counts []int) {
+func (s *Source) CountPackedBlocks(row uint64, shift uint, m int, counts []int32) {
 	if shift < 58 {
 		for b := range counts {
-			counts[b] = s.CountPacked(row, shift, m)
+			counts[b] = int32(s.CountPacked(row, shift, m))
 		}
 		return
 	}
@@ -326,7 +327,7 @@ func (s *Source) CountPackedBlocks(row uint64, shift uint, m int, counts []int) 
 			h, _ := bits.Mul64(x, deg)
 			acc += uint64(lut[h&63])
 		}
-		counts[b] = int(acc)
+		counts[b] = int32(acc)
 	}
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
 }

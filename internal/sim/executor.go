@@ -113,6 +113,11 @@ type agentExecutor struct {
 	// Reset each replicate; leftover debt at replicate end is dropped —
 	// an absorbed population's streams are never read again.
 	deficit []uint32
+	// counts is the graph observers' per-agent counts slab: the round
+	// pre-pass writes each agent's whole round of CountOnes answers
+	// (DrawsPerRound entries) before the sweep steps it (nil unless the
+	// fused contract can hold; see graphPrepassShape).
+	counts []int32
 	// sampleSizes are the protocol's declared CountOnes sizes; tables
 	// holds the per-round tabulated binomial laws for them, retabulated
 	// in place every round (nil on the exact and graph paths, which
@@ -223,13 +228,17 @@ func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 	e.observers = make([]reusableObserver, e.workers)
 	var graphLadder *rng.JumpLadder
 	if e.graph != nil {
-		if steps := graphRoundSteps(e.graph, c); steps > 0 {
-			// Homogeneous-row rounds defer their stream advance into a
-			// per-agent debt counter; the ladder settles any debt in
-			// O(log debt) applications. Shards own disjoint agent ranges,
-			// so the counters race-free under parallel stepping.
-			graphLadder = p.jumpLadder(steps, c.MaxRounds)
-			e.deficit = make([]uint32, n)
+		if d, m := graphPrepassShape(e.graph, c); d > 0 {
+			e.counts = make([]int32, n*d)
+			if d*m <= maxRoundJumpSteps {
+				// Homogeneous-row rounds defer their stream advance into a
+				// per-agent debt counter; the ladder settles any debt in
+				// O(log debt) applications. Shards own disjoint agent
+				// ranges, so the counters are race-free under parallel
+				// stepping.
+				graphLadder = p.jumpLadder(d*m, c.MaxRounds)
+				e.deficit = make([]uint32, n)
+			}
 		}
 	}
 	for w := range e.observers {
@@ -238,7 +247,7 @@ func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 			// Non-complete topology: every agent engine samples neighbor
 			// opinions through the packed-row gather; fast and exact
 			// coincide here.
-			e.observers[w] = newGraphObserver(&e.opinions, e.graph, c, graphLadder, e.deficit)
+			e.observers[w] = newGraphObserver(&e.opinions, e.graph, c, graphLadder, e.deficit, e.counts)
 		case c.Engine == EngineAgentExact:
 			e.observers[w] = &exactObserver{ops: &e.opinions, noiseEps: c.NoiseEps}
 		default:
@@ -460,10 +469,15 @@ func (e *agentExecutor) Step(correct byte) error {
 // change in the number of 1-opinions over the shard. Each agent draws only
 // from its own RNG stream, so shards are independent and the sweep order
 // inside a shard never affects other shards — the basis of the parallel
-// engine's bit-identical determinism.
+// engine's bit-identical determinism. Under the fused graph contract
+// the shard's whole round of counts is computed first, eight agent
+// streams at a time (graphObserver.countRound).
 //
 //fet:hotpath
 func (e *agentExecutor) stepShard(lo, hi int, obs reusableObserver) (onesDelta int, err error) {
+	if g, ok := obs.(*graphObserver); ok && g.precounts() {
+		g.countRound(lo, hi, e.srcs)
+	}
 	for i := lo; i < hi; i++ {
 		obs.bind(i, &e.srcs[i])
 		cur := e.opinions.get(i)

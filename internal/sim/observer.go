@@ -167,7 +167,10 @@ const maxGraphPrefetch = 4096
 // bit-identical to the unbatched loop while each observation costs a
 // shift and a mask instead of a scattered bitset read. Power-of-two
 // degrees reject nothing, which unlocks a branch-free block loop and,
-// for homogeneous rows, an O(1) whole-count answer.
+// for homogeneous rows, an O(1) whole-count answer. Under the fused
+// contract the gather and the counting move out of bind into a
+// per-round pre-pass over the shard (countRound), which counts mixed
+// rows eight agent streams at a time.
 //
 // Out-degrees beyond 64 (no packed row) keep the literal per-draw path.
 type graphObserver struct {
@@ -191,31 +194,37 @@ type graphObserver struct {
 	draws     int
 	// fused selects the zero-buffer counting path: a power-of-two degree
 	// with no noise consumes exactly one output per observation, so whole
-	// CountOnes blocks run inside the generator kernel (rng.CountPacked)
-	// with no prefetch at all.
+	// CountOnes blocks run inside the generator kernels (the round
+	// pre-pass's rng.CountPackedLanes, or rng.CountPacked per call) with
+	// no prefetch at all.
 	fused bool
 	// ladder is the shared whole-round stream-jump ladder (base =
 	// DrawsPerRound·m steps) and deficit the per-agent count of deferred
 	// rounds: a homogeneous row under the fused contract answers every
 	// CountOnes of the round from the row alone, so instead of advancing
-	// the agent's stream it increments the agent's debt, settled in
-	// O(log debt) ladder applications the next time the stream is
-	// actually read — or dropped at replicate end if it never is. skip
-	// reports that the current bind deferred (CountOnes must not touch
-	// the source).
+	// the agent's stream the round pre-pass increments the agent's debt,
+	// settled in O(log debt) ladder applications the next time the
+	// stream is actually read — or dropped at replicate end if it never
+	// is. Both are nil unless counts is set (see graphPrepassShape).
 	ladder  *rng.JumpLadder
 	deficit []uint32
-	skip    bool
 	// calls and callSize hold the FixedDraws round shape (DrawsPerRound
-	// CountOnes calls of the single declared size) when it fits the
-	// precount buffer; under the fused contract a mixed row's whole round
-	// of counts computes at bind in one kernel pass (counted), served in
-	// call order from cnts.
+	// CountOnes calls of the single declared size) when the executor
+	// allocated the counts slab. Under the fused contract the round
+	// pre-pass (countRound) computes every agent's whole round of counts
+	// into counts (calls entries per agent); bind points cnts at the
+	// agent's entry and the calls read it off in order.
 	calls    int
 	callSize int
-	counted  bool
+	counts   []int32
 	cpos     int
-	cnts     [maxFixedDraws]int
+	cnts     []int32
+	// qsrc, qrow and qcnt are the pre-pass's lane queue: the streams,
+	// rows and slab entries of the mixed-row agents awaiting the next
+	// rng.CountPackedLanes call.
+	qsrc [rng.MaxLanes]*rng.Source
+	qrow [rng.MaxLanes]uint64
+	qcnt [rng.MaxLanes][]int32
 	// packed reports that the bound agent's row is gathered into rowBits
 	// for this bind.
 	packed  bool
@@ -223,15 +232,17 @@ type graphObserver struct {
 	pre     rng.Prefetch
 }
 
-// newGraphObserver builds one per-shard graph observer. The prefetch
-// size derives from the FixedDraws contract: every Step makes exactly
-// DrawsPerRound CountOnes calls of declared sizes and no Sample calls,
-// so with a single distinct declared size m the round consumes at least
-// DrawsPerRound·m outputs (each observation is ≥ 1 Intn output, plus
-// exactly one Bernoulli output when noise is in (0,1)) — the safe bulk
-// load.
-func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config, ladder *rng.JumpLadder, deficit []uint32) *graphObserver {
-	o := &graphObserver{ops: ops, view: g.NewView(), deg: g.Degree(), ladder: ladder, deficit: deficit}
+// newGraphObserver builds one per-shard graph observer over the
+// executor-owned per-agent slabs deficit and counts (nil when the fused
+// jump or the round pre-pass cannot apply; counts is non-nil exactly when
+// graphPrepassShape admits the pair). The prefetch size derives from the
+// FixedDraws contract: every Step makes exactly DrawsPerRound CountOnes
+// calls of declared sizes and no Sample calls, so with a single distinct
+// declared size m the round consumes at least DrawsPerRound·m outputs
+// (each observation is ≥ 1 Intn output, plus exactly one Bernoulli
+// output when noise is in (0,1)) — the safe bulk load.
+func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config, ladder *rng.JumpLadder, deficit []uint32, counts []int32) *graphObserver {
+	o := &graphObserver{ops: ops, view: g.NewView(), deg: g.Degree(), ladder: ladder, deficit: deficit, counts: counts}
 	o.fullRow = ^uint64(0)
 	if o.deg < 64 {
 		o.fullRow = 1<<uint(o.deg) - 1
@@ -239,19 +250,10 @@ func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config, ladder *rng.Ju
 	if o.deg&(o.deg-1) == 0 {
 		o.shift = uint(64 - bits.TrailingZeros(uint(o.deg)))
 	}
-	if g.PackedRows() {
-		if fd, ok := c.Protocol.(FixedDraws); ok {
-			if m, single := singleSampleSize(c.Protocol.SampleSizes()); single && m >= 1 {
-				if d := fd.DrawsPerRound(); d >= 1 {
-					o.baseDraws = d * m
-					if o.baseDraws > maxGraphPrefetch/2 {
-						o.baseDraws = maxGraphPrefetch / 2
-					}
-					if d <= maxFixedDraws {
-						o.calls, o.callSize = d, m
-					}
-				}
-			}
+	if d, m := graphRoundShape(g, c); d > 0 {
+		o.baseDraws = min(d*m, maxGraphPrefetch/2)
+		if counts != nil {
+			o.calls, o.callSize = d, m
 		}
 	}
 	o.pre.Init(2 * o.baseDraws)
@@ -259,9 +261,24 @@ func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config, ladder *rng.Ju
 	return o
 }
 
+// graphPrepassShape returns the round shape (d CountOnes calls of size
+// m) the round pre-pass serves on g: the FixedDraws shape when the
+// degree is a power of two (so the fused contract can hold) and d fits
+// maxFixedDraws; (0, 0) otherwise. The executor sizes the counts slab
+// (n·d entries) and the homogeneous-row jump ladder from it, so the
+// ladder and the debt deferral exist only where the pre-pass runs.
+func graphPrepassShape(g *topo.Graph, c *Config) (d, m int) {
+	deg := g.Degree()
+	if d, m = graphRoundShape(g, c); d > maxFixedDraws || deg&(deg-1) != 0 {
+		return 0, 0
+	}
+	return d, m
+}
+
 // maxRoundJumpSteps bounds the whole-round jump's precompute (building
-// a StepJump runs 256·steps serial state advances); protocols declaring
-// more draws per round than this keep the serial homogeneous-row path.
+// a StepJump runs 256·steps serial state advances); rounds consuming
+// more outputs than this count homogeneous rows in the pre-pass
+// instead of deferring them.
 const maxRoundJumpSteps = 1 << 16
 
 // jumpLadderDepth caps the number of powers-of-two rungs built over the
@@ -281,29 +298,23 @@ func (o *graphObserver) flushDebt(agent int, src *rng.Source) {
 	}
 }
 
-// graphRoundSteps returns the step count of the whole-round stream jump
-// shared by every shard's graph observer: DrawsPerRound·m, the exact
-// per-round consumption of the fused (power-of-two degree, noiseless)
-// contract. 0 when the contract cannot hold for this (graph, protocol)
-// pair.
-func graphRoundSteps(g *topo.Graph, c *Config) int {
-	deg := g.Degree()
-	if !g.PackedRows() || deg&(deg-1) != 0 {
-		return 0
+// graphRoundShape returns the FixedDraws round shape on a packed-row
+// graph: d CountOnes calls per Step, each of the single declared sample
+// size m. (0, 0) when the rows do not pack or the protocol declares no
+// such shape.
+func graphRoundShape(g *topo.Graph, c *Config) (d, m int) {
+	if !g.PackedRows() {
+		return 0, 0
 	}
 	fd, ok := c.Protocol.(FixedDraws)
 	if !ok {
-		return 0
+		return 0, 0
 	}
 	m, single := singleSampleSize(c.Protocol.SampleSizes())
-	if !single || m < 1 {
-		return 0
+	if d = fd.DrawsPerRound(); !single || m < 1 || d < 1 {
+		return 0, 0
 	}
-	d := fd.DrawsPerRound()
-	if d < 1 || d > maxRoundJumpSteps/m {
-		return 0
-	}
-	return d * m
+	return d, m
 }
 
 // singleSampleSize reports the protocol's sole distinct declared sample
@@ -338,47 +349,72 @@ func (o *graphObserver) setNoise(eps float64) {
 	}
 }
 
+// precounts reports that the round pre-pass (countRound) serves this
+// replicate's counts: the fused contract holds and the round shape fits
+// the executor's counts slab.
+func (o *graphObserver) precounts() bool { return o.fused && o.counts != nil }
+
+// countRound is the fused path's per-round pre-pass over the shard's
+// agents [lo, hi). It gathers each agent's row, defers a homogeneous
+// row's whole round into the agent's debt (its counts, 0 or m per call,
+// are known from the row), and for a mixed row settles the debt and
+// queues the agent; the queue counts eight streams at a time through
+// rng.CountPackedLanes into the agent's slab entry. Every stream is
+// consumed exactly as by the per-agent bind-time counting it replaces —
+// debt flush, then calls·callSize outputs — and only rows of the
+// current opinions are read, which the double buffer keeps fixed for
+// the round. Shards own disjoint ranges of srcs, deficit and counts.
+//
+//fet:hotpath
+func (o *graphObserver) countRound(lo, hi int, srcs []rng.Source) {
+	words := o.ops.words
+	q := 0
+	for i := lo; i < hi; i++ {
+		o.view.Bind(i)
+		row, _ := o.view.RowBits(words)
+		cnt := o.counts[i*o.calls : (i+1)*o.calls]
+		if o.ladder != nil {
+			if row == 0 || row == o.fullRow {
+				o.deficit[i]++
+				c := int32(0)
+				if row != 0 {
+					c = int32(o.callSize)
+				}
+				for b := range cnt {
+					cnt[b] = c
+				}
+				continue
+			}
+			o.flushDebt(i, &srcs[i])
+		}
+		o.qsrc[q], o.qrow[q], o.qcnt[q] = &srcs[i], row, cnt
+		if q++; q == rng.MaxLanes {
+			//fet:allow rngmirror: consumes exactly calls·callSize outputs per queued stream — each agent's whole FixedDraws round, counted before its Step
+			rng.CountPackedLanes(o.qsrc[:], o.qrow[:], o.shift, o.callSize, o.qcnt[:])
+			q = 0
+		}
+	}
+	if q > 0 {
+		//fet:allow rngmirror: consumes exactly calls·callSize outputs per queued stream — each agent's whole FixedDraws round, counted before its Step
+		rng.CountPackedLanes(o.qsrc[:q], o.qrow[:q], o.shift, o.callSize, o.qcnt[:q])
+	}
+}
+
 //fet:hotpath
 func (o *graphObserver) bind(agent int, src *rng.Source) {
 	o.src = src
+	if o.precounts() {
+		// countRound already consumed (or deferred) the agent's whole
+		// round: the calls just read its counts off the slab.
+		o.packed = true
+		o.cnts, o.cpos = o.counts[agent*o.calls:(agent+1)*o.calls], 0
+		return
+	}
 	o.view.Bind(agent)
 	o.rowBits, o.packed = o.view.RowBits(o.ops.words)
-	if !o.packed {
-		if o.fused && o.ladder != nil {
-			o.flushDebt(agent, src)
-		}
-		o.skip, o.counted = false, false
-		return
+	if o.packed && !o.fused {
+		o.pre.Bind(src, o.draws)
 	}
-	if o.fused {
-		if o.ladder != nil {
-			if o.rowBits == 0 || o.rowBits == o.fullRow {
-				// Homogeneous row, exact per-round consumption: every
-				// CountOnes answer is known from the row, so the round's
-				// whole stream advance is deferred — one counter
-				// increment now, settled by the jump ladder when the
-				// stream is next read.
-				o.deficit[agent]++
-				o.skip, o.counted = true, false
-				return
-			}
-			o.flushDebt(agent, src)
-		}
-		o.skip = false
-		if o.calls >= 1 {
-			// Mixed row: the round's whole call sequence is pinned by the
-			// FixedDraws contract, so all its counts compute here in one
-			// generator pass and the calls just read them off.
-			//fet:allow rngmirror: consumes exactly calls·callSize outputs — the round's whole FixedDraws sequence, counted at bind
-			o.src.CountPackedBlocks(o.rowBits, o.shift, o.callSize, o.cnts[:o.calls])
-			o.cpos, o.counted = 0, true
-			return
-		}
-		o.counted = false
-		return
-	}
-	o.skip, o.counted = false, false
-	o.pre.Bind(src, o.draws)
 }
 
 func (o *graphObserver) newRound(round int, _ float64, _ []roundTable) {
@@ -397,26 +433,22 @@ func (o *graphObserver) CountOnes(m int) int {
 	if o.fused {
 		// Power-of-two degree, no noise: every draw is exactly one output
 		// (x >> shift, no Lemire rejection, no Bernoulli), so counts are
-		// either pre-computed at bind (counted), known from a homogeneous
-		// row (its outputs consumed by the bind-time jump or burned
-		// here), or run inside the generator kernel.
-		if o.counted {
+		// either pre-computed by the round pre-pass, known from a
+		// homogeneous row (its outputs burned here), or run inside the
+		// generator kernel.
+		if o.counts != nil {
 			c := o.cnts[o.cpos]
 			o.cpos++
-			return c
+			return int(c)
 		}
 		switch o.rowBits {
 		case 0:
-			if !o.skip {
-				//fet:allow rngmirror: burns exactly the m draws the per-draw path would spend on an all-zero row
-				o.src.Advance(m)
-			}
+			//fet:allow rngmirror: burns exactly the m draws the per-draw path would spend on an all-zero row
+			o.src.Advance(m)
 			return 0
 		case o.fullRow:
-			if !o.skip {
-				//fet:allow rngmirror: burns exactly the m draws the per-draw path would spend on an all-one row
-				o.src.Advance(m)
-			}
+			//fet:allow rngmirror: burns exactly the m draws the per-draw path would spend on an all-one row
+			o.src.Advance(m)
 			return m
 		}
 		//fet:allow rngmirror: exactly m one-output Lemire draws (power-of-two degree never rejects)

@@ -67,21 +67,20 @@ func (sh Shard) owns(c int) bool {
 }
 
 // ParseShard parses the canonical "i/m" shard form strictly: two
-// base-10 integers, 1 ≤ i ≤ m. Anything else — empty parts, extra
-// slashes, signs, spaces, zero or out-of-range indices — is rejected
-// with a typed error wrapping ErrInvalidOptions.
+// base-10 integers without leading zeros, 1 ≤ i ≤ m, so an accepted
+// string always equals the parsed Shard's String. Anything else —
+// empty parts, extra slashes, signs, spaces, leading zeros, zero or
+// out-of-range indices — is rejected with a typed error wrapping
+// ErrInvalidOptions.
 func ParseShard(s string) (Shard, error) {
 	is, ms, ok := strings.Cut(s, "/")
 	if !ok {
 		return Shard{}, fmt.Errorf("%w: Shard: %q, want \"i/m\"", ErrInvalidOptions, s)
 	}
 	parse := func(part string) (int, error) {
-		if part == "" || part != strings.TrimSpace(part) {
-			return 0, fmt.Errorf("%w: Shard: %q, want \"i/m\" with bare integers", ErrInvalidOptions, s)
-		}
 		v, err := strconv.Atoi(part)
-		if err != nil || part[0] == '+' {
-			return 0, fmt.Errorf("%w: Shard: %q, want \"i/m\" with base-10 integers", ErrInvalidOptions, s)
+		if err != nil || strconv.Itoa(v) != part {
+			return 0, fmt.Errorf("%w: Shard: %q, want \"i/m\" with canonical base-10 integers", ErrInvalidOptions, s)
 		}
 		return v, nil
 	}
@@ -94,6 +93,10 @@ func ParseShard(s string) (Shard, error) {
 		return Shard{}, err
 	}
 	sh := Shard{Index: i, Count: m}
+	if sh.IsZero() {
+		// The zero Shard means "unsharded" and has no "i/m" spelling.
+		return Shard{}, fmt.Errorf("%w: Shard: %q, want \"i/m\" with 1 ≤ i ≤ m", ErrInvalidOptions, s)
+	}
 	if err := sh.validate(); err != nil {
 		return Shard{}, err
 	}

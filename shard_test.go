@@ -14,14 +14,24 @@ import (
 	"passivespread/internal/serve"
 )
 
-func TestParseShard(t *testing.T) {
-	valid := map[string]Shard{
+// parseShardValid and parseShardInvalid are TestParseShard's tables,
+// and FuzzParseShard's seed corpus.
+var (
+	parseShardValid = map[string]Shard{
 		"1/1":   {1, 1},
 		"1/4":   {1, 4},
 		"4/4":   {4, 4},
 		"7/128": {7, 128},
 	}
-	for s, want := range valid {
+	parseShardInvalid = []string{
+		"", "1", "/", "1/", "/4", "0/4", "5/4", "1/0", "-1/4", "1/-4",
+		"+1/4", "1/+4", "1/4/2", "a/b", " 1/4", "1/4 ", "1 /4", "1/ 4",
+		"1.5/4", "0x1/4", "01/2", "1/02", "007/8", "0/0",
+	}
+)
+
+func TestParseShard(t *testing.T) {
+	for s, want := range parseShardValid {
 		got, err := ParseShard(s)
 		if err != nil || got != want {
 			t.Errorf("ParseShard(%q) = %v, %v; want %v", s, got, err, want)
@@ -30,12 +40,7 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("ParseShard(%q).String() = %q", s, got.String())
 		}
 	}
-	invalid := []string{
-		"", "1", "/", "1/", "/4", "0/4", "5/4", "1/0", "-1/4", "1/-4",
-		"+1/4", "1/+4", "1/4/2", "a/b", " 1/4", "1/4 ", "1 /4", "1/ 4",
-		"1.5/4", "0x1/4",
-	}
-	for _, s := range invalid {
+	for _, s := range parseShardInvalid {
 		if sh, err := ParseShard(s); err == nil {
 			t.Errorf("ParseShard(%q) = %v, want error", s, sh)
 		} else if !errors.Is(err, ErrInvalidOptions) {

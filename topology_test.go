@@ -229,7 +229,7 @@ func buildCLITools(t *testing.T) string {
 		t.Skip("golden CLI tests build binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir, "./cmd/fetsim", "./cmd/fetsweep")
+	cmd := exec.Command("go", "build", "-o", dir, "./cmd/fetsim", "./cmd/fetsweep", "./cmd/fetlab")
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building CLI tools: %v\n%s", err, out)
