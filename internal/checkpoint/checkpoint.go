@@ -1,148 +1,189 @@
-// Package checkpoint is the durable per-cell checkpoint store of the
-// sweep fabric: a directory of atomic JSON envelopes, one per completed
-// grid cell, keyed by the cell's content address (the SHA-256 of its
-// canonical fetcell key, the same identity the fetserve cache uses).
+// Package checkpoint is the repository's one content-addressed store: a
+// directory of atomic JSON envelopes, one file per entry, named by the
+// hex SHA-256 of the entry's canonical key. It backs both durable
+// stores: the sweep fabric checkpoints every completed grid cell's row
+// through Save and Load, so a killed sweep resumes mid-grid, and
+// fetserve's disk cache tier (internal/serve) persists every answer
+// through Save and reads it back by bare hash through LoadHash.
 //
-// The store exists so a killed sweep resumes mid-grid: a shard runner
-// writes each cell's aggregated row the moment it completes, and a
-// restarted runner loads every valid envelope and skips those cells
-// entirely. Because the cell key pins every parameter the row is a
-// deterministic function of (scenario, engine, topology, n, ℓ,
-// replicates, round cap, seed), a checkpoint can never be replayed
-// against a different configuration — changing any parameter changes
-// the key hash, and the stale envelope simply stops matching.
+// On disk an entry is <HashHex(key)>.json holding the envelope
+// {"key": key, "body_sha256": HashHex(body), "body": body}. Because a
+// fetcell key pins every parameter its body is a deterministic function
+// of, an entry can never be replayed against a different
+// configuration: changing any parameter changes the key hash, and the
+// stale entry simply stops matching.
 //
 // Durability contract: writes are atomic (temp file + rename in the
-// same directory), so a SIGKILL mid-write leaves a stale *.tmp file
-// but never a torn envelope, and loads verify both content addresses —
-// the file name against the key, the recorded digest against the body —
-// rejecting anything corrupt or misnamed rather than trusting it. A
-// resumed run is therefore byte-identical to an uninterrupted one: a
-// cell is either fully checkpointed or re-run from its seed.
+// same directory), so a SIGKILL mid-write leaves a stale *.tmp file but
+// never a torn envelope, and Open removes such leftovers. Reads verify
+// both content addresses — the file name against the key, the recorded
+// digest against the body — and treat anything corrupt or misnamed as a
+// miss rather than trusting it. An entry is therefore either whole or
+// absent, and an absent one is recomputed from its seed to the same
+// bytes: a resumed sweep is byte-identical to an uninterrupted one, and
+// a restarted daemon serves the bytes a cold run would.
+//
+// Precondition: one writer per directory. Open deletes every *.tmp file
+// it finds, including one another live process is about to rename, so
+// two processes must not share a directory; each fleet runner gets its
+// own -checkpoint directory and each fetserve its own -cache-dir.
+// Within a process, Store methods are safe for concurrent use: distinct
+// keys write distinct files, and re-saves of the same key are
+// idempotent replacements of identical bytes.
 package checkpoint
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
-
-	"passivespread/internal/serve"
 )
 
-// Envelope is the on-disk form of one checkpointed cell. It mirrors
-// the fetserve cache's persist envelope: the canonical key, the body,
-// and the body's own digest, so either store could in principle verify
-// the other's files.
-type Envelope struct {
-	// Key is the canonical cell key string; its SHA-256 must equal the
+const (
+	ext       = ".json" // an envelope file's suffix
+	tmpSuffix = ".tmp"  // an unrenamed write's suffix
+)
+
+// HashHex returns the bare hex SHA-256 of s: an entry's file name stem
+// when s is its canonical key, its recorded digest when s is its body.
+func HashHex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// envelope is the on-disk form of one entry.
+type envelope struct {
+	// Key is the canonical key string; its SHA-256 must equal the
 	// file's name stem.
 	Key string `json:"key"`
 	// BodySHA256 is the hex SHA-256 of Body, detecting torn or
 	// bit-rotted payloads independently of the file name.
 	BodySHA256 string `json:"body_sha256"`
-	// Body is the checkpointed payload (a sweep row in canonical JSON).
+	// Body is the stored payload (a sweep row or a served answer, in
+	// canonical JSON).
 	Body json.RawMessage `json:"body"`
 }
 
-// Store is one checkpoint directory. Methods are safe for concurrent
-// use by the sweep's worker pool: each cell writes exactly one file,
-// distinct cells write distinct files, and re-writes of the same cell
-// are idempotent replacements of identical bytes.
+// Store is one store directory.
 type Store struct {
 	dir string
 }
 
-// Open creates the directory if needed and returns the store.
+// Entry is one envelope file found by OpenScan's directory scan. It is
+// unverified until loaded. The DirEntry stats the file only when its
+// Info is asked for, so a scan whose caller never asks (a sweep) costs
+// one ReadDir.
+type Entry struct {
+	// Hash is the file name stem: the key hash the file claims.
+	Hash string
+	fs.DirEntry
+}
+
+// Open creates the directory if needed, removes the temp files a
+// killed writer left behind, and returns the store.
 func Open(dir string) (*Store, error) {
+	s, _, err := OpenScan(dir)
+	return s, err
+}
+
+// OpenScan is Open that also returns the envelope files its one
+// directory scan found, in directory order.
+func OpenScan(dir string) (*Store, []Entry, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("checkpoint: empty directory")
+		return nil, nil, fmt.Errorf("checkpoint: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: %v", err)
+		return nil, nil, fmt.Errorf("checkpoint: %v", err)
 	}
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// path returns the envelope file for a canonical key.
-func (s *Store) path(canonical string) string {
-	return filepath.Join(s.dir, serve.HashHex(canonical)+".json")
-}
-
-// Load returns the checkpointed body for a canonical key, or ok =
-// false when no valid envelope exists. A present-but-invalid file
-// (torn write, bit rot, hash mismatch, foreign key) is treated as a
-// miss — the cell re-runs from its seed, which is always correct.
-func (s *Store) Load(canonical string) ([]byte, bool) {
-	hash := serve.HashHex(canonical)
-	data, err := os.ReadFile(filepath.Join(s.dir, hash+".json"))
+	files, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, false
+		return nil, nil, fmt.Errorf("checkpoint: %v", err)
 	}
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false
-	}
-	if env.Key != canonical || len(env.Body) == 0 {
-		return nil, false
-	}
-	if serve.HashHex(env.Key) != hash || serve.HashHex(string(env.Body)) != env.BodySHA256 {
-		return nil, false
-	}
-	return env.Body, true
-}
-
-// Save durably checkpoints body under the canonical key: marshal the
-// envelope to a temp file in the store directory, then rename onto
-// the final name. A crash at any point leaves either the old state or
-// the new envelope, never a torn file that Load would accept.
-func (s *Store) Save(canonical string, body []byte) error {
-	hash := serve.HashHex(canonical)
-	data, err := json.Marshal(Envelope{
-		Key:        canonical,
-		BodySHA256: serve.HashHex(string(body)),
-		Body:       body,
-	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	tmp, err := os.CreateTemp(s.dir, "cell-*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	if err := os.Rename(name, s.path(canonical)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	return nil
-}
-
-// Count returns the number of envelope files currently in the store
-// (valid or not — it is a progress indicator, not a verification).
-func (s *Store) Count() (int, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: %v", err)
-	}
-	n := 0
-	for _, de := range entries {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".json") {
-			n++
+	var entries []Entry
+	for _, f := range files {
+		name := f.Name()
+		switch {
+		case f.IsDir():
+		case strings.HasSuffix(name, tmpSuffix):
+			// A write killed between create and rename; with one
+			// writer per directory, nothing will ever rename it.
+			os.Remove(filepath.Join(dir, name))
+		case strings.HasSuffix(name, ext):
+			entries = append(entries, Entry{Hash: strings.TrimSuffix(name, ext), DirEntry: f})
 		}
 	}
-	return n, nil
+	return &Store{dir: dir}, entries, nil
+}
+
+// path returns the envelope file for a key hash.
+func (s *Store) path(hash string) string { return filepath.Join(s.dir, hash+ext) }
+
+// LoadHash returns the key and body stored under a bare hex key hash,
+// or ok = false when no valid envelope exists. A present-but-invalid
+// file (torn write, bit rot, misnamed, not JSON) is a miss, never
+// trusted: the caller recomputes the entry from its key.
+func (s *Store) LoadHash(hash string) (key string, body []byte, ok bool) {
+	if len(hash) != 2*sha256.Size || strings.ContainsAny(hash, `/\.`) {
+		return "", nil, false // not a hash: never a path outside the directory
+	}
+	data, err := os.ReadFile(s.path(hash))
+	if err != nil {
+		return "", nil, false
+	}
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil || env.Key == "" || len(env.Body) == 0 {
+		return "", nil, false
+	}
+	// Both content addresses must hold: the file name is the key's
+	// hash, and the recorded body digest is the body's.
+	if HashHex(env.Key) != hash || HashHex(string(env.Body)) != env.BodySHA256 {
+		return "", nil, false
+	}
+	return env.Key, env.Body, true
+}
+
+// Load returns the body stored under a canonical key, or ok = false
+// when no valid envelope for exactly that key exists.
+func (s *Store) Load(canonical string) ([]byte, bool) {
+	key, body, ok := s.LoadHash(HashHex(canonical))
+	if !ok || key != canonical {
+		return nil, false
+	}
+	return body, true
+}
+
+// Save durably stores body under the canonical key: marshal the
+// envelope to a temp file in the store directory, then rename it onto
+// the final name. A crash at any point leaves either the old state or
+// the new envelope, never a torn file that a load would accept.
+func (s *Store) Save(canonical string, body []byte) (err error) {
+	hash := HashHex(canonical)
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("checkpoint: %s: %v", hash, err)
+		}
+	}()
+	data, err := json.Marshal(envelope{Key: canonical, BodySHA256: HashHex(string(body)), Body: body})
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(s.dir, "cell-*"+tmpSuffix)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(hash))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -2,28 +2,24 @@ package serve
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
+
+	"passivespread/internal/checkpoint"
 )
 
 // Cache is the content-addressed answer cache: an LRU, byte-budgeted
-// in-memory tier with an optional disk tier underneath. Entries are
-// keyed by the bare hex SHA-256 of the canonical cell key; the value
-// is the exact response body served for that key, so a hit replays the
-// cold-run bytes verbatim.
+// in-memory tier over an optional disk tier, the checkpoint store.
+// Entries are keyed by the bare hex SHA-256 of the canonical cell key;
+// the value is the exact response body served for that key, so a hit
+// replays the cold-run bytes verbatim.
 //
-// Disk layout (when a directory is configured): one file per entry,
-// named <hash>.json, containing the persistEntry envelope — the
-// canonical key string, the body, and the body's own SHA-256. Writes
-// are atomic (temp file + rename in the same directory), loads verify
-// both hashes and reject anything corrupt or misnamed, and eviction
-// only trims the memory tier: the disk tier keeps every answer ever
-// computed and re-promotes on demand.
+// The disk tier owns the file format, the atomic writes and the
+// verification (see internal/checkpoint); the cache adds only the
+// memory budget, its counters and the boot policy. Eviction only trims
+// the memory tier: the disk tier keeps every answer ever computed and
+// re-promotes on demand.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -31,7 +27,7 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 
-	dir string // "" = memory only
+	store *checkpoint.Store // nil = memory only
 
 	hits, diskHits, misses, evictions, puts uint64
 }
@@ -44,18 +40,6 @@ type cacheEntry struct {
 }
 
 func (e *cacheEntry) size() int64 { return int64(len(e.body) + len(e.canonical) + len(e.hash)) }
-
-// persistEntry is the on-disk envelope of one answer.
-type persistEntry struct {
-	// Key is the canonical cell key string; its SHA-256 must equal the
-	// file's name stem.
-	Key string `json:"key"`
-	// BodySHA256 is the hex SHA-256 of Body, detecting torn or
-	// bit-rotted payloads independently of the file name.
-	BodySHA256 string `json:"body_sha256"`
-	// Body is the exact response body.
-	Body json.RawMessage `json:"body"`
-}
 
 // CacheStats is a point-in-time snapshot for fet.health and /metrics.
 type CacheStats struct {
@@ -71,8 +55,8 @@ type CacheStats struct {
 }
 
 // NewCache returns a cache bounded to maxBytes of resident answers
-// (≤ 0 selects the 64 MiB default). When dir is non-empty it is
-// created if needed and every existing well-formed entry is loaded
+// (≤ 0 selects the 64 MiB default). When dir is non-empty it opens the
+// checkpoint store there and loads every existing well-formed entry
 // (most recently modified first) until the memory budget is full;
 // corrupt or misnamed entries are counted and skipped, never trusted.
 // The second return value is the number of rejected entries.
@@ -80,80 +64,51 @@ func NewCache(maxBytes int64, dir string) (*Cache, int, error) {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	c := &Cache{maxBytes: maxBytes, ll: list.New(), items: map[string]*list.Element{}, dir: dir}
+	c := &Cache{maxBytes: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
 	if dir == "" {
 		return c, 0, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	store, entries, err := checkpoint.OpenScan(dir)
+	if err != nil {
 		return nil, 0, fmt.Errorf("serve: cache dir: %v", err)
 	}
-	rejected, err := c.loadDir()
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, rejected, nil
+	c.store = store
+	return c, c.boot(entries), nil
 }
 
-// loadDir boots the memory tier from the disk tier.
-func (c *Cache) loadDir() (rejected int, err error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0, fmt.Errorf("serve: cache dir: %v", err)
-	}
+// boot fills the memory tier from the disk tier's scanned entries and
+// returns how many it rejected.
+func (c *Cache) boot(entries []checkpoint.Entry) (rejected int) {
 	type candidate struct {
-		name  string
+		hash  string
 		mtime int64
 	}
-	var files []candidate
-	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
-			continue
-		}
-		info, err := de.Info()
+	files := make([]candidate, 0, len(entries))
+	for _, e := range entries {
+		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, candidate{de.Name(), info.ModTime().UnixNano()})
+		files = append(files, candidate{e.Hash, info.ModTime().UnixNano()})
 	}
 	// Newest first: when the directory outgrows the memory budget, the
 	// hottest (most recently written) answers stay resident.
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime > files[j].mtime })
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, f := range files {
-		entry, ok := c.readEntry(strings.TrimSuffix(f.name, ".json"))
+		key, body, ok := c.store.LoadHash(f.hash)
 		if !ok {
 			rejected++
 			continue
 		}
-		c.mu.Lock()
+		entry := &cacheEntry{hash: f.hash, canonical: key, body: body}
 		if c.bytes+entry.size() > c.maxBytes {
-			c.mu.Unlock()
 			break // older entries stay on disk, served via the disk tier
 		}
 		c.insertLocked(entry)
-		c.mu.Unlock()
 	}
-	return rejected, nil
-}
-
-// readEntry loads and verifies one disk entry.
-func (c *Cache) readEntry(hash string) (*cacheEntry, bool) {
-	data, err := os.ReadFile(filepath.Join(c.dir, hash+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var pe persistEntry
-	if err := json.Unmarshal(data, &pe); err != nil {
-		return nil, false
-	}
-	if pe.Key == "" || len(pe.Body) == 0 {
-		return nil, false
-	}
-	// Both content addresses must hold: the file name is the key's
-	// hash, and the recorded body digest is the body's.
-	if HashHex(pe.Key) != hash || HashHex(string(pe.Body)) != pe.BodySHA256 {
-		return nil, false
-	}
-	return &cacheEntry{hash: hash, canonical: pe.Key, body: pe.Body}, true
+	return rejected
 }
 
 // insertLocked adds entry to the memory tier (caller holds mu) and
@@ -188,13 +143,13 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 		return body, true
 	}
 	c.mu.Unlock()
-	if c.dir != "" {
-		if entry, ok := c.readEntry(hash); ok {
+	if c.store != nil {
+		if key, body, ok := c.store.LoadHash(hash); ok {
 			c.mu.Lock()
-			c.insertLocked(entry)
+			c.insertLocked(&cacheEntry{hash: hash, canonical: key, body: body})
 			c.diskHits++
 			c.mu.Unlock()
-			return entry.body, true
+			return body, true
 		}
 	}
 	c.mu.Lock()
@@ -207,49 +162,15 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 // entries beyond the byte budget, and persists it to the disk tier
 // when one is configured. Identical re-puts are idempotent.
 func (c *Cache) Put(canonical string, body []byte) error {
-	entry := &cacheEntry{hash: HashHex(canonical), canonical: canonical, body: body}
+	entry := &cacheEntry{hash: checkpoint.HashHex(canonical), canonical: canonical, body: body}
 	c.mu.Lock()
 	c.insertLocked(entry)
 	c.puts++
 	c.mu.Unlock()
-	if c.dir == "" {
+	if c.store == nil {
 		return nil
 	}
-	return c.persist(entry)
-}
-
-// persist writes one entry atomically: marshal to a temp file in the
-// cache directory, then rename onto the final name, so a crash can
-// leave a stale temp file but never a torn entry (and load-time
-// verification rejects anything else).
-func (c *Cache) persist(entry *cacheEntry) error {
-	data, err := json.Marshal(persistEntry{
-		Key:        entry.canonical,
-		BodySHA256: HashHex(string(entry.body)),
-		Body:       entry.body,
-	})
-	if err != nil {
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	if err := os.Rename(name, filepath.Join(c.dir, entry.hash+".json")); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	return nil
+	return c.store.Save(canonical, body)
 }
 
 // Contains is a side-effect-free cache peek (no LRU touch, no counter
@@ -261,10 +182,10 @@ func (c *Cache) Contains(hash string) bool {
 	if ok {
 		return true
 	}
-	if c.dir == "" {
+	if c.store == nil {
 		return false
 	}
-	_, ok = c.readEntry(hash)
+	_, _, ok = c.store.LoadHash(hash)
 	return ok
 }
 
@@ -281,6 +202,6 @@ func (c *Cache) Stats() CacheStats {
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Puts:      c.puts,
-		Persisted: c.dir != "",
+		Persisted: c.store != nil,
 	}
 }

@@ -2,11 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"passivespread/internal/checkpoint"
 )
 
 func testKeyN(n int) CellKey {
@@ -21,7 +22,7 @@ func TestCacheMemoryHitAndMiss(t *testing.T) {
 		t.Fatalf("NewCache: %v (rejected %d)", err, rejected)
 	}
 	key := validKey().Canonical()
-	hash := HashHex(key)
+	hash := checkpoint.HashHex(key)
 	if _, ok := c.Get(hash); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -58,13 +59,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	c.Put(keys[0], bodies[0])
 	c.Put(keys[1], bodies[1])
-	c.Get(HashHex(keys[0])) // touch 0 so 1 is LRU
+	c.Get(checkpoint.HashHex(keys[0])) // touch 0 so 1 is LRU
 	c.Put(keys[2], bodies[2])
-	if _, ok := c.Get(HashHex(keys[1])); ok {
+	if _, ok := c.Get(checkpoint.HashHex(keys[1])); ok {
 		t.Fatal("LRU entry survived past the byte budget")
 	}
 	for _, i := range []int{0, 2} {
-		if _, ok := c.Get(HashHex(keys[i])); !ok {
+		if _, ok := c.Get(checkpoint.HashHex(keys[i])); !ok {
 			t.Fatalf("recently used entry %d was evicted", i)
 		}
 	}
@@ -84,7 +85,7 @@ func TestCacheDiskPersistAndReload(t *testing.T) {
 	if err := c1.Put(key, body); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, HashHex(key)+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, checkpoint.HashHex(key)+".json")); err != nil {
 		t.Fatalf("persisted file: %v", err)
 	}
 
@@ -95,7 +96,7 @@ func TestCacheDiskPersistAndReload(t *testing.T) {
 	if rejected != 0 {
 		t.Fatalf("rejected %d entries on clean reload", rejected)
 	}
-	got, ok := c2.Get(HashHex(key))
+	got, ok := c2.Get(checkpoint.HashHex(key))
 	if !ok || !bytes.Equal(got, body) {
 		t.Fatalf("reloaded Get: %q, %v", got, ok)
 	}
@@ -104,6 +105,10 @@ func TestCacheDiskPersistAndReload(t *testing.T) {
 	}
 }
 
+// TestCacheRejectsCorruptDiskEntries checks the cache's side of disk
+// verification: a corrupt file is counted as rejected at boot and never
+// served. The ways a file can be corrupt are tabulated in the store's
+// own TestLoadRejectsCorruptEnvelopes.
 func TestCacheRejectsCorruptDiskEntries(t *testing.T) {
 	dir := t.TempDir()
 	key := validKey().Canonical()
@@ -111,34 +116,67 @@ func TestCacheRejectsCorruptDiskEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good.Put(key, []byte(`{"ok":true}`))
-
-	// Corrupt 1: valid JSON under a name that is not the key's hash.
-	misnamed, _ := json.Marshal(persistEntry{Key: key, BodySHA256: HashHex(`{}`), Body: []byte(`{}`)})
-	wrongName := HashHex("something else")
-	os.WriteFile(filepath.Join(dir, wrongName+".json"), misnamed, 0o644)
-	// Corrupt 2: body digest mismatch under the right name.
-	k2 := testKeyN(8192).Canonical()
-	torn, _ := json.Marshal(persistEntry{Key: k2, BodySHA256: HashHex(`other`), Body: []byte(`{"x":1}`)})
-	os.WriteFile(filepath.Join(dir, HashHex(k2)+".json"), torn, 0o644)
-	// Corrupt 3: not JSON at all.
-	k3 := testKeyN(16384).Canonical()
-	os.WriteFile(filepath.Join(dir, HashHex(k3)+".json"), []byte("garbage"), 0o644)
+	if err := good.Put(key, []byte(`{"ok":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	envelope, err := os.ReadFile(filepath.Join(dir, checkpoint.HashHex(key)+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A valid envelope under another key's name, and a file that is
+	// not JSON at all.
+	misnamed := checkpoint.HashHex("something else")
+	garbage := checkpoint.HashHex(testKeyN(16384).Canonical())
+	os.WriteFile(filepath.Join(dir, misnamed+".json"), envelope, 0o644)
+	os.WriteFile(filepath.Join(dir, garbage+".json"), []byte("garbage"), 0o644)
 
 	c, rejected, err := NewCache(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rejected != 3 {
-		t.Fatalf("rejected %d corrupt entries, want 3", rejected)
+	if rejected != 2 {
+		t.Fatalf("rejected %d corrupt entries, want 2", rejected)
 	}
-	if _, ok := c.Get(HashHex(key)); !ok {
+	if _, ok := c.Get(checkpoint.HashHex(key)); !ok {
 		t.Fatal("valid entry lost among corrupt ones")
 	}
-	for _, h := range []string{wrongName, HashHex(k2), HashHex(k3)} {
+	for _, h := range []string{misnamed, garbage} {
 		if _, ok := c.Get(h); ok {
 			t.Fatalf("corrupt entry %s was served", h)
 		}
+		if c.Contains(h) {
+			t.Fatalf("corrupt entry %s reported as cached", h)
+		}
+	}
+}
+
+// TestCacheBootsPinnedEnvelope boots the disk tier from the store's
+// checked-in envelope: cache directories written by earlier versions
+// of the code keep serving.
+func TestCacheBootsPinnedEnvelope(t *testing.T) {
+	const (
+		key  = "fetcell/v1 scenario=worst-case engine=agent-fast topology=complete n=64 ell=18 replicates=4 max_rounds=2400 seed=9"
+		want = `{"cell":3,"n":64,"replicates":4,"converged":4,"p_converged":1,"t_con_mean":17.25}`
+	)
+	name := checkpoint.HashHex(key) + ".json"
+	pinned, err := os.ReadFile(filepath.Join("..", "checkpoint", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), pinned, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, rejected, err := NewCache(0, dir)
+	if err != nil || rejected != 0 {
+		t.Fatalf("NewCache: %v (rejected %d)", err, rejected)
+	}
+	body, ok := c.Get(checkpoint.HashHex(key))
+	if !ok || string(body) != want {
+		t.Fatalf("pinned envelope: Get = %q, %v", body, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("pinned envelope not resident after boot: %+v", st)
 	}
 }
 
@@ -150,10 +188,10 @@ func TestCacheContainsIsSideEffectFree(t *testing.T) {
 	key := validKey().Canonical()
 	c.Put(key, []byte(`{}`))
 	before := c.Stats()
-	if !c.Contains(HashHex(key)) {
+	if !c.Contains(checkpoint.HashHex(key)) {
 		t.Fatal("Contains missed a resident entry")
 	}
-	if c.Contains(HashHex("absent")) {
+	if c.Contains(checkpoint.HashHex("absent")) {
 		t.Fatal("Contains claimed an absent entry")
 	}
 	after := c.Stats()

@@ -11,9 +11,10 @@
 // how to run a simulation sits behind the Backend interface, which the
 // root passivespread package implements over its Study and Scenario
 // layers. What lives here is the service machinery — canonical cell
-// keys (key.go), the LRU+disk answer cache (cache.go), typed error
-// codes (errors.go), per-tool metrics (metrics.go), and the HTTP
-// server with the tier logic (server.go).
+// keys (key.go), the LRU answer cache over the checkpoint store's
+// disk tier (cache.go), typed error codes (errors.go), per-tool
+// metrics (metrics.go), and the HTTP server with the tier logic
+// (server.go).
 //
 // The correctness story of the whole subsystem is the cell key: every
 // cached byte is re-derivable from its key, because the deterministic
@@ -23,11 +24,11 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"passivespread/internal/checkpoint"
 )
 
 // KeyVersion is the canonical serialization version prefix. Bump it
@@ -143,13 +144,7 @@ const HashPrefix = "sha256:"
 // Hash returns the key's content address: "sha256:" plus the hex
 // SHA-256 of the canonical serialization. The hex part is the cache
 // entry's identity in memory and its file name on disk.
-func (k CellKey) Hash() string { return HashPrefix + HashHex(k.Canonical()) }
-
-// HashHex returns the bare hex SHA-256 of a canonical key string.
-func HashHex(canonical string) string {
-	sum := sha256.Sum256([]byte(canonical))
-	return hex.EncodeToString(sum[:])
-}
+func (k CellKey) Hash() string { return HashPrefix + checkpoint.HashHex(k.Canonical()) }
 
 // ParseCellKey inverts Canonical: it parses a canonical key string
 // strictly (exact version, exact field order, no unknown or duplicate

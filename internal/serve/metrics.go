@@ -20,8 +20,9 @@ var latencyBuckets = []float64{100e-6, 1e-3, 10e-3, 100e-3, 1, 10}
 // the measured handlers do milliseconds of work, so contention is
 // irrelevant next to fidelity.
 type metrics struct {
-	mu    sync.Mutex
-	tools map[string]*toolMetrics
+	mu            sync.Mutex
+	tools         map[string]*toolMetrics
+	persistErrors uint64 // answers the disk tier failed to store
 }
 
 type toolMetrics struct {
@@ -54,6 +55,13 @@ func (m *metrics) observe(tool, outcome string, d time.Duration) {
 		}
 	}
 	tm.inf++
+}
+
+// persistFailed counts one answer the disk tier failed to store.
+func (m *metrics) persistFailed() {
+	m.mu.Lock()
+	m.persistErrors++
+	m.mu.Unlock()
 }
 
 // render writes the Prometheus text exposition. Output is sorted by
@@ -111,6 +119,7 @@ func (m *metrics) render(cache CacheStats) string {
 		{"fetserve_cache_disk_hits_total", "Disk-tier cache hits (promoted).", cache.DiskHits},
 		{"fetserve_cache_misses_total", "Cache misses.", cache.Misses},
 		{"fetserve_cache_evictions_total", "Memory-tier evictions.", cache.Evictions},
+		{"fetserve_cache_persist_errors_total", "Answers served but not persisted to the disk tier.", m.persistErrors},
 	} {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
 	}

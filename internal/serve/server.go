@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"passivespread/internal/checkpoint"
 )
 
 // Tool names, namespaced in the k0rdent style. Each has an acceptance
@@ -184,7 +186,7 @@ func (s *Server) handleStudyRun(w http.ResponseWriter, r *http.Request) string {
 		return string(writeError(w, err))
 	}
 	canonical := key.Canonical()
-	hash := HashHex(canonical)
+	hash := checkpoint.HashHex(canonical)
 	stream := wantsStream(r)
 
 	if body, ok := s.cache.Get(hash); ok {
@@ -221,7 +223,11 @@ func (s *Server) handleStudyRun(w http.ResponseWriter, r *http.Request) string {
 		}
 		return string(writeError(w, err))
 	}
-	s.cache.Put(canonical, body)
+	if err := s.cache.Put(canonical, body); err != nil {
+		// The answer is still served and stays resident; only its
+		// durability is lost, so count it instead of failing the query.
+		s.metrics.persistFailed()
+	}
 	if sse != nil {
 		sse.event("result", string(body))
 		return "ok"
@@ -277,13 +283,13 @@ func (s *Server) handleStudyGet(w http.ResponseWriter, r *http.Request) string {
 		if err != nil {
 			return string(writeError(w, Errorf(CodeInvalidArgument, "key: %v", err)))
 		}
-		hash = HashHex(k.Canonical())
+		hash = checkpoint.HashHex(k.Canonical())
 	default:
 		k, err := s.backend.Resolve(req.Query)
 		if err != nil {
 			return string(writeError(w, err))
 		}
-		hash = HashHex(k.Canonical())
+		hash = checkpoint.HashHex(k.Canonical())
 	}
 	body, ok := s.cache.Get(hash)
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -497,5 +498,27 @@ func TestServerInjectedClockLatency(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing exact line %q\n%s", want, body)
 		}
+	}
+}
+
+// TestServerCountsPersistErrors removes the cache directory under a
+// running server: the answer must still be served, and the lost write
+// must show on /metrics (and only there, not in fet.health).
+func TestServerCountsPersistErrors(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newTestServer(t, Config{CacheDir: dir})
+	h := s.Handler()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	w := post(t, h, "/v1/tools/fet.study.run", `{"n":128,"engine":"markov-chain"}`)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"n":128`) {
+		t.Fatalf("answer with a vanished cache dir: %d %s", w.Code, w.Body)
+	}
+	if m := get(t, h, "/metrics").Body.String(); !strings.Contains(m, "\nfetserve_cache_persist_errors_total 1\n") {
+		t.Errorf("metrics missing the persist error:\n%s", m)
+	}
+	if health := get(t, h, "/v1/tools/fet.health").Body.String(); strings.Contains(health, "persist_error") {
+		t.Errorf("fet.health grew a persist field: %s", health)
 	}
 }

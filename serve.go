@@ -8,6 +8,7 @@ import (
 	"math"
 	"strings"
 
+	"passivespread/internal/checkpoint"
 	"passivespread/internal/serve"
 	"passivespread/internal/stats"
 	"passivespread/internal/topo"
@@ -445,7 +446,7 @@ func (b *serveBackend) Run(ctx context.Context, key CellKey, progress func(done,
 	canonical := key.Canonical()
 	ans := cellAnswer{
 		Key:         canonical,
-		Hash:        serve.HashPrefix + serve.HashHex(canonical),
+		Hash:        serve.HashPrefix + checkpoint.HashHex(canonical),
 		Scenario:    key.Scenario,
 		Engine:      key.Engine,
 		Topology:    key.Topology,
@@ -533,7 +534,7 @@ func (b *serveBackend) Inspect(q serve.SweepQuery) (*serve.Inspection, error) {
 			Ell:      key.Ell,
 			Seed:     key.Seed,
 			Key:      canonical,
-			Hash:     serve.HashPrefix + serve.HashHex(canonical),
+			Hash:     serve.HashPrefix + checkpoint.HashHex(canonical),
 		}
 	}
 	return insp, nil

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"passivespread/internal/serve"
+	"passivespread/internal/checkpoint"
 )
 
 // This file is the sweep fabric's shard protocol: the deterministic
@@ -199,7 +199,7 @@ func (s *Sweep) ShardArtifact(rep *SweepReport) (*ShardArtifact, error) {
 		art.Rows = append(art.Rows, ShardRow{
 			Cell:   row.Cell,
 			Key:    keys[row.Cell],
-			Digest: serve.HashHex(string(body)),
+			Digest: checkpoint.HashHex(string(body)),
 			Row:    row,
 		})
 	}
@@ -346,7 +346,7 @@ func verifyShardRow(r ShardRow) error {
 	if err != nil {
 		return mergeErrf("cell %d (shard %s): %v", r.Cell, r.shardLabel, err)
 	}
-	if got := serve.HashHex(string(body)); got != r.Digest {
+	if got := checkpoint.HashHex(string(body)); got != r.Digest {
 		return mergeErrf("cell %d (shard %s): digest %s does not match the row body (%s) — artifact corrupt or edited", r.Cell, r.shardLabel, r.Digest, got)
 	}
 	return nil

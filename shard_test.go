@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"passivespread/internal/serve"
+	"passivespread/internal/checkpoint"
 )
 
 // parseShardValid and parseShardInvalid are TestParseShard's tables,
@@ -318,7 +318,7 @@ func TestMergeShardsDetectsConflicts(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			a[1].Rows[0].Digest = serve.HashHex(string(body))
+			a[1].Rows[0].Digest = checkpoint.HashHex(string(body))
 			return a
 		}, "disagrees with its row"},
 		{"unparseable key", true, func(a []*ShardArtifact) []*ShardArtifact {
