@@ -3,7 +3,8 @@
 //
 // The batched hot paths (rng.Batch, the fast observer's per-agent
 // prefetch, the graph observer's fused counting kernels, the trend
-// executor's inlined draws and degenerate-round debt) are all mirrors: they must consume exactly the same
+// executor's fused kernel and degenerate-round debt) are all mirrors:
+// they must consume exactly the same
 // number of stream outputs, in the same order, as the unbatched
 // per-draw path they replace — otherwise every later draw of that
 // stream diverges and the bit-identity gates fail far from the cause.
@@ -13,7 +14,8 @@
 // rngmirror reports, outside internal/rng:
 //
 //   - calls to the raw-consumption kernels Source.Uint64, Fill,
-//     Advance, CountPacked, CountPackedBlocks and Jump, and the
+//     Advance, CountPacked, CountPackedBlocks and Jump, the stream
+//     block's Streams.Advance, TrendWord and TrendWordGeneric, and the
 //     package-level lane kernel CountPackedLanes. Every such site is a
 //     hand-maintained draw-count proof, and must say so:
 //     //fet:allow rngmirror: <the accounting argument>.
@@ -21,9 +23,10 @@
 // And inside internal/rng:
 //
 //   - raw-consumption kernels (Fill, Advance, CountPacked,
-//     CountPackedBlocks, CountPackedLanes) whose doc comment does not
-//     state their exact consumption (the word "exactly") — the
-//     documentation the outside annotations lean on.
+//     CountPackedBlocks, CountPackedLanes, TrendWord, TrendWordGeneric)
+//     whose doc comment does not state their exact consumption (the
+//     word "exactly") — the documentation the outside annotations lean
+//     on.
 package rngmirror
 
 import (
@@ -41,15 +44,23 @@ var Analyzer = &fwk.Analyzer{
 	Run:  run,
 }
 
-// rawMethods are the Source methods that consume stream outputs
-// without the typed draw API's implicit accounting.
-var rawMethods = map[string]bool{
-	"Uint64":            true,
-	"Fill":              true,
-	"Advance":           true,
-	"CountPacked":       true,
-	"CountPackedBlocks": true,
-	"Jump":              true,
+// rawMethods are, per rng receiver type, the methods that consume
+// stream outputs without the typed draw API's implicit accounting:
+// Source's single-stream kernels and the Streams block's bulk ones.
+var rawMethods = map[string]map[string]bool{
+	"Source": {
+		"Uint64":            true,
+		"Fill":              true,
+		"Advance":           true,
+		"CountPacked":       true,
+		"CountPackedBlocks": true,
+		"Jump":              true,
+	},
+	"Streams": {
+		"Advance":          true,
+		"TrendWord":        true,
+		"TrendWordGeneric": true,
+	},
 }
 
 // rawFuncs are the package-level rng functions that consume the
@@ -66,6 +77,8 @@ var documentedKernels = map[string]bool{
 	"CountPacked":       true,
 	"CountPackedBlocks": true,
 	"CountPackedLanes":  true,
+	"TrendWord":         true,
+	"TrendWordGeneric":  true,
 }
 
 func isRNGPkg(path string) bool { return fwk.PathTail(path, "rng") }
@@ -85,9 +98,9 @@ func run(pass *fwk.Pass) error {
 				return true
 			}
 			var what string
-			switch {
-			case rawMethods[callee.Name()] && isSourceMethod(callee):
-				what = "rng.Source." + callee.Name()
+			switch recv := receiverName(callee); {
+			case rawMethods[recv][callee.Name()]:
+				what = "rng." + recv + "." + callee.Name()
 			case rawFuncs[callee.Name()] && isPackageFunc(callee):
 				what = "rng." + callee.Name()
 			default:
@@ -102,19 +115,21 @@ func run(pass *fwk.Pass) error {
 	return nil
 }
 
-// isSourceMethod reports whether fn is a method on rng.Source or
-// *rng.Source.
-func isSourceMethod(fn *types.Func) bool {
+// receiverName returns the name of fn's receiver type T (for a method
+// on T or *T), or "" when fn is not a method on a named type.
+func receiverName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return ""
 	}
 	t := sig.Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Source"
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
 // isPackageFunc reports whether fn is a function, not a method.

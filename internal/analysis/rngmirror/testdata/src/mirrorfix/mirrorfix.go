@@ -34,3 +34,21 @@ func accountedLanes(srcs []*rng.Source, rows []uint64, counts [][]int32) {
 func typed(src *rng.Source) int {
 	return src.Intn(10)
 }
+
+func trendRound(blk *rng.Streams, prev []uint16) uint64 {
+	up, _ := blk.TrendWord(2, prev, 0, 64) // want `raw rng\.Streams\.TrendWord consumption outside internal/rng`
+	return up
+}
+
+func settle(blk *rng.Streams, debt int) {
+	blk.Advance(0, 64, 2*debt) // want `raw rng\.Streams\.Advance consumption outside internal/rng`
+}
+
+func accountedTrend(blk *rng.Streams, prev []uint16, debt int) uint64 {
+	//fet:allow rngmirror: exactly 2·debt outputs per stream in [0, 64), the skipped rounds' draws
+	blk.Advance(0, 64, 2*debt)
+	//fet:allow rngmirror: exactly d = 2 outputs per stream in [0, 64), one round's draws
+	up, _ := blk.TrendWord(2, prev, 0, 64)
+	blk.Reseed(0, 7)
+	return up
+}

@@ -35,3 +35,27 @@ func CountPackedLanes(srcs []*Source, rows []uint64, shift uint, m int, counts [
 		}
 	}
 }
+
+// Streams is the stub word-major stream block.
+type Streams struct{ s []uint64 }
+
+// Advance discards exactly k outputs of every stream in [lo, hi).
+func (b *Streams) Advance(lo, hi, k int) {
+	for i := lo; i < hi; i++ {
+		b.s[i] += uint64(k)
+	}
+}
+
+// TrendWord steps the streams [lo, hi) one trend round.
+func (b *Streams) TrendWord(d int, prev []uint16, lo, hi int) (up, down uint64) { // want `kernel TrendWord must document its exact stream consumption`
+	for i := lo; i < hi; i++ {
+		b.s[i] += uint64(d)
+		if b.s[i]&1 == 1 {
+			up |= 1 << uint(i-lo)
+		}
+	}
+	return up, down
+}
+
+// Reseed restarts stream i; it consumes nothing.
+func (b *Streams) Reseed(i int, seed uint64) { b.s[i] = seed }

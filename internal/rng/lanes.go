@@ -76,3 +76,7 @@ func countPackedLanesVec(srcs []*Source, rows []uint64, shift uint, m int, count
 		s.s0, s.s1, s.s2, s.s3 = st.s[0][k], st.s[1][k], st.s[2][k], st.s[3][k]
 	}
 }
+
+// VectorKernels reports whether CountPackedLanes and Streams.TrendWord
+// run their AVX2 kernels on this CPU (the one CPUID check both use).
+func VectorKernels() bool { return useAVX2 }

@@ -35,3 +35,19 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func countLanesBlock(st *laneState, m int)
+
+// trendGroupsFET runs the d = 2 trend kernel over n streams (a multiple
+// of 4) held word-major at s0..s3 with stored counts at prev, against
+// the threshold table t and its guide table: exactly two outputs per
+// stream, the first compared (masked gathers of t[p] and t[p−1]), the
+// second inverted into prev. It returns the up and down masks, bit j
+// for stream j. It requires AVX2.
+//
+//go:noescape
+func trendGroupsFET(s0, s1, s2, s3 *uint64, prev *uint16, n int, t *uint64, guide *uint32) (up, down uint64)
+
+// trendGroupsSimple is trendGroupsFET for d = 1: exactly one output per
+// stream, inverted into prev and compared with the old stored count.
+//
+//go:noescape
+func trendGroupsSimple(s0, s1, s2, s3 *uint64, prev *uint16, n int, t *uint64, guide *uint32) (up, down uint64)

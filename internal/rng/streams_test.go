@@ -1,0 +1,265 @@
+package rng
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// trendCase fills two identical stream blocks of n streams from seed,
+// with stored counts in [0, m] (the first two pinned at 0 and m, the
+// kernels' edge cases), one copy per kernel under comparison.
+func trendCase(seed uint64, n, m int) (a, b *Streams, pa, pb []uint16) {
+	root := New(seed)
+	a, b = new(Streams), new(Streams)
+	a.Resize(n)
+	b.Resize(n)
+	pa, pb = make([]uint16, n), make([]uint16, n)
+	for i := 0; i < n; i++ {
+		s := root.Uint64()
+		a.Reseed(i, s)
+		b.Reseed(i, s)
+		p := uint16(root.Intn(m + 1))
+		switch i {
+		case 0:
+			p = 0
+		case 1:
+			p = uint16(m)
+		}
+		pa[i], pb[i] = p, p
+	}
+	// Pin the counts at 0 and m inside the span too, wherever it starts.
+	for i := 2; i < n; i += 7 {
+		pa[i], pb[i] = 0, 0
+		if i+3 < n {
+			pa[i+3], pb[i+3] = uint16(m), uint16(m)
+		}
+	}
+	return a, b, pa, pb
+}
+
+// checkTrend fails unless both blocks and count vectors agree entirely
+// — inside the kernel's span and, untouched, outside it.
+func checkTrend(t *testing.T, tag string, a, b *Streams, pa, pb []uint16) {
+	t.Helper()
+	for i := range pa {
+		var sa, sb Source
+		a.Load(i, &sa)
+		b.Load(i, &sb)
+		if sa != sb {
+			t.Fatalf("%s: stream %d: final state %+v, reference %+v", tag, i, sa, sb)
+		}
+		if pa[i] != pb[i] {
+			t.Fatalf("%s: stream %d: stored count %d, reference %d", tag, i, pa[i], pb[i])
+		}
+	}
+}
+
+// overshootFraction returns a success probability at which the
+// accumulated CDF of Binomial(m, x) overshoots 1 before its forced last
+// entry, so the threshold table has t[m−1] > t[m] = 2^53.
+func overshootFraction(m int) (float64, bool) {
+	var thr BinomialThresholds
+	for i := 1; i < 1<<14; i++ {
+		x := float64(i) / (1 << 14)
+		thr.Reset(m, x)
+		if t := thr.Thresholds(); t[m-1] > t[m] {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
+// trendFractions is the success-probability grid the kernel tests
+// tabulate at: both tails, the middle, and (where one exists) a table
+// with t[m−1] > t[m].
+func trendFractions(t *testing.T, m int) []float64 {
+	xs := []float64{1e-3, 0.2, 0.5, 0.8, 0.999}
+	if x, ok := overshootFraction(m); ok {
+		xs = append(xs, x)
+	} else if m == 36 || m == 64 {
+		t.Fatalf("m = %d: no fraction overshoots the CDF; the test lost its edge case", m)
+	}
+	return xs
+}
+
+// TestTrendWordVectorMatchesGeneric compares the AVX2 trend kernel with
+// the portable one directly: d ∈ {1, 2}, sample sizes from 1 to 1000,
+// tables from both tails and one whose CDF overshoots before its last
+// entry, stored counts at 0 and m, 0…16 whole 4-stream groups plus
+// tails of 0…3 streams, at word offsets 0, 1, 2 and 7.
+func TestTrendWordVectorMatchesGeneric(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 on this CPU: the vector trend kernel is not reachable here")
+		t.Skip("AVX2 absent")
+	}
+	seed := uint64(0)
+	var thr BinomialThresholds
+	for _, d := range []int{1, 2} {
+		for _, m := range []int{1, 2, 36, 64, 1000} {
+			for _, x := range trendFractions(t, m) {
+				thr.Reset(m, x)
+				for _, lo := range []int{0, 1, 2, 7} {
+					for groups := 0; groups <= 16; groups++ {
+						for tail := 0; tail <= 3 && 4*groups+tail <= 64; tail++ {
+							seed++
+							hi := lo + 4*groups + tail
+							a, b, pa, pb := trendCase(seed, hi+3, m)
+							tag := fmt.Sprintf("d=%d m=%d x=%v [%d,%d)", d, m, x, lo, hi)
+							upA, downA := a.trendWordVec(d, &thr, pa, lo, hi)
+							upB, downB := b.TrendWordGeneric(d, &thr, pb, lo, hi)
+							if upA != upB || downA != downB {
+								t.Fatalf("%s: masks up %#x down %#x, reference up %#x down %#x", tag, upA, downA, upB, downB)
+							}
+							checkTrend(t, tag, a, b, pa, pb)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTrendWordGenericMatchesSource pins the portable kernel to the
+// per-draw reference it replaced: for each stream, d Source.Uint64
+// draws, the compared one's count SampleRaw against the stored count
+// for the verdict, and the stored one's SampleRaw as the new count.
+func TestTrendWordGenericMatchesSource(t *testing.T) {
+	var thr BinomialThresholds
+	for _, d := range []int{1, 2} {
+		for _, m := range []int{1, 5, 36} {
+			for _, x := range []float64{0.05, 0.5, 0.93} {
+				thr.Reset(m, x)
+				const n = 70
+				a, _, pa, _ := trendCase(uint64(100*d+m), n, m)
+				var want [n]Source
+				wantPrev := append([]uint16(nil), pa...)
+				var wantUp, wantDown uint64
+				for i := 3; i < 67; i++ {
+					s := &want[i]
+					a.Load(i, s)
+					c := thr.SampleRaw(s.Uint64())
+					stored := c
+					if d == 2 {
+						stored = thr.SampleRaw(s.Uint64())
+					}
+					p := int(wantPrev[i])
+					wantUp |= pick(c > p, 1<<uint(i-3))
+					wantDown |= pick(c < p, 1<<uint(i-3))
+					wantPrev[i] = uint16(stored)
+				}
+				up, down := a.TrendWordGeneric(d, &thr, pa, 3, 67)
+				if up != wantUp || down != wantDown {
+					t.Fatalf("d=%d m=%d x=%v: masks %#x/%#x, reference %#x/%#x", d, m, x, up, down, wantUp, wantDown)
+				}
+				for i := 3; i < 67; i++ {
+					var got Source
+					a.Load(i, &got)
+					if got != want[i] || pa[i] != wantPrev[i] {
+						t.Fatalf("d=%d m=%d x=%v stream %d: state or stored count diverged", d, m, x, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamsMatchSources: a block stream reseeded, advanced and round-
+// tripped through Load/Store is the Source with the same history.
+func TestStreamsMatchSources(t *testing.T) {
+	var blk Streams
+	blk.Resize(9)
+	for i := 0; i < 9; i++ {
+		blk.Reseed(i, uint64(i)*77)
+	}
+	blk.Advance(2, 7, 13)
+	for i := 0; i < 9; i++ {
+		want := New(uint64(i) * 77)
+		if i >= 2 && i < 7 {
+			want.Advance(13)
+		}
+		var got Source
+		blk.Load(i, &got)
+		if got != *want {
+			t.Fatalf("stream %d: %+v, want %+v", i, got, *want)
+		}
+		got.Uint64()
+		blk.Store(i, &got)
+		var back Source
+		blk.Load(i, &back)
+		if back != got {
+			t.Fatalf("stream %d: Store/Load round trip lost the state", i)
+		}
+	}
+}
+
+// TestTrendVerdictMatchesInversion: the trend kernel's two-compare
+// verdict on the compared draw equals the sign of SampleRaw(raw) − p —
+// for every stored count p ∈ [0, m], at raws on both sides of every
+// threshold and at random raws, including a table whose accumulated CDF
+// overshoots 1 before its last entry.
+func TestTrendVerdictMatchesInversion(t *testing.T) {
+	src := New(41)
+	for _, m := range []int{1, 2, 36, 64} {
+		for _, x := range trendFractions(t, m) {
+			thr := NewBinomialThresholds(m, x)
+			tab := thr.Thresholds()
+			var raws []uint64
+			for _, tk := range tab {
+				raws = append(raws, (tk-1)<<11, tk<<11)
+			}
+			for i := 0; i < 256; i++ {
+				raws = append(raws, src.Uint64())
+			}
+			for p := 0; p <= m; p++ {
+				for _, raw := range raws {
+					c := thr.SampleRaw(raw)
+					up, down := trendVerdict(tab, raw>>11, p)
+					if up != (c > p) || down != (c < p) {
+						t.Fatalf("m=%d x=%v p=%d raw=%#x: verdict (up %v, down %v), SampleRaw = %d",
+							m, x, p, raw, up, down, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTrendKernel: for any seed, sample size, success probability and
+// stored-count vector, the AVX2 trend kernel equals the portable one on
+// every output — both masks, every stored count and every final state.
+func FuzzTrendKernel(f *testing.F) {
+	f.Add(uint64(1), uint16(12), 0.5, []byte{0, 0, 12, 0, 3, 0, 7, 0, 1, 0})
+	f.Add(uint64(2), uint16(0), 0.999, []byte{1, 0, 0, 0, 1, 0, 0, 0, 1})
+	f.Add(uint64(3), uint16(35), 0.0, make([]byte, 128))
+	f.Add(uint64(4), uint16(999), 1.0, []byte{0xff, 0xff, 0xe7, 0x03, 0, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, m16 uint16, x float64, raw []byte) {
+		if !useAVX2 {
+			t.Skip("AVX2 absent: the vector trend kernel is not reachable here")
+		}
+		m := 1 + int(m16)%2000
+		switch {
+		case math.IsNaN(x) || math.IsInf(x, 0):
+			x = 0.5
+		default:
+			x = math.Abs(x - math.Trunc(x)) // into [0, 1)
+		}
+		var thr BinomialThresholds
+		thr.Reset(m, x)
+		lo := int(seed % 5)
+		n := min(len(raw)/2, 64)
+		a, b, pa, pb := trendCase(seed, lo+n+2, m)
+		for i := 0; i < n; i++ {
+			p := uint16(int(raw[2*i])|int(raw[2*i+1])<<8) % uint16(m+1)
+			pa[lo+i], pb[lo+i] = p, p
+		}
+		for _, d := range []int{1, 2} {
+			upA, downA := a.trendWordVec(d, &thr, pa, lo, lo+n)
+			upB, downB := b.TrendWordGeneric(d, &thr, pb, lo, lo+n)
+			if upA != upB || downA != downB {
+				t.Fatalf("d=%d m=%d x=%v n=%d: masks up %#x down %#x, reference up %#x down %#x", d, m, x, n, upA, downA, upB, downB)
+			}
+			checkTrend(t, fmt.Sprintf("d=%d m=%d x=%v", d, m, x), a, b, pa, pb)
+		}
+	})
+}

@@ -13,9 +13,9 @@ import (
 // is a TrendLockstep rule under uniform mixing. It replays the
 // per-agent trend-compare update directly against the round's tabulated
 // binomial thresholds instead of stepping agent objects: one kernel
-// sweeps the population in address order with the xoshiro draws
-// inlined, decides the compared draw by two threshold compares
-// (trendVerdict) and inverts only the stored draw. It consumes exactly
+// sweeps the population in address order through the fused
+// rng.Streams.TrendWord, which draws, decides the compared draw by two
+// threshold compares and inverts only the stored draw. It consumes exactly
 // the generic fast path's RNG stream layout — StreamSeed(seed, 0) for
 // the initializer, StreamSeed(seed, j+1) for agent j, d = DrawsPerRound
 // outputs per agent per round — so its results are bit-identical to the
@@ -93,12 +93,16 @@ type trendExecutor struct {
 	// interface seam, which would otherwise heap-allocate it per
 	// replicate.
 	initSrc rng.Source
+	// agentSrc carries one agent stream through CorruptState in
+	// populate, a field for the same reason as initSrc.
+	agentSrc rng.Source
 
 	// opinions is updated in place: on the tabulated path observations
 	// never read the opinion bitset, so there is no double buffer. srcs
-	// and prev are indexed by agent; the sources' entries are unused.
+	// (word-major, for the vector kernel) and prev are indexed by agent;
+	// the sources' entries are unused.
 	opinions opinionBits
-	srcs     []rng.Source
+	srcs     rng.Streams
 	prev     []uint16
 
 	ones   int                    // 1-opinions, sources included
@@ -118,9 +122,9 @@ func newTrendExecutor(c *Config) (*trendExecutor, error) {
 		m:        m,
 		isSource: make([]bool, n),
 		initBuf:  make([]byte, n),
-		srcs:     make([]rng.Source, n),
 		prev:     make([]uint16, n),
 	}
+	e.srcs.Resize(n)
 	e.opinions.resize(n)
 	for i := 0; i < c.Sources; i++ {
 		e.isSource[i] = true
@@ -158,13 +162,21 @@ func (e *trendExecutor) populate(cfg Config) error {
 	e.ones = e.opinions.ones()
 	corrupt := c.CorruptStates && e.scratchCorrupt != nil
 	for j := s0; j < n; j++ {
-		src := &e.srcs[j]
-		src.Reseed(rng.StreamSeed(c.Seed, uint64(j)+1))
+		seed := rng.StreamSeed(c.Seed, uint64(j)+1)
 		e.scratchReset.ResetAgent()
 		if corrupt {
-			e.scratchCorrupt.CorruptState(src)
+			e.agentSrc.Reseed(seed)
+			e.scratchCorrupt.CorruptState(&e.agentSrc)
+			e.srcs.Store(j, &e.agentSrc)
+		} else {
+			e.srcs.Reseed(j, seed)
 		}
-		e.prev[j] = uint16(e.scratchPrev.PrevCount())
+		p := e.scratchPrev.PrevCount()
+		if p < 0 || p > e.m {
+			// The kernel indexes the round's threshold table with it.
+			return fmt.Errorf("sim: agent %d stores count %d outside [0, %d]", j, p, e.m)
+		}
+		e.prev[j] = uint16(p)
 	}
 	e.debt = 0
 	e.pinned = -1
@@ -215,12 +227,8 @@ func (e *trendExecutor) Step(correct byte) error {
 		return nil
 	}
 	if e.debt > 0 {
-		adv := int(e.debt) * e.d
-		srcs := e.srcs[s0:n]
-		for j := range srcs {
-			//fet:allow rngmirror: settles exactly debt·d deferred draws per agent stream — the outputs the skipped degenerate rounds would have consumed
-			srcs[j].Advance(adv)
-		}
+		//fet:allow rngmirror: settles exactly debt·d deferred draws per agent stream — the outputs the skipped degenerate rounds would have consumed
+		e.srcs.Advance(s0, n, int(e.debt)*e.d)
 		e.debt = 0
 	}
 	e.pinned = -1
@@ -230,93 +238,32 @@ func (e *trendExecutor) Step(correct byte) error {
 }
 
 // kernel advances every non-source agent one live round and returns the
-// change in 1-opinions. It sweeps the population one opinion word at a
-// time: per agent it draws the protocol's d stream outputs with the
-// xoshiro step inlined, applies the trend-compare rule against the
-// stored count and updates the agent's bit in a register copy of the
-// word. The rule needs only the sign of c′ − p, which two threshold
-// compares decide without inverting the first draw (trendVerdict); only
-// the stored draw — FET's second, SimpleTrend's single — is inverted,
-// with the guide table starting its scan within an expected single
-// compare of the answer. The sweep is straight-line over preallocated
+// change in 1-opinions. It sweeps the population one opinion word (64
+// agents) at a time: rng.Streams.TrendWord draws each agent's d outputs,
+// decides the trend rule against the stored count — two threshold
+// compares on the compared draw (the verdict), no inversion — inverts
+// only the stored draw into prev, and returns the word's up and down
+// masks, which the word takes in one or/and-not; the 1-count change is a
+// popcount difference. On AVX2 hosts TrendWord steps four agents per
+// vector instruction. The sweep is straight-line over preallocated
 // buffers: zero allocations, no interface dispatch.
 //
 //fet:hotpath
 func (e *trendExecutor) kernel() int {
 	n := e.cfg.N
-	t := e.thr.Thresholds()
-	g := e.thr.Guide()
 	words := e.opinions.words
 	delta := 0
 	for lo := e.cfg.Sources; lo < n; {
 		wi := lo >> 6
 		hi := min(n, (wi+1)<<6)
-		srcs := e.srcs[lo:hi]
-		// Reslicing to len(srcs) lets the compiler drop the bounds
-		// checks on prev[j].
-		prev := e.prev[lo:hi]
-		prev = prev[:len(srcs)]
+		//fet:allow rngmirror: exactly d outputs per agent stream in [lo, hi) — the generic fast path's d tabulated draws per agent per round
+		up, down := e.srcs.TrendWord(e.d, &e.thr, e.prev, lo, hi)
 		shift := uint(lo) & 63
 		old := words[wi]
-		w := old
-		if e.d == 2 {
-			for j := range srcs {
-				src := &srcs[j]
-				//fet:allow rngmirror: one output per protocol draw — the same single consumption as the tabulated SampleU path
-				up, down := trendVerdict(t, src.Uint64()>>11, int(prev[j]))
-				//fet:allow rngmirror: second of the protocol's d=2 draws, single consumption as above
-				mant := src.Uint64() >> 11
-				k := int(g[mant>>rng.GuideShift])
-				for mant >= t[k] {
-					k++
-				}
-				prev[j] = uint16(k)
-				w = setTrendBit(w, shift+uint(j), up, down)
-			}
-		} else {
-			for j := range srcs {
-				//fet:allow rngmirror: one output per protocol draw — the same single consumption as the tabulated SampleU path
-				mant := srcs[j].Uint64() >> 11
-				k := int(g[mant>>rng.GuideShift])
-				for mant >= t[k] {
-					k++
-				}
-				p := int(prev[j])
-				prev[j] = uint16(k)
-				w = setTrendBit(w, shift+uint(j), k > p, k < p)
-			}
-		}
+		w := (old | up<<shift) &^ (down << shift)
 		words[wi] = w
 		delta += bits.OnesCount64(w) - bits.OnesCount64(old)
 		lo = hi
 	}
 	return delta
-}
-
-// setTrendBit applies the trend rule's outcome to bit i of the opinion
-// word w: set it when up, clear it when down, keep it otherwise (up and
-// down are never both true).
-func setTrendBit(w uint64, i uint, up, down bool) uint64 {
-	bit := uint64(1) << (i & 63)
-	var set, clr uint64
-	if up {
-		set = bit
-	}
-	if down {
-		clr = bit
-	}
-	return (w | set) &^ clr
-}
-
-// trendVerdict decides the trend rule for one draw without inverting
-// it: with c′ the count mant inverts to against the threshold table t
-// (the smallest k with mant < t[k]) and p ∈ [0, m] the stored count, it
-// reports up = c′ > p and down = c′ < p. t is nondecreasing on [0, m)
-// and every 53-bit mant lies below t[m] = 2^53, so "mant < t[k]" is
-// monotone in k and c′ > p ⟺ mant ≥ t[p], c′ < p ⟺ p > 0 ∧ mant <
-// t[p−1]. (At p = m the first compare is never true: mant < 2^53.)
-func trendVerdict(t []uint64, mant uint64, p int) (up, down bool) {
-	up = mant >= t[p]
-	down = p > 0 && mant < t[p-1]
-	return up, down
 }

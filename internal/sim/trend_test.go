@@ -448,54 +448,138 @@ func TestLockstepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// overshootFraction returns a success probability at which the
-// accumulated CDF of Binomial(m, x) overshoots 1 before its forced last
-// entry, so the threshold table has t[m−1] > t[m] = 2^53.
-func overshootFraction(m int) (float64, bool) {
-	for i := 1; i < 1<<14; i++ {
-		x := float64(i) / (1 << 14)
-		t := rng.NewBinomialThresholds(m, x).Thresholds()
-		if t[m-1] > t[m] {
-			return x, true
+// TestTrendEdgeShapesBitIdentical runs the trend executor against the
+// generic reference at populations whose opinion words exercise every
+// edge of the fused kernel: 1–3-agent tails after whole 4-agent groups
+// (N = 5, 67, 4097), a first word of 61–63 agents behind the sources, a
+// last partial word, and — through FlipCorrectAt after absorption —
+// degenerate-round debt settled by the stream block's Advance. Each run
+// must really absorb before its flip, so the debt path is taken.
+func TestTrendEdgeShapesBitIdentical(t *testing.T) {
+	for _, n := range []int{5, 67, 4097} {
+		for _, sources := range []int{1, 3} {
+			for _, d := range []int{1, 2} {
+				t.Run(fmt.Sprintf("n=%d/sources=%d/d=%d", n, sources, d), func(t *testing.T) {
+					cfg := Config{
+						N:             n,
+						Protocol:      lsTrend(10, d),
+						Init:          allWrongInit{},
+						Correct:       OpinionOne,
+						Sources:       sources,
+						MaxRounds:     900,
+						CorruptStates: true,
+						FlipCorrectAt: 300,
+					}
+					if kind := executorKind(t, cfg); kind != trendKind {
+						t.Fatalf("runs on %s, want the trend executor", kind)
+					}
+					pool := NewPool()
+					defer pool.Release()
+					for i := uint64(0); i < 3; i++ {
+						rc := cfg
+						rc.Seed = rng.StreamSeed(uint64(n*10+sources*2+d), i)
+						var gotLog, wantLog eventLog
+						rc.Observers = []Observer{&gotLog}
+						got, gotErr := pool.RunContext(context.Background(), rc)
+						rc.Observers = []Observer{&wantLog}
+						want, wantErr := runGeneric(t, context.Background(), rc)
+						if gotErr != nil || wantErr != nil {
+							t.Fatalf("replicate %d: errs kernel=%v reference=%v", i, gotErr, wantErr)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("replicate %d diverged:\nkernel:    %+v\nreference: %+v", i, got, want)
+						}
+						if !reflect.DeepEqual(gotLog.events, wantLog.events) {
+							t.Fatalf("replicate %d: round events diverged", i)
+						}
+						absorbed := false
+						for _, ev := range gotLog.events {
+							absorbed = absorbed || (ev.Round < cfg.FlipCorrectAt && ev.Ones == n)
+						}
+						if !absorbed {
+							t.Fatalf("replicate %d never absorbed before the flip: the debt path went untested", i)
+						}
+					}
+				})
+			}
 		}
 	}
-	return 0, false
 }
 
-// TestTrendVerdictMatchesInversion: the lockstep kernel's two-compare
-// verdict on the compared draw equals the sign of SampleRaw(raw) − p —
-// for every stored count p ∈ [0, m], at raws on both sides of every
-// threshold and at random raws, including a table whose accumulated CDF
-// overshoots 1 before its last entry.
-func TestTrendVerdictMatchesInversion(t *testing.T) {
-	src := rng.New(41)
-	for _, m := range []int{1, 2, 36, 64} {
-		xs := []float64{1e-3, 0.2, 0.5, 0.8, 0.999}
-		if x, ok := overshootFraction(m); ok {
-			xs = append(xs, x)
-		} else if m >= 36 {
-			t.Fatalf("m = %d: no fraction overshoots the CDF; the test lost its edge case", m)
-		}
-		for _, x := range xs {
-			thr := rng.NewBinomialThresholds(m, x)
-			tab := thr.Thresholds()
-			var raws []uint64
-			for _, tk := range tab {
-				raws = append(raws, (tk-1)<<11, tk<<11)
-			}
-			for i := 0; i < 256; i++ {
-				raws = append(raws, src.Uint64())
-			}
-			for p := 0; p <= m; p++ {
-				for _, raw := range raws {
-					c := thr.SampleRaw(raw)
-					up, down := trendVerdict(tab, raw>>11, p)
-					if up != (c > p) || down != (c < p) {
-						t.Fatalf("m=%d x=%v p=%d raw=%#x: verdict (up %v, down %v), SampleRaw = %d",
-							m, x, p, raw, up, down, c)
+// overCountProto is lsTrend whose agents reset their stored count to
+// ell+1, outside every round law's support.
+type overCountProto struct{ lsTrendProto }
+
+func (p overCountProto) NewAgent(*rng.Source) Agent {
+	return &overCountAgent{lsTrendAgent{ell: p.ell, draws: p.draws}}
+}
+
+type overCountAgent struct{ lsTrendAgent }
+
+func (a *overCountAgent) ResetAgent() { a.prev = a.ell + 1 }
+
+// TestTrendRejectsOutOfRangeCount: a stored count outside [0, m] would
+// index past the threshold table in the vector kernel, so populate
+// refuses it with an error instead of running the round.
+func TestTrendRejectsOutOfRangeCount(t *testing.T) {
+	cfg := Config{N: 64, Protocol: overCountProto{lsTrend(6, 2)}, Init: allWrongInit{}, MaxRounds: 10}
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trendSupported(&c) {
+		t.Fatal("config not eligible for the trend executor")
+	}
+	if _, err := newTrendExecutor(&c); err == nil {
+		t.Fatal("stored count 7 with m = 6 accepted")
+	}
+}
+
+// BenchmarkTrendKernel times one live trend round at n = 4096 — the
+// table reset at x = 0.5, so no round is skipped as degenerate — once
+// through the dispatched kernel (the AVX2 one where the CPU has it) and
+// once through the portable rng.Streams.TrendWordGeneric, and reports
+// ns per agent-round.
+func BenchmarkTrendKernel(b *testing.B) {
+	const n = 4096
+	for _, d := range []int{1, 2} {
+		for _, kernel := range []string{"vector", "portable"} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, kernel), func(b *testing.B) {
+				if kernel == "vector" && !rng.VectorKernels() {
+					b.Skip("AVX2 absent: TrendWord runs the portable kernel")
+				}
+				cfg := Config{
+					N:         n,
+					Protocol:  lsTrend(18, d),
+					Init:      allWrongInit{},
+					Correct:   OpinionOne,
+					Seed:      5,
+					MaxRounds: 1,
+				}
+				c, err := cfg.withDefaults()
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, err := newTrendExecutor(&c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.thr.Reset(e.m, 0.5)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if kernel == "vector" {
+						e.kernel()
+						continue
+					}
+					for lo := c.Sources; lo < n; {
+						hi := min(n, (lo>>6+1)<<6)
+						//fet:allow rngmirror: benchmark only — times the portable kernel's d draws per agent; no result depends on the streams
+						e.srcs.TrendWordGeneric(e.d, &e.thr, e.prev, lo, hi)
+						lo = hi
 					}
 				}
-			}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n-c.Sources), "ns/agent-round")
+			})
 		}
 	}
 }
