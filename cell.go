@@ -11,6 +11,7 @@ import (
 	"passivespread/internal/rng"
 	"passivespread/internal/sched"
 	"passivespread/internal/sim"
+	"passivespread/internal/topo"
 )
 
 // cellExec is the executable form of one cell: the seeded replicates of
@@ -66,6 +67,41 @@ func newCell(spec *StudySpec, run ScenarioRunner) (cellExec, error) {
 		return nil, err
 	}
 	return &agentCell{cfg: cfg, observe: spec.Observe}, nil
+}
+
+// checkCell is the one admissibility rule for a cell: may engine run
+// scenario sc on topology t (nil = complete), the topology the cell
+// actually runs on after any scenario pin? The reduced engines are exact
+// only in their own regime:
+//   - a custom runner schedules itself under uniform mixing and ignores
+//     both the engine and the topology, so t must be complete;
+//   - the Markov chain needs a chainCompatible scenario and t complete;
+//   - the sim engines follow EngineKind.CheckTopology.
+//
+// Options.validate, NewSweep's cells and fetserve's Resolve all call
+// it; each adds only its own context. Failures wrap ErrInvalidOptions.
+// It allocates only on failure.
+func checkCell(engine EngineKind, sc Scenario, t Topology) error {
+	switch {
+	case sc.Run != nil:
+		if !topo.IsComplete(t) {
+			return fmt.Errorf("%w: Topology: scenario %q has its own scheduler and runs under uniform mixing only, not %q",
+				ErrInvalidOptions, sc.Name, t.Name())
+		}
+	case engine == EngineMarkovChain:
+		if !sc.chainCompatible() {
+			return fmt.Errorf("%w: Engine: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
+		}
+		if !topo.IsComplete(t) {
+			return fmt.Errorf("%w: Engine: %s is exact only under uniform mixing; topology %q needs an agent engine",
+				ErrInvalidOptions, EngineName(engine), t.Name())
+		}
+	default:
+		if err := engine.CheckTopology(t); err != nil {
+			return fmt.Errorf("%w: Engine: %v", ErrInvalidOptions, err)
+		}
+	}
+	return nil
 }
 
 // poolWorkers resolves a requested worker count (0 = GOMAXPROCS)

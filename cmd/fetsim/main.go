@@ -22,6 +22,9 @@
 // dynamic), which reaches n = 10⁸ the way aggregate does under
 // uniform mixing.
 //
+// -engine also takes the display names that the output's engine line
+// reports (agent-fast, agent-exact, agent-parallel, markov-chain).
+//
 // -cpuprofile, -memprofile and -trace write runtime/pprof CPU and heap
 // profiles and a runtime/trace execution trace of the run; their
 // messages go to stderr, so stdout is unchanged.
@@ -49,7 +52,7 @@ func main() {
 		sources    = flag.Int("sources", 1, "number of agreeing sources")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		rounds     = flag.Int("rounds", 0, "round cap (0 = 400·log₂ n)")
-		engine     = flag.String("engine", "fast", "engine: fast, exact, parallel, aggregate, aggregate-sparse or chain")
+		engine     = flag.String("engine", "fast", "engine: fast, exact, parallel, aggregate, aggregate-sparse or chain (or a display name such as agent-fast)")
 		topology   = flag.String("topology", "complete", "observation topology: complete, ring[:k], torus, random-regular[:k], small-world[:k[:beta]], dynamic[:k[:p]]")
 		workers    = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
 		replicates = flag.Int("replicates", 1, "number of replicate runs (a study when > 1)")
@@ -108,9 +111,6 @@ func main() {
 		if *protocol != "fet" {
 			fatalf("-engine chain supports only -protocol fet")
 		}
-		if topoKind != nil {
-			fatalf("-engine chain is exact only under uniform mixing; -topology %s needs an agent engine", *topology)
-		}
 		study, err = passivespread.NewStudy(passivespread.StudySpec{
 			Replicates: *replicates,
 			Workers:    *jobs,
@@ -124,6 +124,7 @@ func main() {
 				Init:             init,
 				MaxRounds:        *rounds,
 				Engine:           engineKind,
+				Topology:         topoKind,
 				RecordTrajectory: *traj,
 			},
 		})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"passivespread"
@@ -67,6 +68,22 @@ func TestParseEngines(t *testing.T) {
 		if got, err := parseEngines(bad); err == nil {
 			t.Errorf("parseEngines(%q) accepted %v", bad, got)
 		}
+	}
+}
+
+// TestParseEnginesDisplayNames: -engines also takes display names, and
+// a flag and a display name of one engine are duplicates.
+func TestParseEnginesDisplayNames(t *testing.T) {
+	got, err := parseEngines("agent-fast,aggregate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []passivespread.EngineKind{passivespread.EngineAgentFast, passivespread.EngineAggregate}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseEngines = %v", got)
+	}
+	if _, err := parseEngines("fast,agent-fast"); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf(`parseEngines("fast,agent-fast") = %v, want a duplicate error`, err)
 	}
 }
 

@@ -139,19 +139,9 @@ func (c *Config) withDefaults() (Config, error) {
 		if err := cfg.Topology.Validate(cfg.N); err != nil {
 			return cfg, fmt.Errorf("sim: %v", err)
 		}
-		if cfg.Engine == EngineAggregate {
-			return cfg, fmt.Errorf("sim: engine %v is exact only under uniform mixing; topology %q needs an agent engine",
-				cfg.Engine, cfg.Topology.Name())
-		}
-		if cfg.Engine == EngineAggregateSparse {
-			if _, ok := topo.AnnealedDegree(cfg.Topology); !ok {
-				return cfg, fmt.Errorf("sim: engine %v models degree-annealed topologies only; topology %q has fixed local structure and needs an agent engine",
-					cfg.Engine, cfg.Topology.Name())
-			}
-		}
-	} else if cfg.Engine == EngineAggregateSparse {
-		return cfg, fmt.Errorf("sim: engine %v requires a degree-annealed sparse topology; use %v under uniform mixing",
-			cfg.Engine, EngineAggregate)
+	}
+	if err := cfg.Engine.CheckTopology(cfg.Topology); err != nil {
+		return cfg, fmt.Errorf("sim: %v", err)
 	}
 	if cfg.FlipCorrectAt < 0 {
 		return cfg, fmt.Errorf("sim: FlipCorrectAt = %d, want ≥ 0", cfg.FlipCorrectAt)

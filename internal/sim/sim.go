@@ -38,6 +38,7 @@ import (
 	"fmt"
 
 	"passivespread/internal/rng"
+	"passivespread/internal/topo"
 )
 
 // Opinion values. Opinions are bytes restricted to {0, 1}.
@@ -198,23 +199,27 @@ const (
 	EngineAggregateSparse
 )
 
-// ParseEngineKind returns the engine selected by a CLI-style name:
-// "fast", "exact", "parallel", "aggregate" or "aggregate-sparse".
-func ParseEngineKind(name string) (EngineKind, error) {
-	switch name {
-	case "fast":
-		return EngineAgentFast, nil
-	case "exact":
-		return EngineAgentExact, nil
-	case "parallel":
-		return EngineAgentParallel, nil
-	case "aggregate":
-		return EngineAggregate, nil
-	case "aggregate-sparse":
-		return EngineAggregateSparse, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown engine %q", name)
+// CheckTopology reports whether engine k can run on topology t (nil =
+// complete). The agent engines run on every topology; EngineAggregate's
+// occupancy law is exact only under uniform mixing, and
+// EngineAggregateSparse models the degree-annealed sparse topologies
+// only (topo.AnnealedDegree). Config validation and the root package's
+// cell admissibility rule both ask here. It allocates only on failure.
+func (k EngineKind) CheckTopology(t topo.Topology) error {
+	switch k {
+	case EngineAggregate:
+		if !topo.IsComplete(t) {
+			return fmt.Errorf("%v is exact only under uniform mixing; topology %q needs an agent engine", k, t.Name())
+		}
+	case EngineAggregateSparse:
+		if topo.IsComplete(t) {
+			return fmt.Errorf("%v requires a degree-annealed sparse topology; use %v under uniform mixing", k, EngineAggregate)
+		}
+		if _, ok := topo.AnnealedDegree(t); !ok {
+			return fmt.Errorf("%v models degree-annealed topologies only; topology %q has fixed local structure and needs an agent engine", k, t.Name())
+		}
 	}
+	return nil
 }
 
 // String returns the engine's name.

@@ -151,13 +151,31 @@ var ErrStopRun = sim.ErrStopRun
 // pred returns true.
 func StopWhen(pred func(ev RoundEvent) bool) Observer { return sim.StopWhen(pred) }
 
-// ParseEngine returns the engine selected by a CLI-style name: "fast",
-// "exact", "parallel", "aggregate", "aggregate-sparse" or "chain".
+// engineFlags is the engine vocabulary: each engine's CLI flag, in
+// flag-listing order. Display names come from EngineName; ParseEngine
+// and the fetserve listings derive from this table.
+var engineFlags = []struct {
+	flag string
+	kind EngineKind
+}{
+	{"fast", EngineAgentFast},
+	{"exact", EngineAgentExact},
+	{"parallel", EngineAgentParallel},
+	{"aggregate", EngineAggregate},
+	{"aggregate-sparse", EngineAggregateSparse},
+	{"chain", EngineMarkovChain},
+}
+
+// ParseEngine returns the engine named by its CLI flag ("fast",
+// "exact", "parallel", "aggregate", "aggregate-sparse" or "chain") or
+// by its display name (EngineName: "agent-fast", "markov-chain", …).
 func ParseEngine(name string) (EngineKind, error) {
-	if name == "chain" {
-		return EngineMarkovChain, nil
+	for _, e := range engineFlags {
+		if name == e.flag || name == EngineName(e.kind) {
+			return e.kind, nil
+		}
 	}
-	return sim.ParseEngineKind(name)
+	return 0, fmt.Errorf("unknown engine %q", name)
 }
 
 // EngineName returns the engine's display name, covering the root-level
@@ -291,25 +309,15 @@ func (o Options) validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("%w: Parallelism: %d, want ≥ 0", ErrInvalidOptions, o.Parallelism)
 	}
+	// Engine/topology incompatibilities fail here, up front, instead of
+	// surfacing from inside a Study worker mid-batch.
+	if err := checkCell(o.Engine, Scenario{}, o.Topology); err != nil {
+		return err
+	}
 	if !topo.IsComplete(o.Topology) {
-		// Engine/topology incompatibilities fail here, up front, instead of
-		// surfacing from inside a Study worker mid-batch.
-		switch o.Engine {
-		case EngineAggregate, EngineMarkovChain:
-			return fmt.Errorf("%w: Engine: %s is exact only under uniform mixing; topology %q needs an agent engine (fast, exact or parallel)",
-				ErrInvalidOptions, EngineName(o.Engine), o.Topology.Name())
-		case EngineAggregateSparse:
-			if _, ok := topo.AnnealedDegree(o.Topology); !ok {
-				return fmt.Errorf("%w: Engine: %s models degree-annealed topologies only; topology %q has fixed local structure and needs an agent engine",
-					ErrInvalidOptions, EngineName(o.Engine), o.Topology.Name())
-			}
-		}
 		if err := o.Topology.Validate(o.N); err != nil {
 			return fmt.Errorf("%w: Topology: %v", ErrInvalidOptions, err)
 		}
-	} else if o.Engine == EngineAggregateSparse {
-		return fmt.Errorf("%w: Engine: %s requires a degree-annealed sparse topology; use %s under uniform mixing",
-			ErrInvalidOptions, EngineName(o.Engine), EngineName(EngineAggregate))
 	}
 	return nil
 }

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"passivespread/internal/checkpoint"
 	"passivespread/internal/serve"
 	"passivespread/internal/stats"
-	"passivespread/internal/topo"
 )
 
 // This file wires the fetserve subsystem (internal/serve) to the
@@ -138,23 +138,6 @@ func asToolError(err error) error {
 	return err
 }
 
-// parseEngineName accepts both the CLI parse names ("fast", "chain")
-// and the canonical display names ("agent-fast", "markov-chain"), so
-// keys and sweep artifacts round-trip through queries.
-func parseEngineName(name string) (EngineKind, error) {
-	switch name {
-	case "agent-fast":
-		return EngineAgentFast, nil
-	case "agent-exact":
-		return EngineAgentExact, nil
-	case "agent-parallel":
-		return EngineAgentParallel, nil
-	case "markov-chain":
-		return EngineMarkovChain, nil
-	}
-	return ParseEngine(name)
-}
-
 // Resolve canonicalizes a query into its cell key: defaults resolved,
 // overrides normalized against the preset, names canonicalized, and
 // engine/topology compatibility checked — all without running
@@ -250,9 +233,12 @@ func (b *serveBackend) Resolve(q serve.Query) (CellKey, error) {
 		return CellKey{}, invalidf("topology: %v", err)
 	}
 
-	// Engine: custom-runner scenarios schedule themselves; everything
-	// else resolves or validates an engine against the topology.
-	if eff.Run != nil {
+	// Engine: custom-runner scenarios schedule themselves under their
+	// engine label; everything else names an engine or defaults to the
+	// chain when checkCell admits it. checkCell then judges the cell.
+	var engine EngineKind
+	switch {
+	case eff.Run != nil:
 		label := eff.engineLabel()
 		if q.Engine != "" && q.Engine != label {
 			return CellKey{}, invalidf("engine: scenario %q schedules itself (engine label %q); omit the engine or name the label", name, label)
@@ -260,27 +246,21 @@ func (b *serveBackend) Resolve(q serve.Query) (CellKey, error) {
 		if key.NoiseEps != 0 || key.FlipFrac != 0 {
 			return CellKey{}, invalidf("noise_eps: scenario %q has a custom runner; per-query noise/flip overrides are not supported", name)
 		}
-		if !topo.IsComplete(cellTopo) {
-			return CellKey{}, invalidf("topology: scenario %q has a custom scheduler and runs under uniform mixing only", name)
-		}
 		key.Engine = label
-	} else {
-		var engine EngineKind
-		if q.Engine == "" {
-			if eff.chainCompatible() && topo.IsComplete(cellTopo) {
-				engine = EngineMarkovChain
-			} else {
-				engine = EngineAgentFast
-			}
-		} else {
-			engine, err = parseEngineName(q.Engine)
-			if err != nil {
-				return CellKey{}, invalidf("engine: %v", err)
-			}
+	case q.Engine != "":
+		engine, err = ParseEngine(q.Engine)
+		if err != nil {
+			return CellKey{}, invalidf("engine: %v", err)
 		}
-		if err := checkEngineTopology(engine, eff, cellTopo); err != nil {
-			return CellKey{}, err
-		}
+	case checkCell(EngineMarkovChain, eff, cellTopo) == nil:
+		engine = EngineMarkovChain
+	default:
+		engine = EngineAgentFast
+	}
+	if err := checkCell(engine, eff, cellTopo); err != nil {
+		return CellKey{}, asToolError(err)
+	}
+	if eff.Run == nil {
 		key.Engine = EngineName(engine)
 	}
 	if err := key.Validate(); err != nil {
@@ -304,33 +284,6 @@ func applyOverrides(sc Scenario, key CellKey) Scenario {
 	return sc
 }
 
-// checkEngineTopology mirrors the sweep-layer compatibility rules so a
-// bad combination is a 400 at resolve time, not a failure mid-run.
-func checkEngineTopology(engine EngineKind, sc Scenario, t Topology) error {
-	complete := topo.IsComplete(t)
-	switch engine {
-	case EngineMarkovChain:
-		if !sc.chainCompatible() {
-			return invalidf("engine: scenario %q is not expressible on the Markov-chain engine", sc.Name)
-		}
-		if !complete {
-			return invalidf("engine: markov-chain is exact only under uniform mixing, not topology %q", topo.DisplayName(t))
-		}
-	case EngineAggregate:
-		if !complete {
-			return invalidf("engine: aggregate is exact only under uniform mixing, not topology %q", topo.DisplayName(t))
-		}
-	case EngineAggregateSparse:
-		if complete {
-			return invalidf("engine: aggregate-sparse requires a degree-annealed sparse topology, not %q", topo.DisplayName(t))
-		}
-		if _, annealed := topo.AnnealedDegree(t); !annealed {
-			return invalidf("engine: aggregate-sparse models degree-annealed topologies only, not %q", topo.DisplayName(t))
-		}
-	}
-	return nil
-}
-
 // fromKey rebuilds a resolved cell from its key. Keys produced by
 // Resolve always round-trip; keys from other sources get the same
 // validation.
@@ -347,7 +300,7 @@ func (b *serveBackend) fromKey(key CellKey) (resolvedCell, error) {
 	}
 	cell.topology = t
 	if cell.scenario.Run == nil {
-		cell.engine, err = parseEngineName(key.Engine)
+		cell.engine, err = ParseEngine(key.Engine)
 		if err != nil {
 			return cell, invalidf("engine: %v", err)
 		}
@@ -497,7 +450,7 @@ func (b *serveBackend) Inspect(q serve.SweepQuery) (*serve.Inspection, error) {
 		spec.Scenarios = append(spec.Scenarios, sc)
 	}
 	for _, name := range q.Engines {
-		engine, err := parseEngineName(name)
+		engine, err := ParseEngine(name)
 		if err != nil {
 			return nil, invalidf("engines: %v", err)
 		}
@@ -550,7 +503,10 @@ func (b *serveBackend) Listings() serve.Listings {
 		}
 		ls.Scenarios = append(ls.Scenarios, info)
 	}
-	ls.Engines = []string{"agent-exact", "agent-fast", "agent-parallel", "aggregate", "aggregate-sparse", "markov-chain"}
+	for _, e := range engineFlags {
+		ls.Engines = append(ls.Engines, EngineName(e.kind))
+	}
+	sort.Strings(ls.Engines)
 	for _, spec := range TopologySpecs() {
 		ls.Topologies = append(ls.Topologies, serve.TopologyInfo{Spec: spec.Spec, Description: spec.Description})
 	}

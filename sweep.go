@@ -45,11 +45,14 @@ type SweepSpec struct {
 	// axis to have at most one entry.
 	Engines []EngineKind
 	// Topologies is the observation-topology axis (nil = [complete],
-	// the paper's uniform mixing). Non-complete entries require agent
-	// engines: crossing them with EngineAggregate or EngineMarkovChain,
-	// with a custom-runner scenario, or with a scenario that pins its own
-	// Topology is rejected up front with ErrInvalidOptions. Entries are
-	// identified by Topology.Name() in cells, rows and artifacts.
+	// the paper's uniform mixing). Every cell is judged by one rule on
+	// the topology it runs on — its scenario's pin, else the axis value:
+	// EngineAggregate, EngineMarkovChain and custom-runner scenarios
+	// need uniform mixing, EngineAggregateSparse a degree-annealed
+	// topology. A scenario that pins its own Topology cannot cross a
+	// non-default axis. Violations fail NewSweep with ErrInvalidOptions.
+	// Entries are identified by Topology.Name() in cells, rows and
+	// artifacts.
 	Topologies []Topology
 	// Scenarios is the scenario axis (nil = the worst-case preset).
 	// Entries need not be registered; they are validated directly.
@@ -255,7 +258,6 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	if len(topologies) == 0 {
 		topologies = []Topology{nil} // uniform mixing, the default
 	}
-	anySparse := false
 	seenTopo := make(map[string]bool, len(topologies))
 	for _, tp := range topologies {
 		name := topo.DisplayName(tp)
@@ -263,31 +265,8 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 			return nil, fmt.Errorf("%w: Topologies: duplicate topology %q", ErrInvalidOptions, name)
 		}
 		seenTopo[name] = true
-		if topo.IsComplete(tp) {
-			for _, e := range engines {
-				if e == EngineAggregateSparse {
-					return nil, fmt.Errorf("%w: Engines: engine %s requires a degree-annealed sparse topology and cannot cross %q; sweep it separately",
-						ErrInvalidOptions, EngineName(e), name)
-				}
-			}
-			continue
-		}
-		anySparse = true
-		// Engine/topology incompatibilities fail for the whole grid, up
-		// front: the exact engines are exact only under uniform mixing,
-		// and the sparse occupancy engine models annealed degrees only.
-		_, annealed := topo.AnnealedDegree(tp)
-		for _, e := range engines {
-			if e == EngineAggregate || e == EngineMarkovChain {
-				return nil, fmt.Errorf("%w: Engines: engine %s is exact only under uniform mixing and cannot cross topology %q; sweep it separately",
-					ErrInvalidOptions, EngineName(e), name)
-			}
-			if e == EngineAggregateSparse && !annealed {
-				return nil, fmt.Errorf("%w: Engines: engine %s models degree-annealed topologies only and cannot cross %q; sweep it separately",
-					ErrInvalidOptions, EngineName(e), name)
-			}
-		}
 	}
+	defaultTopo := len(topologies) == 1 && topo.IsComplete(topologies[0])
 	scenarios := spec.Scenarios
 	if len(scenarios) == 0 {
 		sc, ok := ScenarioByName(DefaultScenario)
@@ -309,11 +288,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 			return nil, fmt.Errorf("%w: Scenarios: scenario %q has its own scheduler and cannot cross the engine axis %v; sweep it separately",
 				ErrInvalidOptions, sc.Name, engineNames(engines))
 		}
-		if anySparse && sc.Run != nil {
-			return nil, fmt.Errorf("%w: Scenarios: scenario %q has its own scheduler and cannot cross a non-complete topology axis; sweep it separately",
-				ErrInvalidOptions, sc.Name)
-		}
-		if sc.Topology != nil && (anySparse || len(topologies) > 1) {
+		if sc.Topology != nil && !defaultTopo {
 			return nil, fmt.Errorf("%w: Scenarios: scenario %q pins topology %q and cannot cross the topology axis; sweep it separately",
 				ErrInvalidOptions, sc.Name, sc.Topology.Name())
 		}
@@ -388,7 +363,8 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	return s, nil
 }
 
-// newSweepCell prepares one grid cell.
+// newSweepCell prepares one grid cell, judged by checkCell on the
+// topology it runs on: a scenario's pin, else the axis value.
 func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n, ell, maxRounds, parallelism int,
 	cellSeed uint64, replicates int) (sweepCell, error) {
 	cell := sweepCell{meta: SweepCell{
@@ -403,8 +379,9 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 	}}
 	if sc.Run != nil {
 		cell.meta.Engine = sc.engineLabel()
-	} else if engine == EngineMarkovChain && !sc.chainCompatible() {
-		return cell, fmt.Errorf("%w: Scenarios: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
+	}
+	if err := checkCell(engine, sc, cellTopo); err != nil {
+		return cell, err
 	}
 	var err error
 	cell.exec, err = sc.cell(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed, replicates)

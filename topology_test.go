@@ -471,3 +471,36 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckCellAllocationFree: fetserve's Resolve runs the admissibility
+// rule on every request, cache hits included, so admitting a cell must
+// not allocate.
+func TestCheckCellAllocationFree(t *testing.T) {
+	async, ok := ScenarioByName("async")
+	if !ok {
+		t.Fatal("async not registered")
+	}
+	sparse, ok := ScenarioByName("sparse-regular")
+	if !ok {
+		t.Fatal("sparse-regular not registered")
+	}
+	cases := []struct {
+		engine EngineKind
+		sc     Scenario
+		t      Topology
+	}{
+		{EngineMarkovChain, Scenario{}, nil},
+		{EngineAggregate, Scenario{}, CompleteTopology()},
+		{EngineAggregateSparse, sparse, sparse.Topology},
+		{EngineAgentFast, Scenario{}, Ring(2)},
+		{EngineAgentFast, async, nil},
+	}
+	for _, c := range cases {
+		if err := checkCell(c.engine, c.sc, c.t); err != nil {
+			t.Fatalf("%s × %s: %v", EngineName(c.engine), TopologyName(c.t), err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = checkCell(c.engine, c.sc, c.t) }); allocs != 0 {
+			t.Errorf("%s × %s: %v allocs per admitted cell, want 0", EngineName(c.engine), TopologyName(c.t), allocs)
+		}
+	}
+}
