@@ -7,6 +7,8 @@ package adversary
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"passivespread/internal/rng"
 	"passivespread/internal/sim"
@@ -86,13 +88,21 @@ var _ sim.Initializer = Fraction{}
 // Name implements sim.Initializer.
 func (f Fraction) Name() string { return fmt.Sprintf("fraction(%.4f)", f.X) }
 
+// freeSlots recycles Fraction.Assign's free-slot index buffers: a Study
+// assigns once per replicate, and a fresh n-int slice each time was
+// nearly all the allocation of a pooled lockstep Study.
+var freeSlots = sync.Pool{New: func() any { return new([]int) }}
+
 // Assign implements sim.Initializer.
 func (f Fraction) Assign(opinions []byte, isSource []bool, src *rng.Source) {
 	n := len(opinions)
+	buf := freeSlots.Get().(*[]int)
+	defer freeSlots.Put(buf)
 
 	// Count the 1s already fixed by the sources and collect the free slots.
 	fixedOnes := 0
-	free := make([]int, 0, n)
+	free := slices.Grow((*buf)[:0], n)
+	*buf = free
 	for i := range opinions {
 		if isSource[i] {
 			fixedOnes += int(opinions[i])

@@ -1,10 +1,12 @@
 package adversary
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"passivespread/internal/core"
 	"passivespread/internal/rng"
 	"passivespread/internal/sim"
 )
@@ -91,6 +93,39 @@ func TestFractionShuffles(t *testing.T) {
 	firstHalfOnes := countOnes(op[:500])
 	if firstHalfOnes < 150 || firstHalfOnes > 350 {
 		t.Fatalf("fraction layout unshuffled: %d ones in first half", firstHalfOnes)
+	}
+}
+
+// TestPooledHalfSplitReplicateAllocs: a pooled half-split FET replicate
+// on the trend executor allocates nothing — Fraction.Assign takes its
+// free-slot buffer from freeSlots instead of a fresh n-int slice per
+// replicate.
+func TestPooledHalfSplitReplicateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	cfg := sim.Config{
+		N:             4096,
+		Protocol:      core.NewFET(36),
+		Init:          HalfSplit(),
+		Correct:       sim.OpinionOne,
+		MaxRounds:     200,
+		CorruptStates: true,
+		Seed:          7,
+	}
+	p := sim.NewPool()
+	defer p.Release()
+	if _, err := p.RunContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		cfg.Seed++
+		if _, err := p.RunContext(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pooled half-split replicate allocated %v objects, want 0", allocs)
 	}
 }
 

@@ -15,18 +15,18 @@
 //
 //   - calls to the raw-consumption kernels Source.Uint64, Fill,
 //     Advance, CountPacked, CountPackedBlocks and Jump, the stream
-//     block's Streams.Advance, TrendWord and TrendWordGeneric, and the
-//     package-level lane kernel CountPackedLanes. Every such site is a
-//     hand-maintained draw-count proof, and must say so:
+//     block's Streams.Advance, Seed, TrendWord and TrendWordGeneric, and
+//     the package-level lane kernel CountPackedLanes. Every such site is
+//     a hand-maintained draw-count proof, and must say so:
 //     //fet:allow rngmirror: <the accounting argument>.
 //
 // And inside internal/rng:
 //
 //   - raw-consumption kernels (Fill, Advance, CountPacked,
-//     CountPackedBlocks, CountPackedLanes, TrendWord, TrendWordGeneric)
-//     whose doc comment does not state their exact consumption (the
-//     word "exactly") — the documentation the outside annotations lean
-//     on.
+//     CountPackedBlocks, CountPackedLanes, Seed, TrendWord,
+//     TrendWordGeneric) whose doc comment does not state their exact
+//     consumption (the word "exactly") — the documentation the outside
+//     annotations lean on.
 package rngmirror
 
 import (
@@ -58,6 +58,7 @@ var rawMethods = map[string]map[string]bool{
 	},
 	"Streams": {
 		"Advance":          true,
+		"Seed":             true,
 		"TrendWord":        true,
 		"TrendWordGeneric": true,
 	},
@@ -77,6 +78,7 @@ var documentedKernels = map[string]bool{
 	"CountPacked":       true,
 	"CountPackedBlocks": true,
 	"CountPackedLanes":  true,
+	"Seed":              true,
 	"TrendWord":         true,
 	"TrendWordGeneric":  true,
 }

@@ -44,11 +44,17 @@ func settle(blk *rng.Streams, debt int) {
 	blk.Advance(0, 64, 2*debt) // want `raw rng\.Streams\.Advance consumption outside internal/rng`
 }
 
-func accountedTrend(blk *rng.Streams, prev []uint16, debt int) uint64 {
+func populate(blk *rng.Streams, seed uint64, prev []uint16) {
+	blk.Seed(seed, 1, 64, 13, prev) // want `raw rng\.Streams\.Seed consumption outside internal/rng`
+}
+
+func accountedTrend(blk *rng.Streams, src *rng.Source, seed uint64, prev []uint16, debt int) uint64 {
+	//fet:allow rngmirror: exactly one Intn(13) per stream in [1, 64), the per-agent corruption draw
+	blk.Seed(seed, 1, 64, 13, prev)
 	//fet:allow rngmirror: exactly 2·debt outputs per stream in [0, 64), the skipped rounds' draws
 	blk.Advance(0, 64, 2*debt)
 	//fet:allow rngmirror: exactly d = 2 outputs per stream in [0, 64), one round's draws
 	up, _ := blk.TrendWord(2, prev, 0, 64)
-	blk.Reseed(0, 7)
+	blk.Store(0, src)
 	return up
 }

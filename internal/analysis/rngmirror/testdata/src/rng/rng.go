@@ -57,5 +57,17 @@ func (b *Streams) TrendWord(d int, prev []uint16, lo, hi int) (up, down uint64) 
 	return up, down
 }
 
-// Reseed restarts stream i; it consumes nothing.
-func (b *Streams) Reseed(i int, seed uint64) { b.s[i] = seed }
+// Seed restarts the streams [lo, hi) from root and, when bound > 0,
+// draws exactly one bounded count per stream into prev.
+func (b *Streams) Seed(root uint64, lo, hi, bound int, prev []uint16) {
+	for i := lo; i < hi; i++ {
+		b.s[i] = root + uint64(i)
+		if bound > 0 {
+			b.s[i]++
+			prev[i] = uint16(b.s[i] % uint64(bound))
+		}
+	}
+}
+
+// Store sets stream i's state; it consumes nothing.
+func (b *Streams) Store(i int, src *Source) { b.s[i] = src.s }

@@ -10,9 +10,10 @@
 //
 //   - rng.SplitMix64 calls outside internal/rng — raw derivation; use
 //     rng.StreamSeed or rng.NewFrom;
-//   - rng.New(x) and (*rng.Source).Reseed(x) where x does not visibly
-//     flow from rng.StreamSeed: accepted are direct StreamSeed calls,
-//     locals assigned from accepted expressions, and parameters,
+//   - rng.New(x), (*rng.Source).Reseed(x) and (*rng.Streams).Seed(x, …)
+//     (which seeds stream j from StreamSeed(x, j+1)) where x does not
+//     visibly flow from rng.StreamSeed: accepted are direct StreamSeed
+//     calls, locals assigned from accepted expressions, and parameters,
 //     fields or variables whose name contains "seed" (their derivation
 //     is checked at the caller's own construction site).
 //
@@ -71,8 +72,9 @@ func checkFunc(pass *fwk.Pass, fn *ast.FuncDecl) {
 		case "SplitMix64":
 			pass.Reportf(call.Pos(),
 				"raw rng.SplitMix64 outside internal/rng: derive child streams with rng.StreamSeed or rng.NewFrom")
-		case "New", "Reseed":
-			if len(call.Args) != 1 {
+		case "New", "Reseed", "Seed":
+			// The seed is the first argument: Streams.Seed's root.
+			if len(call.Args) == 0 || callee.Name() == "Seed" && !isStreamsMethod(callee) {
 				return true
 			}
 			if !seedPure(pass, fn, call.Args[0], nil) {
@@ -83,6 +85,20 @@ func checkFunc(pass *fwk.Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// isStreamsMethod reports whether fn is a method of rng.Streams.
+func isStreamsMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Streams"
 }
 
 // seedPure reports whether expr visibly derives from the stream

@@ -23,3 +23,13 @@ func (s *Source) Reseed(seed uint64) { s.s = seed }
 
 // Uint64 returns the next output.
 func (s *Source) Uint64() uint64 { s.s++; return s.s }
+
+// Streams is the stub word-major stream block.
+type Streams struct{ s []uint64 }
+
+// Seed restarts stream j in [lo, hi) on StreamSeed(root, j+1).
+func (b *Streams) Seed(root uint64, lo, hi, bound int, prev []uint16) {
+	for j := lo; j < hi; j++ {
+		b.s[j] = StreamSeed(root, uint64(j)+1)
+	}
+}

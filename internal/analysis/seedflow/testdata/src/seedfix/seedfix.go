@@ -41,6 +41,14 @@ func badReseed(src *rng.Source, x uint64) {
 	src.Reseed(x + 1) // want `does not flow from rng\.StreamSeed`
 }
 
+func goodStreams(blk *rng.Streams, cfg config, prev []uint16) {
+	blk.Seed(cfg.Seed, 1, 64, 0, prev)
+}
+
+func badStreams(blk *rng.Streams, cfg config, prev []uint16) {
+	blk.Seed(cfg.Seed+1, 1, 64, 0, prev) // want `seed argument to rng\.Seed does not flow from rng\.StreamSeed`
+}
+
 func badSplit(root uint64) uint64 {
 	return rng.SplitMix64(root) // want `raw rng\.SplitMix64 outside internal/rng`
 }

@@ -184,6 +184,38 @@ func TestCorruptStateStaysInRange(t *testing.T) {
 	}
 }
 
+// TestTrendCorruptStateIsOneIntn checks the sim.TrendLockstep promise
+// the trend executor's populate leans on, for both eligible protocols:
+// CorruptState is exactly prevCount = src.Intn(ℓ+1) — the same count,
+// the same outputs consumed, nothing else — and ResetAgent leaves every
+// agent, whatever its history, with one common count.
+func TestTrendCorruptStateIsOneIntn(t *testing.T) {
+	for _, ell := range []int{1, 5, 36, 1<<16 - 1} {
+		for _, proto := range []sim.TrendLockstep{NewFET(ell), NewSimpleTrend(ell)} {
+			var reset int
+			for seed := uint64(0); seed < 50; seed++ {
+				agent := proto.NewAgent(rng.New(seed))
+				agent.(sim.StateCorruptible).CorruptState(rng.New(^seed)) // some history
+				agent.(sim.AgentResetter).ResetAgent()
+				count := agent.(sim.PrevCounter).PrevCount()
+				if seed == 0 {
+					reset = count
+				} else if count != reset {
+					t.Fatalf("%s: reset count %d after seed %d, %d before", proto.Name(), count, seed, reset)
+				}
+				src, ref := rng.New(seed), rng.New(seed)
+				agent.(sim.StateCorruptible).CorruptState(src)
+				if got, want := agent.(sim.PrevCounter).PrevCount(), ref.Intn(ell+1); got != want {
+					t.Fatalf("%s seed %d: corrupted count %d, Intn(%d) = %d", proto.Name(), seed, got, ell+1, want)
+				}
+				if *src != *ref {
+					t.Fatalf("%s seed %d: CorruptState consumed other outputs than one Intn(%d)", proto.Name(), seed, ell+1)
+				}
+			}
+		}
+	}
+}
+
 // runFET executes one FET simulation with standard settings.
 func runFET(t *testing.T, n int, init sim.Initializer, seed uint64, correct byte) sim.Result {
 	t.Helper()

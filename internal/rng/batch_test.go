@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestFillMatchesSequentialUint64: Fill must produce exactly the values
 // (and final generator state) of sequential Uint64 calls — the batched
@@ -52,7 +55,9 @@ func TestBatchMatchesSourceDraws(t *testing.T) {
 					t.Fatalf("chunk %d, draw %d: Intn %d, want %d", chunk, i, got, want)
 				}
 			case 3:
-				if got, want := b.Intn(1<<40), direct.Intn(1<<40); got != want {
+				// A wide bound: 2^40, or the widest int on 32-bit targets.
+				bound := min(1<<40, math.MaxInt)
+				if got, want := b.Intn(bound), direct.Intn(bound); got != want {
 					t.Fatalf("chunk %d, draw %d: Intn %d, want %d", chunk, i, got, want)
 				}
 			default:

@@ -53,9 +53,13 @@ func New(seed uint64) *Source {
 func StreamSeed(seed uint64, stream uint64) uint64 {
 	st := seed
 	_ = SplitMix64(&st)
-	st ^= 0xd1342543de82ef95 * (stream + 1)
+	st ^= streamMul * (stream + 1)
 	return SplitMix64(&st)
 }
+
+// streamMul is StreamSeed's per-stream multiplier: child i's seed mixes
+// in streamMul·(i+1).
+const streamMul = 0xd1342543de82ef95
 
 // NewFrom derives a child Source from a parent seed and a stream index.
 // It is the canonical way to obtain per-trial or per-agent generators:
@@ -366,17 +370,24 @@ func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with non-positive n")
 	}
-	bound := uint64(n)
-	x := s.Uint64()
+	return int(s.lemire(s.Uint64(), uint64(n)))
+}
+
+// lemire finishes a Lemire bounded draw in [0, bound) whose first
+// output x is already drawn: the high word of x·bound, redrawn from s
+// while the low word lies below (2^64 − bound) mod bound. It draws
+// nothing more unless that low word is below bound (never for a
+// power-of-two bound). Source.Intn and Streams.Seed share it, so their
+// rejection behavior cannot drift apart.
+func (s *Source) lemire(x, bound uint64) uint64 {
 	hi, lo := mul64(x, bound)
 	if lo < bound {
 		threshold := (-bound) % bound
 		for lo < threshold {
-			x = s.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = mul64(s.Uint64(), bound)
 		}
 	}
-	return int(hi)
+	return hi
 }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo). bits.Mul64

@@ -11,7 +11,7 @@ type Streams struct {
 }
 
 // Resize makes s hold n streams, reusing its backing arrays when their
-// capacity allows. Stream states are unspecified until Reseed or Store.
+// capacity allows. Stream states are unspecified until Seed or Store.
 func (s *Streams) Resize(n int) {
 	if cap(s.s0) < n {
 		s.s0, s.s1, s.s2, s.s3 = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
@@ -19,11 +19,42 @@ func (s *Streams) Resize(n int) {
 	s.s0, s.s1, s.s2, s.s3 = s.s0[:n], s.s1[:n], s.s2[:n], s.s3[:n]
 }
 
-// Reseed resets stream i to the state Source.Reseed(seed) gives.
-func (s *Streams) Reseed(i int, seed uint64) {
+// Seed resets every stream j in [lo, hi) to the state
+// Source.Reseed(StreamSeed(root, j+1)) gives — the per-agent layout, in
+// which child stream 0 is the initializer's — and, when bound > 0, then
+// draws prev[j] = Intn(bound) from it. Per stream it consumes exactly
+// one Intn(bound) draw when bound > 0 (one output, plus Lemire's
+// rejections, through the code Source.Intn runs) and nothing when
+// bound = 0, which leaves prev untouched. bound must not exceed 1<<16,
+// so every draw fits a uint16.
+//
+// It is the trend executor's populate in one pass: StreamSeed's first
+// SplitMix64 step depends on root alone and is taken once, and the
+// per-stream multiplier advances by addition.
+func (s *Streams) Seed(root uint64, lo, hi, bound int, prev []uint16) {
+	if bound > 1<<16 {
+		panic("rng: Streams.Seed bound exceeds 1<<16")
+	}
+	s0 := s.s0[lo:hi]
+	s1, s2, s3 := s.s1[lo:hi][:len(s0)], s.s2[lo:hi][:len(s0)], s.s3[lo:hi][:len(s0)]
+	var pv []uint16
+	if bound > 0 {
+		pv = prev[lo:hi][:len(s0)]
+	}
+	h := root
+	_ = SplitMix64(&h)                // StreamSeed's root step
+	k := streamMul * (uint64(lo) + 2) // stream j+1 mixes in streamMul·(j+2)
+	ub := uint64(bound)
 	var src Source
-	src.Reseed(seed)
-	s.Store(i, &src)
+	for j := range s0 {
+		st := h ^ k
+		k += streamMul
+		src.Reseed(SplitMix64(&st))
+		if ub > 0 {
+			pv[j] = uint16(src.lemire(src.Uint64(), ub))
+		}
+		s0[j], s1[j], s2[j], s3[j] = src.s0, src.s1, src.s2, src.s3
+	}
 }
 
 // Load copies stream i's state into dst.

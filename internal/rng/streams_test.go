@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -16,9 +17,9 @@ func trendCase(seed uint64, n, m int) (a, b *Streams, pa, pb []uint16) {
 	b.Resize(n)
 	pa, pb = make([]uint16, n), make([]uint16, n)
 	for i := 0; i < n; i++ {
-		s := root.Uint64()
-		a.Reseed(i, s)
-		b.Reseed(i, s)
+		s := New(root.Uint64())
+		a.Store(i, s)
+		b.Store(i, s)
 		p := uint16(root.Intn(m + 1))
 		switch i {
 		case 0:
@@ -164,13 +165,13 @@ func TestTrendWordGenericMatchesSource(t *testing.T) {
 	}
 }
 
-// TestStreamsMatchSources: a block stream reseeded, advanced and round-
+// TestStreamsMatchSources: a block stream stored, advanced and round-
 // tripped through Load/Store is the Source with the same history.
 func TestStreamsMatchSources(t *testing.T) {
 	var blk Streams
 	blk.Resize(9)
 	for i := 0; i < 9; i++ {
-		blk.Reseed(i, uint64(i)*77)
+		blk.Store(i, New(uint64(i)*77))
 	}
 	blk.Advance(2, 7, 13)
 	for i := 0; i < 9; i++ {
@@ -261,5 +262,99 @@ func FuzzTrendKernel(f *testing.F) {
 			}
 			checkTrend(t, fmt.Sprintf("d=%d m=%d x=%v", d, m, x), a, b, pa, pb)
 		}
+	})
+}
+
+// checkSeed runs Streams.Seed over [lo, hi) of an n-stream block and
+// compares it with the per-stream reference — Reseed(StreamSeed(root,
+// j+1)) and, when bound > 0, one Intn(bound) — on every stream state and
+// stored count. Both blocks start from the same junk, so streams and
+// counts outside the span, and every count when bound = 0, must come
+// through untouched.
+func checkSeed(t *testing.T, root uint64, lo, hi, bound, n int) {
+	t.Helper()
+	var got, want Streams
+	got.Resize(n)
+	want.Resize(n)
+	pg, pw := make([]uint16, n), make([]uint16, n)
+	junk := New(root ^ 0x5eed)
+	for i := 0; i < n; i++ {
+		s := New(junk.Uint64())
+		got.Store(i, s)
+		want.Store(i, s)
+		pg[i], pw[i] = 0xbeef, 0xbeef
+	}
+	got.Seed(root, lo, hi, bound, pg)
+	for j := lo; j < hi; j++ {
+		src := New(StreamSeed(root, uint64(j)+1))
+		if bound > 0 {
+			pw[j] = uint16(src.Intn(bound))
+		}
+		want.Store(j, src)
+	}
+	checkTrend(t, fmt.Sprintf("root=%#x [%d, %d) bound=%d", root, lo, hi, bound), &got, &want, pg, pw)
+}
+
+// TestStreamsSeedMatchesSources: the fused seeding kernel equals the
+// per-stream Reseed(StreamSeed(root, j+1)) + Intn(bound) loop over
+// ragged spans — starting at stream 0, 1 and 63, of 0, 1, 5 and 4096
+// streams — for bounds with no draw, a one-value draw, powers of two
+// (which never reject) and odd bounds.
+func TestStreamsSeedMatchesSources(t *testing.T) {
+	for _, root := range []uint64{0, 1, 0x9e3779b97f4a7c15, math.MaxUint64} {
+		for _, lo := range []int{0, 1, 63} {
+			for _, span := range []int{0, 1, 5, 4096} {
+				for _, bound := range []int{0, 1, 2, 37, 1 << 16} {
+					checkSeed(t, root, lo, lo+span, bound, lo+span+3)
+				}
+			}
+		}
+	}
+}
+
+// TestLemireRedrawsLowProduct forces the rejection path Source.Intn and
+// Streams.Seed share: a first output of 0 makes the product's low word 0,
+// inside the rejection zone of every bound that is not a power of two,
+// so lemire must draw again — exactly the outputs a literal Lemire loop
+// draws, and return that loop's value.
+func TestLemireRedrawsLowProduct(t *testing.T) {
+	for _, bound := range []uint64{3, 37, 1<<16 - 1, 1<<16 + 1, 1<<63 + 1} {
+		threshold := -bound % bound
+		if threshold == 0 {
+			t.Fatalf("bound %d has no rejection zone", bound)
+		}
+		src := New(bound)
+		ref := *src
+		got := src.lemire(0, bound)
+		var want uint64
+		for {
+			hi, lo := bits.Mul64(ref.Uint64(), bound)
+			if lo >= threshold {
+				want = hi
+				break
+			}
+		}
+		if got != want {
+			t.Fatalf("bound %d: redrawn value %d, want %d", bound, got, want)
+		}
+		if *src != ref {
+			t.Fatalf("bound %d: final state %+v, reference %+v", bound, *src, ref)
+		}
+		if *src == *New(bound) {
+			t.Fatalf("bound %d: the forced low product drew nothing", bound)
+		}
+	}
+}
+
+// FuzzSeedStreams: for any root, span and bound, Streams.Seed equals the
+// per-stream reference loop (the property TestStreamsSeedMatchesSources
+// checks on a table).
+func FuzzSeedStreams(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint16(64), uint32(37))
+	f.Add(uint64(0), uint8(63), uint16(5), uint32(0))
+	f.Add(uint64(math.MaxUint64), uint8(1), uint16(1), uint32(1<<16))
+	f.Fuzz(func(t *testing.T, root uint64, lo8 uint8, span16 uint16, bound32 uint32) {
+		lo, span := int(lo8), int(span16)%1024
+		checkSeed(t, root, lo, lo+span, int(bound32%(1<<16+1)), lo+span+2)
 	})
 }

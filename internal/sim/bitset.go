@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // opinionBits is the packed population opinion array: one bit per agent,
 // 64 agents per word. It replaces the []byte opinion/next buffers of the
@@ -63,13 +66,37 @@ func (b *opinionBits) ones() int {
 	return total
 }
 
-// packFrom packs the first b.n bytes of ops (each 0 or 1) into the
-// bitset, 64 at a time.
+// packFrom packs the first b.n bytes of ops into the bitset, any
+// nonzero byte setting its agent's bit. It does not branch on the
+// opinions, so a random start costs no mispredictions: eight bytes at a
+// time fold into eight bits (nonzeroBytes), and a word's last few bytes
+// go one at a time.
 func (b *opinionBits) packFrom(ops []byte) {
-	b.zero()
-	for i := 0; i < b.n; i++ {
-		if ops[i] != 0 {
-			b.words[uint(i)>>6] |= uint64(1) << (uint(i) & 63)
+	ops = ops[:b.n]
+	for wi := range b.words {
+		chunk := ops[wi<<6 : min(len(ops), (wi+1)<<6)]
+		var w uint64
+		i := 0
+		for ; i+8 <= len(chunk); i += 8 {
+			w |= nonzeroBytes(binary.LittleEndian.Uint64(chunk[i:])) << uint(i)
 		}
+		for ; i < len(chunk); i++ {
+			w |= uint64((uint(chunk[i])+0xff)>>8) << uint(i)
+		}
+		b.words[wi] = w
 	}
+}
+
+// nonzeroBytes returns the 8-bit mask whose bit k is set when byte k
+// (little-endian) of x is nonzero. Each byte's high bit first records
+// whether the byte is nonzero — adding 0x7f to its low seven bits
+// carries into bit 7 unless they are zero, and cannot carry out of the
+// byte — then one multiply gathers the eight high bits (shifted down to
+// bits 8k) into the top byte: bit 8k lands on bit 56+k through the
+// factor 2^(56−7k), and every cross product falls below bit 56 or past
+// bit 63, at distinct positions, so nothing carries.
+func nonzeroBytes(x uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	high := ((x & low7) + low7 | x) &^ low7
+	return (high >> 7) * 0x0102040810204080 >> 56
 }

@@ -117,12 +117,17 @@ type FixedDraws interface {
 //	store c_{d−1} for the next round.
 //
 // with d ∈ {1, 2} (FET compares c_0 and stores c_1; SimpleTrend uses
-// one count for both) and no Sample calls. The trend executor replays
-// this rule itself — agents' Step methods are never invoked — so the
-// marker is a promise, cross-checked by the bit-identity test battery,
-// not a derived fact. Eligible protocols' agents must additionally
-// implement PrevCounter and AgentResetter (StateCorruptible and
-// TrendSeeder compose as usual).
+// one count for both) and no Sample calls. The marker also promises the
+// agents' start: ResetAgent leaves every agent with the same stored
+// count, and a StateCorruptible agent's CorruptState is exactly
+// prevCount = src.Intn(m+1) for the declared sample size m, drawing
+// nothing else. The trend executor replays all of this itself — it reads
+// one scratch agent's reset count per replicate, seeds and corrupts the
+// agent streams in one rng.Streams.Seed pass, and never invokes agents'
+// Step methods — so the marker is a promise, cross-checked by the
+// bit-identity test battery, not a derived fact. Eligible protocols'
+// agents must additionally implement PrevCounter and AgentResetter
+// (TrendSeeder composes as usual).
 type TrendLockstep interface {
 	Protocol
 	FixedDraws

@@ -80,11 +80,11 @@ type trendExecutor struct {
 	d   int    // protocol draws per round (1 or 2)
 	m   int    // the single declared sample size
 
-	// scratch replays per-agent construction-time RNG (CorruptState)
-	// during populate; the kernel never invokes agent Steps.
-	scratchReset   AgentResetter
-	scratchPrev    PrevCounter
-	scratchCorrupt StateCorruptible // nil when the agent is incorruptible
+	// scratch reads the protocol's reset count once per replicate in
+	// populate; the kernel never invokes agent Steps.
+	scratchReset AgentResetter
+	scratchPrev  PrevCounter
+	corruptible  bool // the protocol's agents implement StateCorruptible
 
 	isSource []bool
 	initBuf  []byte
@@ -93,9 +93,6 @@ type trendExecutor struct {
 	// interface seam, which would otherwise heap-allocate it per
 	// replicate.
 	initSrc rng.Source
-	// agentSrc carries one agent stream through CorruptState in
-	// populate, a field for the same reason as initSrc.
-	agentSrc rng.Source
 
 	// opinions is updated in place: on the tabulated path observations
 	// never read the opinion bitset, so there is no double buffer. srcs
@@ -133,7 +130,7 @@ func newTrendExecutor(c *Config) (*trendExecutor, error) {
 	agent := proto.NewAgent(&s)
 	e.scratchReset = agent.(AgentResetter)
 	e.scratchPrev = agent.(PrevCounter)
-	e.scratchCorrupt, _ = agent.(StateCorruptible)
+	_, e.corruptible = agent.(StateCorruptible)
 	if err := e.populate(*c); err != nil {
 		return nil, err
 	}
@@ -142,7 +139,11 @@ func newTrendExecutor(c *Config) (*trendExecutor, error) {
 
 // populate initializes the executor for one replicate of c, replaying
 // exactly the RNG consumption of the generic populate — initializer
-// stream 0, agent streams 1..n with CorruptState draws.
+// stream 0, agent streams 1..n with CorruptState draws. It leans on the
+// TrendLockstep promise: every agent resets to one count, and
+// CorruptState is exactly prevCount = src.Intn(m+1), so one scratch
+// agent's reset count and one rng.Streams.Seed pass replace n per-agent
+// interface calls.
 func (e *trendExecutor) populate(cfg Config) error {
 	e.cfg = cfg
 	c := &e.cfg
@@ -160,24 +161,23 @@ func (e *trendExecutor) populate(cfg Config) error {
 	}
 	e.opinions.packFrom(e.initBuf)
 	e.ones = e.opinions.ones()
-	corrupt := c.CorruptStates && e.scratchCorrupt != nil
-	for j := s0; j < n; j++ {
-		seed := rng.StreamSeed(c.Seed, uint64(j)+1)
+	bound := 0 // no draws: every agent keeps the reset count
+	if c.CorruptStates && e.corruptible {
+		bound = e.m + 1
+	} else if s0 < n {
 		e.scratchReset.ResetAgent()
-		if corrupt {
-			e.agentSrc.Reseed(seed)
-			e.scratchCorrupt.CorruptState(&e.agentSrc)
-			e.srcs.Store(j, &e.agentSrc)
-		} else {
-			e.srcs.Reseed(j, seed)
-		}
 		p := e.scratchPrev.PrevCount()
 		if p < 0 || p > e.m {
 			// The kernel indexes the round's threshold table with it.
-			return fmt.Errorf("sim: agent %d stores count %d outside [0, %d]", j, p, e.m)
+			return fmt.Errorf("sim: agent %d stores count %d outside [0, %d]", s0, p, e.m)
 		}
-		e.prev[j] = uint16(p)
+		prev := e.prev[s0:n]
+		for j := range prev {
+			prev[j] = uint16(p)
+		}
 	}
+	//fet:allow rngmirror: exactly one Intn(m+1) per agent stream when corrupting, none otherwise — the generic populate's CorruptState draw, which the TrendLockstep promise pins to prevCount = Intn(m+1)
+	e.srcs.Seed(c.Seed, s0, n, bound, e.prev)
 	e.debt = 0
 	e.pinned = -1
 	return nil

@@ -583,3 +583,40 @@ func BenchmarkTrendKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrendPopulate times the trend executor's per-replicate
+// populate at n = 4096 — initializer, opinion packing and one
+// rng.Streams.Seed pass over the agent streams — with and without
+// CorruptStates, and reports ns per agent.
+func BenchmarkTrendPopulate(b *testing.B) {
+	const n = 4096
+	for _, corrupt := range []bool{true, false} {
+		b.Run(fmt.Sprintf("corrupt=%v", corrupt), func(b *testing.B) {
+			cfg := Config{
+				N:             n,
+				Protocol:      lsTrend(36, 2),
+				Init:          allWrongInit{},
+				Correct:       OpinionOne,
+				CorruptStates: corrupt,
+				MaxRounds:     1,
+			}
+			c, err := cfg.withDefaults()
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := newTrendExecutor(&c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Seed = uint64(i)
+				if err := e.populate(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/agent")
+		})
+	}
+}
