@@ -53,22 +53,20 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", 0, "resident answer-cache budget in bytes (0 = 64 MiB)")
 		cacheDir   = flag.String("cache-dir", "", "persistent cache directory (empty = memory only)")
 		replicates = flag.Int("replicates", 0, "default replicates per query (0 = 40)")
-		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *cacheBytes, *cacheDir, *replicates, *batch); err != nil {
+	if err := run(*addr, *workers, *cacheBytes, *cacheDir, *replicates); err != nil {
 		fmt.Fprintln(os.Stderr, "fetserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers int, cacheBytes int64, cacheDir string, replicates, batch int) error {
+func run(addr string, workers int, cacheBytes int64, cacheDir string, replicates int) error {
 	server, err := passivespread.NewServer(passivespread.ServeConfig{
 		Workers:           workers,
 		CacheBytes:        cacheBytes,
 		CacheDir:          cacheDir,
 		DefaultReplicates: replicates,
-		Batch:             batch,
 	})
 	if err != nil {
 		return err

@@ -57,7 +57,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
 		replicates = flag.Int("replicates", 1, "number of replicate runs (a study when > 1)")
 		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
 	)
 	profiles := prof.Register()
@@ -114,7 +113,6 @@ func main() {
 		study, err = passivespread.NewStudy(passivespread.StudySpec{
 			Replicates: *replicates,
 			Workers:    *jobs,
-			Batch:      *batch, // validated here; no effect
 			Options: passivespread.Options{
 				N:                *n,
 				Ell:              *ell,
@@ -152,7 +150,6 @@ func main() {
 		study, err = passivespread.NewStudy(passivespread.StudySpec{
 			Replicates: *replicates,
 			Workers:    *jobs,
-			Batch:      *batch,
 			Config:     &cfg,
 		})
 		if err != nil {

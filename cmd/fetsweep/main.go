@@ -76,7 +76,6 @@ func main() {
 		scenarios  = flag.String("scenarios", passivespread.DefaultScenario, "comma-separated scenario names (see `fetlab -scenarios`)")
 		replicates = flag.Int("replicates", 40, "replicates per grid cell")
 		workers    = flag.Int("workers", 0, "shared worker pool for the whole grid (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "accepted for compatibility; no effect (0…64)")
 		rounds     = flag.Int("rounds", 0, "round cap per cell (0 = 400·log₂ n)")
 		seed       = flag.Uint64("seed", 42, "root random seed")
 		c          = flag.Float64("c", passivespread.DefaultC, "sample-size constant: ℓ = ⌈c·log₂ n⌉")
@@ -136,7 +135,6 @@ func main() {
 		Scenarios:     scenarioList,
 		Replicates:    *replicates,
 		Workers:       *workers,
-		Batch:         *batch,
 		Seed:          *seed,
 		MaxRounds:     *rounds,
 		Shard:         shardSel,

@@ -2,8 +2,8 @@
 // RNG stream access.
 //
 // The batched hot paths (rng.Batch, the fast observer's per-agent
-// prefetch, the graph observer's fused counting kernels, the trend
-// executor's fused kernel and degenerate-round debt) are all mirrors:
+// prefetch, the graph observer's fused counting kernel, the trend
+// executor's fused kernels and degenerate-round debt) are all mirrors:
 // they must consume exactly the same
 // number of stream outputs, in the same order, as the unbatched
 // per-draw path they replace — otherwise every later draw of that
@@ -14,19 +14,18 @@
 // rngmirror reports, outside internal/rng:
 //
 //   - calls to the raw-consumption kernels Source.Uint64, Fill,
-//     Advance, CountPacked, CountPackedBlocks and Jump, the stream
-//     block's Streams.Advance, Seed, TrendWord and TrendWordGeneric, and
-//     the package-level lane kernel CountPackedLanes. Every such site is
-//     a hand-maintained draw-count proof, and must say so:
-//     //fet:allow rngmirror: <the accounting argument>.
+//     Advance, CountPacked, CountPackedBlocks and Jump, and the stream
+//     block's Streams.Advance, Seed, TrendWord, TrendWordGeneric and
+//     CountRows. Every such site is a hand-maintained draw-count proof,
+//     and must say so: //fet:allow rngmirror: <the accounting argument>.
 //
 // And inside internal/rng:
 //
 //   - raw-consumption kernels (Fill, Advance, CountPacked,
-//     CountPackedBlocks, CountPackedLanes, Seed, TrendWord,
-//     TrendWordGeneric) whose doc comment does not state their exact
-//     consumption (the word "exactly") — the documentation the outside
-//     annotations lean on.
+//     CountPackedBlocks, Seed, TrendWord, TrendWordGeneric, CountRows)
+//     whose doc comment does not state their exact consumption (the
+//     word "exactly") — the documentation the outside annotations lean
+//     on.
 package rngmirror
 
 import (
@@ -61,13 +60,8 @@ var rawMethods = map[string]map[string]bool{
 		"Seed":             true,
 		"TrendWord":        true,
 		"TrendWordGeneric": true,
+		"CountRows":        true,
 	},
-}
-
-// rawFuncs are the package-level rng functions that consume the
-// stream outputs of the Sources they are handed.
-var rawFuncs = map[string]bool{
-	"CountPackedLanes": true,
 }
 
 // documentedKernels must declare their exact consumption in their doc
@@ -77,10 +71,10 @@ var documentedKernels = map[string]bool{
 	"Advance":           true,
 	"CountPacked":       true,
 	"CountPackedBlocks": true,
-	"CountPackedLanes":  true,
 	"Seed":              true,
 	"TrendWord":         true,
 	"TrendWordGeneric":  true,
+	"CountRows":         true,
 }
 
 func isRNGPkg(path string) bool { return fwk.PathTail(path, "rng") }
@@ -99,18 +93,13 @@ func run(pass *fwk.Pass) error {
 			if callee == nil || !isRNGPkg(fwk.PkgPath(callee)) {
 				return true
 			}
-			var what string
-			switch recv := receiverName(callee); {
-			case rawMethods[recv][callee.Name()]:
-				what = "rng." + recv + "." + callee.Name()
-			case rawFuncs[callee.Name()] && isPackageFunc(callee):
-				what = "rng." + callee.Name()
-			default:
+			recv := receiverName(callee)
+			if !rawMethods[recv][callee.Name()] {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"raw %s consumption outside internal/rng: state the draw-count accounting that keeps this site an exact mirror of the per-draw path (//fet:allow rngmirror: ...) or use a typed draw",
-				what)
+				"raw rng.%s.%s consumption outside internal/rng: state the draw-count accounting that keeps this site an exact mirror of the per-draw path (//fet:allow rngmirror: ...) or use a typed draw",
+				recv, callee.Name())
 			return true
 		})
 	}
@@ -132,12 +121,6 @@ func receiverName(fn *types.Func) string {
 		return named.Obj().Name()
 	}
 	return ""
-}
-
-// isPackageFunc reports whether fn is a function, not a method.
-func isPackageFunc(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }
 
 // checkKernelDocs enforces, inside internal/rng, that each raw-

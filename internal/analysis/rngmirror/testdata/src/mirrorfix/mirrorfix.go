@@ -22,13 +22,13 @@ func accounted(src *rng.Source, buf []uint64) {
 	src.Fill(buf)
 }
 
-func lanes(srcs []*rng.Source, rows []uint64, counts [][]int32) {
-	rng.CountPackedLanes(srcs, rows, 61, 40, counts) // want `raw rng\.CountPackedLanes consumption outside internal/rng`
+func countRows(blk *rng.Streams, rows []uint64, counts [][64]int32) {
+	blk.CountRows(0, 64, ^uint64(0), rows, 61, 40, counts) // want `raw rng\.Streams\.CountRows consumption outside internal/rng`
 }
 
-func accountedLanes(srcs []*rng.Source, rows []uint64, counts [][]int32) {
-	//fet:allow rngmirror: consumes exactly len(counts[k])·40 outputs per source, the caller's whole round
-	rng.CountPackedLanes(srcs, rows, 61, 40, counts)
+func accountedRows(blk *rng.Streams, rows []uint64, counts [][64]int32) {
+	//fet:allow rngmirror: consumes exactly len(counts)·40 outputs per live stream, each agent's whole round
+	blk.CountRows(0, 64, ^uint64(0), rows, 61, 40, counts)
 }
 
 func typed(src *rng.Source) int {

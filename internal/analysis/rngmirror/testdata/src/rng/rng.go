@@ -24,18 +24,6 @@ func (s *Source) Uint64() uint64 { s.s++; return s.s }
 // Intn is a typed draw: the accounting is internal to rng.
 func (s *Source) Intn(n int) int { return int(s.Uint64() % uint64(n)) }
 
-// CountPackedLanes advances each source by exactly len(counts[k])·m
-// outputs, counting set row bits.
-func CountPackedLanes(srcs []*Source, rows []uint64, shift uint, m int, counts [][]int32) {
-	for k, s := range srcs {
-		for b := range counts[k] {
-			for i := 0; i < m; i++ {
-				counts[k][b] += int32(rows[k] >> (s.Uint64() >> shift) & 1)
-			}
-		}
-	}
-}
-
 // Streams is the stub word-major stream block.
 type Streams struct{ s []uint64 }
 
@@ -65,6 +53,22 @@ func (b *Streams) Seed(root uint64, lo, hi, bound int, prev []uint16) {
 		if bound > 0 {
 			b.s[i]++
 			prev[i] = uint16(b.s[i] % uint64(bound))
+		}
+	}
+}
+
+// CountRows advances each live stream of [lo, hi) by exactly
+// len(counts)·m outputs, counting set row bits.
+func (b *Streams) CountRows(lo, hi int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
+	for i := lo; i < hi; i++ {
+		if live>>uint(i-lo)&1 == 0 {
+			continue
+		}
+		for c := range counts {
+			for k := 0; k < m; k++ {
+				b.s[i]++
+				counts[c][i-lo] += int32(rows[i-lo] >> (b.s[i] >> shift) & 1)
+			}
 		}
 	}
 }

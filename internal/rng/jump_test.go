@@ -245,33 +245,36 @@ func BenchmarkCountPackedBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkCountPackedLanes counts the same round shape as
-// BenchmarkCountPackedBlocks (2 blocks of 80 outputs, degree 8) on
-// MaxLanes sources per op, through the dispatched kernel and the
-// portable CountPackedBlocks loop; ns/lane is the per-source cost to
+// BenchmarkCountRows counts the same round shape as
+// BenchmarkCountPackedBlocks (2 blocks of 80 outputs, degree 8) on one
+// word of 64 live streams, through the dispatched kernel and the
+// portable CountPackedBlocks loop; ns/stream is the per-stream cost to
 // set against BenchmarkCountPackedBlocks' ns/op.
-func BenchmarkCountPackedLanes(b *testing.B) {
+func BenchmarkCountRows(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
-		kernel func([]*Source, []uint64, uint, int, [][]int32)
+		kernel func(*Streams, int, uint64, []uint64, uint, int, [][64]int32)
 	}{
-		{"dispatch", CountPackedLanes},
-		{"generic", countPackedLanesGeneric},
+		{"dispatch", func(s *Streams, lo int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
+			s.CountRows(lo, lo+64, live, rows, shift, m, counts)
+		}},
+		{"generic", (*Streams).countRowsGeneric},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			srcs := make([]*Source, MaxLanes)
-			rows := make([]uint64, MaxLanes)
-			counts := make([][]int32, MaxLanes)
-			for k := range srcs {
-				srcs[k] = New(uint64(42 + k))
-				rows[k] = srcs[k].Uint64()
-				counts[k] = make([]int32, 2)
+			var s Streams
+			s.Resize(64)
+			rows := make([]uint64, 64)
+			for k := range rows {
+				src := New(uint64(42 + k))
+				rows[k] = src.Uint64()
+				s.Store(k, src)
 			}
+			counts := make([][64]int32, 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bc.kernel(srcs, rows, 61, 80, counts)
+				bc.kernel(&s, 0, ^uint64(0), rows, 61, 80, counts)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*MaxLanes), "ns/lane")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/stream")
 		})
 	}
 }

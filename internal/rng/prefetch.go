@@ -5,9 +5,9 @@ import "math/bits"
 // Prefetch is a read-through buffer over a Source for hot paths that
 // consume a known lower bound of stream outputs per phase (an agent's
 // round of observation draws, say). Bind bulk-loads the next d outputs
-// in one Source.Fill; the mirrored consuming calls (Uint64, Intn,
-// Bernoulli) then read buffered values in order and fall through to the
-// live Source once the buffer drains.
+// in one Source.Fill; the mirrored consuming calls (Uint64, Float64,
+// Intn) then read buffered values in order and fall through to the live
+// Source once the buffer drains.
 //
 // The determinism contract: as long as the phase consumes at least d
 // outputs through the Prefetch, every consuming call reads exactly the
@@ -82,30 +82,4 @@ func (p *Prefetch) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// Bernoulli mirrors Source.Bernoulli exactly, including consuming no
-// output at all when prob lies outside (0, 1).
-func (p *Prefetch) Bernoulli(prob float64) bool {
-	if prob <= 0 {
-		return false
-	}
-	if prob >= 1 {
-		return true
-	}
-	return p.Float64() < prob
-}
-
-// Take returns the next m raw outputs as a buffer slice when they are
-// all still buffered, advancing past them; ok = false leaves the
-// position untouched. Hot loops that consume exactly one output per
-// draw (power-of-two Intn bounds reject nothing) use it to run over a
-// block without per-draw bounds checks.
-func (p *Prefetch) Take(m int) ([]uint64, bool) {
-	if m < 0 || p.pos+m > p.have {
-		return nil, false
-	}
-	v := p.buf[p.pos : p.pos+m]
-	p.pos += m
-	return v, true
 }

@@ -254,7 +254,8 @@ func (s *Source) CountPacked(row uint64, shift uint, m int) int {
 // shift, m) draws with a single state round-trip, storing each block's
 // count. It consumes exactly len(counts)·m outputs — one agent's whole
 // round of a FixedDraws protocol on the fused graph path. It is the
-// scalar reference of CountPackedLanes, and that kernel's portable path.
+// scalar reference of Streams.CountRows, and that kernel's portable
+// path.
 //
 // For rows of at most 64 bits (shift ≥ 58, every packed-row degree) the
 // bit extraction runs through a per-call byte table indexed by the high

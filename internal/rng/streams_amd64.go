@@ -1,7 +1,7 @@
 package rng
 
-// useAVX2 selects the vector lane kernel: the CPU reports AVX2 and the
-// OS saves the YMM register state across context switches.
+// useAVX2 selects the vector stream kernels: the CPU reports AVX2 and
+// the OS saves the YMM register state across context switches.
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {
@@ -29,12 +29,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (XCR0).
 func xgetbv() (eax, edx uint32)
 
-// countLanesBlock advances every lane of st by exactly m outputs and
-// stores, per lane, how many of them select a set bit of the lane's
-// row (bit index x >> shift) into st.acc. It requires AVX2.
+// countRowGroups runs CountRows' vector kernel over a packed block:
+// the first 8·chunks streams of st (word-major, st[w][k] is state word
+// w of stream k) advance by exactly blocks·m outputs each, and
+// counts[b][k] receives how many outputs of block b select a set bit
+// of rows[k] (bit index x >> shift[0]). It requires AVX2 and chunks,
+// m, blocks ≥ 1.
 //
 //go:noescape
-func countLanesBlock(st *laneState, m int)
+func countRowGroups(st *[4][64]uint64, rows *[64]uint64, counts *[maxRowBlocks][64]uint64, chunks int, shift *[2]uint64, m, blocks int)
 
 // trendGroupsFET runs the d = 2 trend kernel over n streams (a multiple
 // of 4) held word-major at s0..s3 with stored counts at prev, against

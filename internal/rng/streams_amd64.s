@@ -1,5 +1,24 @@
 #include "textflag.h"
 
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
 // The fused trend kernels step four streams per vector instruction. The
 // streams' state words s0..s3 live in Y0-Y3 for one 4-stream group;
 // every value compared is below 2^63 (53-bit mantissas, thresholds at
@@ -28,29 +47,29 @@ DATA trendLowDwords<>+24(SB)/4, $4
 DATA trendLowDwords<>+28(SB)/4, $6
 GLOBL trendLowDwords<>(SB), RODATA|NOPTR, $32
 
-// XOSHIRO_OUT sets dst = rotl(s1*5, 7) * 9 with the multiplies as
-// shift+add and the rotation as shift/shift/or, as countLanesBlock.
-#define XOSHIRO_OUT(dst, tmp) \
-	VPSLLQ $2, Y1, dst; \
-	VPADDQ Y1, dst, dst; \
+// XOSHIRO_OUT sets dst = rotl(s1*5, 7) * 9 for the state word s1,
+// with the multiplies as shift+add and the rotation as shift/shift/or.
+#define XOSHIRO_OUT(s1, dst, tmp) \
+	VPSLLQ $2, s1, dst; \
+	VPADDQ s1, dst, dst; \
 	VPSLLQ $7, dst, tmp; \
 	VPSRLQ $57, dst, dst; \
 	VPOR   tmp, dst, dst; \
 	VPSLLQ $3, dst, tmp; \
 	VPADDQ tmp, dst, dst
 
-// XOSHIRO_STEP advances Y0-Y3 one state transition: t = s1 << 17;
-// s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t; s3 = rotl(s3, 45).
-#define XOSHIRO_STEP(tmp) \
-	VPSLLQ $17, Y1, tmp; \
-	VPXOR  Y0, Y2, Y2; \
-	VPXOR  Y1, Y3, Y3; \
-	VPXOR  Y2, Y1, Y1; \
-	VPXOR  Y3, Y0, Y0; \
-	VPXOR  tmp, Y2, Y2; \
-	VPSLLQ $45, Y3, tmp; \
-	VPSRLQ $19, Y3, Y3; \
-	VPOR   tmp, Y3, Y3
+// XOSHIRO_STEP advances the state words s0-s3 one transition: t = s1 <<
+// 17; s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t; s3 = rotl(s3, 45).
+#define XOSHIRO_STEP(s0, s1, s2, s3, tmp) \
+	VPSLLQ $17, s1, tmp; \
+	VPXOR  s0, s2, s2; \
+	VPXOR  s1, s3, s3; \
+	VPXOR  s2, s1, s1; \
+	VPXOR  s3, s0, s0; \
+	VPXOR  tmp, s2, s2; \
+	VPSLLQ $45, s3, tmp; \
+	VPSRLQ $19, s3, s3; \
+	VPOR   tmp, s3, s3
 
 // LOAD_GROUP loads the group's states into Y0-Y3 and its stored counts,
 // zero-extended, into Y6.
@@ -143,10 +162,10 @@ TEXT ·trendGroupsFET(SB), NOSPLIT, $0-80
 
 fetLoop:
 	LOAD_GROUP
-	XOSHIRO_OUT(Y4, Y5)
-	XOSHIRO_STEP(Y5)
-	XOSHIRO_OUT(Y10, Y5)
-	XOSHIRO_STEP(Y5)
+	XOSHIRO_OUT(Y1, Y4, Y5)
+	XOSHIRO_STEP(Y0, Y1, Y2, Y3, Y5)
+	XOSHIRO_OUT(Y1, Y10, Y5)
+	XOSHIRO_STEP(Y0, Y1, Y2, Y3, Y5)
 	STORE_STATE
 	VPSRLQ $11, Y4, Y4
 	VPSRLQ $11, Y10, Y10
@@ -192,8 +211,8 @@ TEXT ·trendGroupsSimple(SB), NOSPLIT, $0-80
 
 simpleLoop:
 	LOAD_GROUP
-	XOSHIRO_OUT(Y10, Y5)
-	XOSHIRO_STEP(Y5)
+	XOSHIRO_OUT(Y1, Y10, Y5)
+	XOSHIRO_STEP(Y0, Y1, Y2, Y3, Y5)
 	STORE_STATE
 	VPSRLQ $11, Y10, Y10
 
@@ -208,5 +227,93 @@ simpleLoop:
 simpleDone:
 	MOVQ DX, up+64(FP)
 	MOVQ BX, down+72(FP)
+	VZEROUPPER
+	RET
+
+DATA rowOne<>+0(SB)/8, $1
+DATA rowOne<>+8(SB)/8, $1
+DATA rowOne<>+16(SB)/8, $1
+DATA rowOne<>+24(SB)/8, $1
+GLOBL rowOne<>(SB), RODATA|NOPTR, $32
+
+// ROW_BIT adds to acc the bit of row that the outputs x select:
+// (row >> (x >> shift)) & 1, the shift count read from (AX). Like Go's
+// shifts, VPSRLVQ yields 0 for an index of 64 or more.
+#define ROW_BIT(x, row, acc) \
+	VPSRLQ  (AX), x, x; \
+	VPSRLVQ x, row, x; \
+	VPAND   rowOne<>(SB), x, x; \
+	VPADDQ  x, acc, acc
+
+// func countRowGroups(st *[4][64]uint64, rows *[64]uint64, counts *[maxRowBlocks][64]uint64, chunks int, shift *[2]uint64, m, blocks int)
+//
+// Per 8-stream chunk, two 4-stream groups A and B step side by side so
+// each group's dependency chain hides the other's latency:
+//
+//	Y0-Y3 / Y8-Y11   state words s0..s3
+//	Y4 / Y12         packed rows
+//	Y5 / Y13         block counts
+//	Y6-Y7 / Y14-Y15  temporaries
+//
+// SI walks st (state word w of stream k at w·512 + 8k), R10 rows, R11
+// the chunk's counts (block b at b·512), R8 the current block's.
+TEXT ·countRowGroups(SB), NOSPLIT, $0-56
+	MOVQ st+0(FP), SI
+	MOVQ rows+8(FP), R10
+	MOVQ counts+16(FP), R11
+	MOVQ chunks+24(FP), BX
+	MOVQ shift+32(FP), AX
+	MOVQ m+40(FP), R12
+	MOVQ blocks+48(FP), R13
+
+rowChunk:
+	VMOVDQU 0(SI), Y0
+	VMOVDQU 512(SI), Y1
+	VMOVDQU 1024(SI), Y2
+	VMOVDQU 1536(SI), Y3
+	VMOVDQU 32(SI), Y8
+	VMOVDQU 544(SI), Y9
+	VMOVDQU 1056(SI), Y10
+	VMOVDQU 1568(SI), Y11
+	VMOVDQU 0(R10), Y4
+	VMOVDQU 32(R10), Y12
+	MOVQ    R11, R8
+	MOVQ    R13, CX
+
+rowBlock:
+	VPXOR Y5, Y5, Y5
+	VPXOR Y13, Y13, Y13
+	MOVQ  R12, DX
+
+rowDraw:
+	XOSHIRO_OUT(Y1, Y6, Y7)
+	XOSHIRO_OUT(Y9, Y14, Y15)
+	ROW_BIT(Y6, Y4, Y5)
+	ROW_BIT(Y14, Y12, Y13)
+	XOSHIRO_STEP(Y0, Y1, Y2, Y3, Y7)
+	XOSHIRO_STEP(Y8, Y9, Y10, Y11, Y15)
+	DECQ DX
+	JNZ  rowDraw
+
+	VMOVDQU Y5, (R8)
+	VMOVDQU Y13, 32(R8)
+	ADDQ    $512, R8
+	DECQ    CX
+	JNZ     rowBlock
+
+	VMOVDQU Y0, 0(SI)
+	VMOVDQU Y1, 512(SI)
+	VMOVDQU Y2, 1024(SI)
+	VMOVDQU Y3, 1536(SI)
+	VMOVDQU Y8, 32(SI)
+	VMOVDQU Y9, 544(SI)
+	VMOVDQU Y10, 1056(SI)
+	VMOVDQU Y11, 1568(SI)
+	ADDQ    $64, SI
+	ADDQ    $64, R10
+	ADDQ    $64, R11
+	DECQ    BX
+	JNZ     rowChunk
+
 	VZEROUPPER
 	RET

@@ -1,0 +1,21 @@
+//go:build !amd64
+
+package rng
+
+// useAVX2 is false off amd64: the stream kernels always take their
+// portable paths.
+const useAVX2 = false
+
+// countRowGroups, trendGroupsFET and trendGroupsSimple have no vector
+// implementation off amd64; useAVX2 keeps them unreachable.
+func countRowGroups(*[4][64]uint64, *[64]uint64, *[maxRowBlocks][64]uint64, int, *[2]uint64, int, int) {
+	panic("rng: no vector row kernel on this architecture")
+}
+
+func trendGroupsFET(*uint64, *uint64, *uint64, *uint64, *uint16, int, *uint64, *uint32) (uint64, uint64) {
+	panic("rng: no vector trend kernel on this architecture")
+}
+
+func trendGroupsSimple(*uint64, *uint64, *uint64, *uint64, *uint16, int, *uint64, *uint32) (uint64, uint64) {
+	panic("rng: no vector trend kernel on this architecture")
+}

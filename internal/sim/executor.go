@@ -16,8 +16,8 @@ import (
 // Implementations: the per-agent executors (exact, fast, parallel) hold
 // packed opinion bitsets and agent arrays; the trend executor holds
 // packed opinions, streams and stored counts for the trend-rule
-// protocols on the fast engine; the aggregate executor holds only
-// per-state occupancy counts.
+// protocols on the fast and parallel engines; the aggregate executor
+// holds only per-state occupancy counts.
 type roundExecutor interface {
 	// Ones returns the current number of 1-opinions across the whole
 	// population, sources included.
@@ -64,16 +64,17 @@ func newRoundExecutor(c *Config) (roundExecutor, error) {
 // newPooledExecutor builds and populates the executor for an agent
 // engine: the trend executor where trendSupported(c) holds, the generic
 // agentExecutor otherwise. The pool p supplies the read-only state
-// executors share; nil builds it privately.
+// executors share (the trend executor's graph jump ladder); nil builds
+// it privately.
 func newPooledExecutor(c *Config, p *Pool) (pooledExecutor, error) {
 	if trendSupported(c) {
-		e, err := newTrendExecutor(c)
+		e, err := newTrendExecutor(c, p)
 		if err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
-	e, err := newAgentExecutor(c, p)
+	e, err := newAgentExecutor(c)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +82,9 @@ func newPooledExecutor(c *Config, p *Pool) (pooledExecutor, error) {
 }
 
 // agentExecutor advances an explicit per-agent population. It backs the
-// exact, fast, and parallel engines, which differ only in how a round's
-// observations are sampled and how the agent sweep is scheduled.
+// exact, fast, and parallel engines wherever the trend executor does
+// not apply; they differ only in how a round's observations are sampled
+// and how the agent sweep is scheduled.
 //
 // The executor is built once and re-populated per replicate (see
 // populate and Pool): every O(n) buffer — the opinion bitsets, the
@@ -92,32 +94,17 @@ func newPooledExecutor(c *Config, p *Pool) (pooledExecutor, error) {
 // runs with zero steady-state allocations.
 type agentExecutor struct {
 	cfg Config // the current replicate's configuration
-	// opinions and next are the packed double-buffered population: one
+	// population and next are the packed double-buffered opinions: one
 	// bit per agent, swapped after every round. Observers hold pointers
 	// to the structs (whose addresses never change), so the swap needs no
 	// observer re-aiming.
-	opinions opinionBits
-	next     opinionBits
-	// initBuf is the []byte scratch handed to Initializer.Assign — the
-	// initializer seam keeps its byte-per-agent contract (and its RNG
-	// draws) and the result is packed into the bitset once per replicate.
-	initBuf  []byte
-	isSource []bool
-	agents   []Agent
+	population
+	next   opinionBits
+	agents []Agent
 	// srcs holds the per-agent generators by value: one reseed per agent
 	// per replicate instead of one allocation. Agents capture &srcs[i],
 	// which stays valid for the executor's lifetime.
 	srcs []rng.Source
-	// deficit counts, per agent, the homogeneous-row rounds whose stream
-	// advance the graph observers deferred (nil off the fused jump path).
-	// Reset each replicate; leftover debt at replicate end is dropped —
-	// an absorbed population's streams are never read again.
-	deficit []uint32
-	// counts is the graph observers' per-agent counts slab: the round
-	// pre-pass writes each agent's whole round of CountOnes answers
-	// (DrawsPerRound entries) before the sweep steps it (nil unless the
-	// fused contract can hold; see graphPrepassShape).
-	counts []int32
 	// sampleSizes are the protocol's declared CountOnes sizes; tables
 	// holds the per-round tabulated binomial laws for them, retabulated
 	// in place every round (nil on the exact and graph paths, which
@@ -129,10 +116,6 @@ type agentExecutor struct {
 	// pool key guarantees a reused executor sees the same protocol
 	// identity.)
 	agentsReusable bool
-	// ones counts the 1-opinions in opinions (sources included).
-	ones int
-	// workers is the shard count for EngineAgentParallel (≥ 1).
-	workers int
 	// observers are the per-shard reusable observation samplers: one
 	// observer per shard avoids a heap allocation per agent per round
 	// without sharing mutable state across goroutines.
@@ -144,18 +127,72 @@ type agentExecutor struct {
 	// round counts executed rounds; dynamic topologies derive their
 	// per-round rewiring streams from it.
 	round int
+	// shards runs each round's sweep, one observer per shard.
+	shards *shardPool
+}
 
-	// Parallel scheduling state (workers > 1): persistent shard workers
-	// fed one shard index per round over work, so a parallel round costs
-	// zero goroutine spawns and zero allocations. shardLo/shardHi are
-	// word-aligned (multiples of 64) so no two shards ever read-modify-
-	// write the same bitset word.
-	shardLo, shardHi []int
-	deltas           []int
-	errs             []error
-	work             chan int
-	wg               sync.WaitGroup
-	closed           bool
+// population is the opinion state both per-agent executors keep: the
+// packed opinions and their 1-count, and the initializer seam's
+// byte-per-agent scratch, source flags and stream.
+type population struct {
+	opinions opinionBits
+	ones     int // 1-opinions, sources included
+	// initBuf is the []byte scratch handed to Initializer.Assign — the
+	// initializer seam keeps its byte-per-agent contract (and its RNG
+	// draws) and the result is packed into the bitset once per replicate.
+	initBuf  []byte
+	isSource []bool
+	// initSrc is the initializer-stream generator: a field (not an
+	// assign local) because it is passed through the Initializer
+	// interface seam, which would otherwise heap-allocate it per
+	// replicate.
+	initSrc rng.Source
+}
+
+// newPopulation sizes a population of n agents whose first sources are
+// the sources; sampling is uniform, so placement is irrelevant.
+func newPopulation(n, sources int) population {
+	p := population{initBuf: make([]byte, n), isSource: make([]bool, n)}
+	p.opinions.resize(n)
+	for i := 0; i < sources; i++ {
+		p.isSource[i] = true
+	}
+	return p
+}
+
+// Ones implements roundExecutor.
+func (p *population) Ones() int { return p.ones }
+
+// assign sets the starting opinions of c's replicate: the sources at
+// c.Correct and everyone else from c.Init on stream 0, the one
+// initializer stream.
+func (p *population) assign(c *Config) error {
+	clear(p.initBuf)
+	for i := 0; i < c.Sources; i++ {
+		p.initBuf[i] = c.Correct
+	}
+	p.initSrc.Reseed(rng.StreamSeed(c.Seed, 0))
+	c.Init.Assign(p.initBuf, p.isSource, &p.initSrc)
+	for i := 0; i < c.Sources; i++ {
+		if p.initBuf[i] != c.Correct {
+			return fmt.Errorf("sim: initializer %q overwrote a source opinion", c.Init.Name())
+		}
+	}
+	p.opinions.packFrom(p.initBuf)
+	p.ones = p.opinions.ones()
+	return nil
+}
+
+// pinSources re-pins the first sources opinions to correct: under
+// FlipCorrectAt the correct opinion changes mid-run, and the displayed
+// source opinions must follow before the round's observations.
+func (p *population) pinSources(sources int, correct byte) {
+	for i := 0; i < sources; i++ {
+		if cur := p.opinions.get(i); cur != correct {
+			p.ones += int(correct) - int(cur)
+			p.opinions.set(i, correct)
+		}
+	}
 }
 
 // topoStream is the offset added to the population size to derive the
@@ -175,41 +212,23 @@ type reusableObserver interface {
 	newRound(round int, x float64, tables []roundTable)
 }
 
-// newAgentExecutor builds an executor for c. The pool p supplies the
-// read-only state executors share (the graph jump ladder); nil builds
-// it privately.
-func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
+// newAgentExecutor builds an executor for c.
+func newAgentExecutor(c *Config) (*agentExecutor, error) {
 	n := c.N
 	e := &agentExecutor{
-		initBuf:     make([]byte, n),
-		isSource:    make([]bool, n),
+		population:  newPopulation(n, c.Sources),
 		agents:      make([]Agent, n),
 		srcs:        make([]rng.Source, n),
 		sampleSizes: c.Protocol.SampleSizes(),
-		workers:     1,
 	}
-	e.opinions.resize(n)
 	e.next.resize(n)
-	// Sources occupy the first indices; sampling is uniform so placement
-	// is irrelevant.
-	for i := 0; i < c.Sources; i++ {
-		e.isSource[i] = true
-	}
 
-	if c.Engine == EngineAgentParallel {
-		e.workers = resolvedWorkers(c)
+	workers := engineShards(c)
+	graph, err := buildGraph(c, workers)
+	if err != nil {
+		return nil, err
 	}
-	if !topo.IsComplete(c.Topology) {
-		// The graph builds from its own derived stream (never touched by
-		// complete-topology runs) and shards row construction across the
-		// same worker budget as the round sweep; per-row streams keep the
-		// result byte-identical at any worker count.
-		graph, err := c.Topology.Build(n, rng.StreamSeed(c.Seed, uint64(n)+topoStream), e.workers)
-		if err != nil {
-			return nil, fmt.Errorf("sim: building topology %q: %w", c.Topology.Name(), err)
-		}
-		e.graph = graph
-	}
+	e.graph = graph
 
 	// The tabulated-binomial fast path applies under uniform mixing on
 	// the non-exact engines; graph topologies sample neighbor opinions
@@ -225,29 +244,14 @@ func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 		}
 	}
 
-	e.observers = make([]reusableObserver, e.workers)
-	var graphLadder *rng.JumpLadder
-	if e.graph != nil {
-		if d, m := graphPrepassShape(e.graph, c); d > 0 {
-			e.counts = make([]int32, n*d)
-			if d*m <= maxRoundJumpSteps {
-				// Homogeneous-row rounds defer their stream advance into a
-				// per-agent debt counter; the ladder settles any debt in
-				// O(log debt) applications. Shards own disjoint agent
-				// ranges, so the counters are race-free under parallel
-				// stepping.
-				graphLadder = p.jumpLadder(d*m, c.MaxRounds)
-				e.deficit = make([]uint32, n)
-			}
-		}
-	}
+	e.observers = make([]reusableObserver, workers)
 	for w := range e.observers {
 		switch {
 		case e.graph != nil:
 			// Non-complete topology: every agent engine samples neighbor
 			// opinions through the packed-row gather; fast and exact
 			// coincide here.
-			e.observers[w] = newGraphObserver(&e.opinions, e.graph, c, graphLadder, e.deficit, e.counts)
+			e.observers[w] = newGraphObserver(&e.opinions, e.graph, c)
 		case c.Engine == EngineAgentExact:
 			e.observers[w] = &exactObserver{ops: &e.opinions, noiseEps: c.NoiseEps}
 		default:
@@ -255,9 +259,9 @@ func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 		}
 	}
 
-	if e.workers > 1 {
-		e.startWorkers(c)
-	}
+	e.shards = newShardPool(c.Sources, n, workers, func(sh, lo, hi int) (int, error) {
+		return e.stepShard(lo, hi, e.observers[sh])
+	})
 	if err := e.populate(*c); err != nil {
 		e.close()
 		return nil, err
@@ -265,60 +269,135 @@ func newAgentExecutor(c *Config, p *Pool) (*agentExecutor, error) {
 	return e, nil
 }
 
-// resolvedWorkers returns the shard count EngineAgentParallel will use
-// for c: Parallelism, defaulted to GOMAXPROCS, capped by the non-source
-// population, floored at 1. It is part of the executor's reuse shape.
-func resolvedWorkers(c *Config) int {
+// engineShards returns the number of shards c's agent engine splits a
+// round into: 1, or under EngineAgentParallel Parallelism, defaulted to
+// GOMAXPROCS, capped by the non-source population, floored at 1. It is
+// part of the executor's reuse shape.
+func engineShards(c *Config) int {
+	if c.Engine != EngineAgentParallel {
+		return 1
+	}
 	workers := c.Parallelism
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if max := c.N - c.Sources; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(1, min(workers, c.N-c.Sources))
 }
 
-// startWorkers precomputes the word-aligned shard bounds and spawns the
-// persistent shard workers. Shard boundaries affect scheduling only:
-// every agent draws from its own stream, so any partition of the
-// non-source range merges to the same population.
-func (e *agentExecutor) startWorkers(c *Config) {
-	lo, n := c.Sources, c.N
-	e.shardLo = make([]int, e.workers)
-	e.shardHi = make([]int, e.workers)
-	e.deltas = make([]int, e.workers)
-	e.errs = make([]error, e.workers)
+// buildGraph builds c's observation graph (nil under uniform mixing)
+// from its own derived stream, which complete-topology runs never
+// touch, sharding row construction across workers; per-row streams keep
+// the result byte-identical at any worker count.
+func buildGraph(c *Config, workers int) (*topo.Graph, error) {
+	if topo.IsComplete(c.Topology) {
+		return nil, nil
+	}
+	g, err := c.Topology.Build(c.N, rng.StreamSeed(c.Seed, uint64(c.N)+topoStream), workers)
+	if err != nil {
+		return nil, fmt.Errorf("sim: building topology %q: %w", c.Topology.Name(), err)
+	}
+	return g, nil
+}
+
+// rebuildGraph refills g in place for c's replicate when its seed moved.
+func rebuildGraph(g *topo.Graph, c *Config, workers int) error {
+	want := rng.StreamSeed(c.Seed, uint64(c.N)+topoStream)
+	if g == nil || g.Seed() == want {
+		return nil
+	}
+	if err := topo.Rebuild(g, c.Topology, c.N, want, workers); err != nil {
+		return fmt.Errorf("sim: rebuilding topology %q: %w", c.Topology.Name(), err)
+	}
+	return nil
+}
+
+// shardPool runs one round's work over word-aligned shards of the
+// non-source range [lo, n). With one shard it calls step inline; with
+// more it feeds one shard index per round to each of its persistent
+// workers, so a parallel round costs zero goroutine spawns and zero
+// allocations. Shard bounds are multiples of 64, so no two shards ever
+// read-modify-write the same opinion word, and they affect scheduling
+// only: every agent draws from its own stream, so any partition merges
+// to the same population.
+type shardPool struct {
+	lo, hi []int
+	deltas []int
+	errs   []error
+	step   func(sh, lo, hi int) (int, error)
+	work   chan int
+	wg     sync.WaitGroup // the round's shards
+	exited sync.WaitGroup // the workers
+	closed bool
+}
+
+// newShardPool splits [lo, n) into workers shards and, when there are
+// several, starts their workers. step advances one shard and returns
+// its change in 1-opinions.
+func newShardPool(lo, n, workers int, step func(sh, lo, hi int) (int, error)) *shardPool {
+	p := &shardPool{
+		lo:     make([]int, workers),
+		hi:     make([]int, workers),
+		deltas: make([]int, workers),
+		errs:   make([]error, workers),
+		step:   step,
+	}
 	prev := lo
-	for w := 0; w < e.workers; w++ {
-		hi := lo + (n-lo)*(w+1)/e.workers
-		if w < e.workers-1 {
+	for w := 0; w < workers; w++ {
+		hi := n
+		if w < workers-1 {
 			// Align interior boundaries to 64 so no two shards write the
-			// same word of the packed next buffer.
-			hi = (hi + 63) &^ 63
-			if hi < prev {
-				hi = prev
-			}
-			if hi > n {
-				hi = n
-			}
-		} else {
-			hi = n
+			// same opinion word.
+			hi = min(max((lo+(n-lo)*(w+1)/workers+63)&^63, prev), n)
 		}
-		e.shardLo[w], e.shardHi[w] = prev, hi
+		p.lo[w], p.hi[w] = prev, hi
 		prev = hi
 	}
-	e.work = make(chan int)
-	for w := 0; w < e.workers; w++ {
-		go func() {
-			for sh := range e.work {
-				e.deltas[sh], e.errs[sh] = e.stepShard(e.shardLo[sh], e.shardHi[sh], e.observers[sh])
-				e.wg.Done()
-			}
-		}()
+	if workers > 1 {
+		p.work = make(chan int)
+		p.exited.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer p.exited.Done()
+				for sh := range p.work {
+					p.deltas[sh], p.errs[sh] = p.step(sh, p.lo[sh], p.hi[sh])
+					p.wg.Done()
+				}
+			}()
+		}
+	}
+	return p
+}
+
+// run advances every shard one round and returns the summed change in
+// 1-opinions, or the first shard error in shard order.
+//
+//fet:hotpath
+func (p *shardPool) run() (int, error) {
+	if p.work == nil {
+		return p.step(0, p.lo[0], p.hi[0])
+	}
+	p.wg.Add(len(p.lo))
+	for w := range p.lo {
+		p.work <- w
+	}
+	p.wg.Wait()
+	delta := 0
+	for w, err := range p.errs {
+		if err != nil {
+			return 0, err
+		}
+		delta += p.deltas[w]
+	}
+	return delta, nil
+}
+
+// close stops the persistent workers and returns once they have
+// exited. Idempotent.
+func (p *shardPool) close() {
+	if p.work != nil && !p.closed {
+		p.closed = true
+		close(p.work)
+		p.exited.Wait()
 	}
 }
 
@@ -333,29 +412,13 @@ func (e *agentExecutor) populate(cfg Config) error {
 	e.round = 0
 	n := c.N
 
-	for i := range e.initBuf {
-		e.initBuf[i] = 0
-	}
-	for i := 0; i < c.Sources; i++ {
-		e.initBuf[i] = c.Correct
-	}
 	// Stream 0 seeds the initializer; streams 1..n seed the agents.
-	var initSrc rng.Source
-	initSrc.Reseed(rng.StreamSeed(c.Seed, 0))
-	c.Init.Assign(e.initBuf, e.isSource, &initSrc)
-	for i := 0; i < c.Sources; i++ {
-		if e.initBuf[i] != c.Correct {
-			return fmt.Errorf("sim: initializer %q overwrote a source opinion", c.Init.Name())
-		}
+	if err := e.assign(c); err != nil {
+		return err
 	}
-	e.opinions.packFrom(e.initBuf)
 	e.next.zero()
-	e.ones = e.opinions.ones()
 
 	reuse := e.agentsReusable
-	for i := range e.deficit {
-		e.deficit[i] = 0
-	}
 	for i := c.Sources; i < n; i++ {
 		e.srcs[i].Reseed(rng.StreamSeed(c.Seed, uint64(i)+1))
 		if reuse {
@@ -378,13 +441,8 @@ func (e *agentExecutor) populate(cfg Config) error {
 		_, e.agentsReusable = e.agents[c.Sources].(AgentResetter)
 	}
 
-	if e.graph != nil {
-		want := rng.StreamSeed(c.Seed, uint64(n)+topoStream)
-		if e.graph.Seed() != want {
-			if err := topo.Rebuild(e.graph, c.Topology, n, want, e.workers); err != nil {
-				return fmt.Errorf("sim: rebuilding topology %q: %w", c.Topology.Name(), err)
-			}
-		}
+	if err := rebuildGraph(e.graph, c, len(e.observers)); err != nil {
+		return err
 	}
 	// Per-replicate observer parameters (the shape — observer kind, view
 	// graph, draw batching — is construction-time).
@@ -402,15 +460,7 @@ func (e *agentExecutor) populate(cfg Config) error {
 }
 
 // close stops the persistent shard workers. Idempotent.
-func (e *agentExecutor) close() {
-	if e.work != nil && !e.closed {
-		e.closed = true
-		close(e.work)
-	}
-}
-
-// Ones implements roundExecutor.
-func (e *agentExecutor) Ones() int { return e.ones }
+func (e *agentExecutor) close() { e.shards.close() }
 
 // Step implements roundExecutor.
 //
@@ -419,15 +469,7 @@ func (e *agentExecutor) Step(correct byte) error {
 	c := &e.cfg
 	n := c.N
 
-	// Re-pin the sources: under FlipCorrectAt the correct opinion changes
-	// mid-run and the displayed source opinions must follow before this
-	// round's observations are drawn.
-	for i := 0; i < c.Sources; i++ {
-		if cur := e.opinions.get(i); cur != correct {
-			e.ones += int(correct) - int(cur)
-			e.opinions.set(i, correct)
-		}
-	}
+	e.pinSources(c.Sources, correct)
 
 	x := float64(e.ones) / float64(n)
 	xObs := observedFraction(x, c.NoiseEps)
@@ -442,13 +484,7 @@ func (e *agentExecutor) Step(correct byte) error {
 		obs.newRound(e.round, xObs, e.tables)
 	}
 
-	var onesDelta int
-	var err error
-	if e.workers == 1 {
-		onesDelta, err = e.stepShard(c.Sources, n, e.observers[0])
-	} else {
-		onesDelta, err = e.stepParallel()
-	}
+	onesDelta, err := e.shards.run()
 	if err != nil {
 		return err
 	}
@@ -469,15 +505,10 @@ func (e *agentExecutor) Step(correct byte) error {
 // change in the number of 1-opinions over the shard. Each agent draws only
 // from its own RNG stream, so shards are independent and the sweep order
 // inside a shard never affects other shards — the basis of the parallel
-// engine's bit-identical determinism. Under the fused graph contract
-// the shard's whole round of counts is computed first, eight agent
-// streams at a time (graphObserver.countRound).
+// engine's bit-identical determinism.
 //
 //fet:hotpath
 func (e *agentExecutor) stepShard(lo, hi int, obs reusableObserver) (onesDelta int, err error) {
-	if g, ok := obs.(*graphObserver); ok && g.precounts() {
-		g.countRound(lo, hi, e.srcs)
-	}
 	for i := lo; i < hi; i++ {
 		obs.bind(i, &e.srcs[i])
 		cur := e.opinions.get(i)
@@ -488,30 +519,6 @@ func (e *agentExecutor) stepShard(lo, hi int, obs reusableObserver) (onesDelta i
 		}
 		e.next.set(i, out)
 		onesDelta += int(out) - int(cur)
-	}
-	return onesDelta, nil
-}
-
-// stepParallel hands each precomputed shard to the persistent worker
-// pool. Every worker writes a disjoint, word-aligned slice of the next
-// bitset and touches only its shard's RNG streams, so the merged result
-// is byte-identical to the sequential sweep for any worker count — and
-// the whole round performs zero allocations and zero goroutine spawns.
-//
-//fet:hotpath
-func (e *agentExecutor) stepParallel() (int, error) {
-	e.wg.Add(e.workers)
-	for w := 0; w < e.workers; w++ {
-		e.work <- w
-	}
-	e.wg.Wait()
-
-	onesDelta := 0
-	for w := 0; w < e.workers; w++ {
-		if e.errs[w] != nil {
-			return 0, e.errs[w]
-		}
-		onesDelta += e.deltas[w]
 	}
 	return onesDelta, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"passivespread/internal/rng"
@@ -70,16 +71,17 @@ func hotpathConfig(engine EngineKind, parallelism int, tp topo.Topology) Config 
 // TestStepZeroAllocsPerRound pins the round loop at zero steady-state
 // allocations on every agent engine path: the sequential fast engine
 // (tabulated binomials retabulated in place), the trend executor's
-// kernel (d = 2 and d = 1), the sharded parallel engine (persistent
-// word-aligned shard workers, executor-owned deltas/errs — the
-// stepParallel per-call slices are gone), the exact engine, and the
-// literal graph path including dynamic rewiring.
+// kernel (d = 2 and d = 1) and graph round, sequential and sharded, the
+// sharded parallel engine (persistent word-aligned shard workers,
+// pool-owned deltas/errs), the exact engine, and the literal graph path
+// including dynamic rewiring.
 func TestStepZeroAllocsPerRound(t *testing.T) {
-	trend := func(draws int) Config {
-		c := hotpathConfig(EngineAgentFast, 0, nil)
+	trendOn := func(engine EngineKind, parallelism int, tp topo.Topology, draws int) Config {
+		c := hotpathConfig(engine, parallelism, tp)
 		c.Protocol = lsTrend(8, draws)
 		return c
 	}
+	trend := func(draws int) Config { return trendOn(EngineAgentFast, 0, nil, draws) }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -88,6 +90,9 @@ func TestStepZeroAllocsPerRound(t *testing.T) {
 		{"fast", hotpathConfig(EngineAgentFast, 0, nil), "*sim.agentExecutor"},
 		{"trend", trend(2), trendKind},
 		{"trend-d1", trend(1), trendKind},
+		{"trend-parallel", trendOn(EngineAgentParallel, 4, nil, 2), trendKind},
+		{"trend-graph", trendOn(EngineAgentFast, 0, topo.SmallWorld(4, 0.1), 2), trendKind},
+		{"trend-graph-dynamic", trendOn(EngineAgentParallel, 4, topo.DynamicRewire(8, 0.2), 1), trendKind},
 		{"parallel", hotpathConfig(EngineAgentParallel, 4, nil), "*sim.agentExecutor"},
 		{"exact", hotpathConfig(EngineAgentExact, 0, nil), "*sim.agentExecutor"},
 		{"graph", hotpathConfig(EngineAgentFast, 0, topo.RandomRegular(8)), "*sim.agentExecutor"},
@@ -216,4 +221,22 @@ func TestPooledParallelWorkersStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Release()
+}
+
+// TestShardPoolCloseWaitsForWorkers: a shard pool splits [lo, n) into
+// shards whose results sum, and close returns only once its persistent
+// workers have exited, so no goroutine outlives a released executor.
+func TestShardPoolCloseWaitsForWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := newShardPool(1, 1024, 4, func(_, lo, hi int) (int, error) { return hi - lo, nil })
+	for r := 0; r < 3; r++ {
+		if d, err := p.run(); err != nil || d != 1023 {
+			t.Fatalf("round %d: run = %d, %v; want 1023, nil", r, d, err)
+		}
+	}
+	p.close()
+	p.close() // idempotent
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after close, %d before the pool", after, before)
+	}
 }

@@ -167,10 +167,10 @@ const maxGraphPrefetch = 4096
 // bit-identical to the unbatched loop while each observation costs a
 // shift and a mask instead of a scattered bitset read. Power-of-two
 // degrees reject nothing, which unlocks a branch-free block loop and,
-// for homogeneous rows, an O(1) whole-count answer. Under the fused
-// contract the gather and the counting move out of bind into a
-// per-round pre-pass over the shard (countRound), which counts mixed
-// rows eight agent streams at a time.
+// with no noise, whole counts inside the generator kernel. Trend rules
+// on power-of-two graphs do not come here: the trend executor runs their
+// whole graph round itself (trend.go); this observer serves the other
+// protocols, noisy rounds, the exact engine and StateInit runs.
 //
 // Out-degrees beyond 64 (no packed row) keep the literal per-draw path.
 type graphObserver struct {
@@ -179,13 +179,10 @@ type graphObserver struct {
 	src      *rng.Source
 	noiseEps float64
 
-	// deg is the graph's uniform out-degree; fullRow its packed all-ones
-	// row; shift is 64−log₂(deg) when deg is a power of two (0 sentinel
-	// otherwise): Lemire's Intn on a power-of-two bound is exactly
-	// x >> shift with no rejection.
-	deg     int
-	fullRow uint64
-	shift   uint
+	// deg is the graph's uniform out-degree; shift is 64−log₂(deg) when
+	// deg is a power of two (0 sentinel otherwise; see rowShape).
+	deg   int
+	shift uint
 	// baseDraws is the protocol's guaranteed per-round observation count
 	// (FixedDraws calls × the single declared sample size; 0 disables
 	// prefetching), draws the per-replicate effective prefetch after the
@@ -194,37 +191,9 @@ type graphObserver struct {
 	draws     int
 	// fused selects the zero-buffer counting path: a power-of-two degree
 	// with no noise consumes exactly one output per observation, so whole
-	// CountOnes blocks run inside the generator kernels (the round
-	// pre-pass's rng.CountPackedLanes, or rng.CountPacked per call) with
-	// no prefetch at all.
+	// CountOnes blocks run inside the generator kernel (rng.CountPacked)
+	// with no prefetch at all.
 	fused bool
-	// ladder is the shared whole-round stream-jump ladder (base =
-	// DrawsPerRound·m steps) and deficit the per-agent count of deferred
-	// rounds: a homogeneous row under the fused contract answers every
-	// CountOnes of the round from the row alone, so instead of advancing
-	// the agent's stream the round pre-pass increments the agent's debt,
-	// settled in O(log debt) ladder applications the next time the
-	// stream is actually read — or dropped at replicate end if it never
-	// is. Both are nil unless counts is set (see graphPrepassShape).
-	ladder  *rng.JumpLadder
-	deficit []uint32
-	// calls and callSize hold the FixedDraws round shape (DrawsPerRound
-	// CountOnes calls of the single declared size) when the executor
-	// allocated the counts slab. Under the fused contract the round
-	// pre-pass (countRound) computes every agent's whole round of counts
-	// into counts (calls entries per agent); bind points cnts at the
-	// agent's entry and the calls read it off in order.
-	calls    int
-	callSize int
-	counts   []int32
-	cpos     int
-	cnts     []int32
-	// qsrc, qrow and qcnt are the pre-pass's lane queue: the streams,
-	// rows and slab entries of the mixed-row agents awaiting the next
-	// rng.CountPackedLanes call.
-	qsrc [rng.MaxLanes]*rng.Source
-	qrow [rng.MaxLanes]uint64
-	qcnt [rng.MaxLanes][]int32
 	// packed reports that the bound agent's row is gathered into rowBits
 	// for this bind.
 	packed  bool
@@ -232,70 +201,37 @@ type graphObserver struct {
 	pre     rng.Prefetch
 }
 
-// newGraphObserver builds one per-shard graph observer over the
-// executor-owned per-agent slabs deficit and counts (nil when the fused
-// jump or the round pre-pass cannot apply; counts is non-nil exactly when
-// graphPrepassShape admits the pair). The prefetch size derives from the
-// FixedDraws contract: every Step makes exactly DrawsPerRound CountOnes
-// calls of declared sizes and no Sample calls, so with a single distinct
-// declared size m the round consumes at least DrawsPerRound·m outputs
-// (each observation is ≥ 1 Intn output, plus exactly one Bernoulli
-// output when noise is in (0,1)) — the safe bulk load.
-func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config, ladder *rng.JumpLadder, deficit []uint32, counts []int32) *graphObserver {
-	o := &graphObserver{ops: ops, view: g.NewView(), deg: g.Degree(), ladder: ladder, deficit: deficit, counts: counts}
-	o.fullRow = ^uint64(0)
-	if o.deg < 64 {
-		o.fullRow = 1<<uint(o.deg) - 1
-	}
-	if o.deg&(o.deg-1) == 0 {
-		o.shift = uint(64 - bits.TrailingZeros(uint(o.deg)))
-	}
+// newGraphObserver builds one per-shard graph observer. The prefetch
+// size derives from the FixedDraws contract: every Step makes exactly
+// DrawsPerRound CountOnes calls of declared sizes and no Sample calls,
+// so with a single distinct declared size m the round consumes at least
+// DrawsPerRound·m outputs (each observation is ≥ 1 Intn output, plus
+// exactly one Bernoulli output when noise is in (0,1)) — the safe bulk
+// load.
+func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config) *graphObserver {
+	o := &graphObserver{ops: ops, view: g.NewView(), deg: g.Degree()}
+	_, o.shift = rowShape(o.deg)
 	if d, m := graphRoundShape(g, c); d > 0 {
 		o.baseDraws = min(d*m, maxGraphPrefetch/2)
-		if counts != nil {
-			o.calls, o.callSize = d, m
-		}
 	}
 	o.pre.Init(2 * o.baseDraws)
 	o.setNoise(c.NoiseEps)
 	return o
 }
 
-// graphPrepassShape returns the round shape (d CountOnes calls of size
-// m) the round pre-pass serves on g: the FixedDraws shape when the
-// degree is a power of two (so the fused contract can hold) and d fits
-// maxFixedDraws; (0, 0) otherwise. The executor sizes the counts slab
-// (n·d entries) and the homogeneous-row jump ladder from it, so the
-// ladder and the debt deferral exist only where the pre-pass runs.
-func graphPrepassShape(g *topo.Graph, c *Config) (d, m int) {
-	deg := g.Degree()
-	if d, m = graphRoundShape(g, c); d > maxFixedDraws || deg&(deg-1) != 0 {
-		return 0, 0
+// rowShape returns a degree-deg packed row's all-ones value and its
+// draw shift: 64−log₂(deg) when deg is a power of two, the sentinel 0
+// otherwise (Lemire's Intn on a power-of-two bound is exactly x >> shift
+// with no rejection).
+func rowShape(deg int) (full uint64, shift uint) {
+	full = ^uint64(0)
+	if deg < 64 {
+		full = 1<<uint(deg) - 1
 	}
-	return d, m
-}
-
-// maxRoundJumpSteps bounds the whole-round jump's precompute (building
-// a StepJump runs 256·steps serial state advances); rounds consuming
-// more outputs than this count homogeneous rows in the pre-pass
-// instead of deferring them.
-const maxRoundJumpSteps = 1 << 16
-
-// jumpLadderDepth caps the number of powers-of-two rungs built over the
-// whole-round jump: deferred-round debts up to 2^16−1 settle in
-// popcount applications, and longer ones (an agent homogeneous for a
-// whole epoch) fall back to repeated top-rung applications. Shorter
-// round caps build fewer rungs (see Pool.jumpLadder).
-const jumpLadderDepth = 16
-
-// flushDebt settles the agent's deferred stream advance before the
-// source is next read, keeping the stream byte-identical to the
-// never-deferred schedule.
-func (o *graphObserver) flushDebt(agent int, src *rng.Source) {
-	if d := o.deficit[agent]; d != 0 {
-		o.ladder.Flush(src, uint64(d))
-		o.deficit[agent] = 0
+	if deg >= 1 && deg&(deg-1) == 0 {
+		shift = uint(64 - bits.TrailingZeros(uint(deg)))
 	}
+	return full, shift
 }
 
 // graphRoundShape returns the FixedDraws round shape on a packed-row
@@ -349,67 +285,9 @@ func (o *graphObserver) setNoise(eps float64) {
 	}
 }
 
-// precounts reports that the round pre-pass (countRound) serves this
-// replicate's counts: the fused contract holds and the round shape fits
-// the executor's counts slab.
-func (o *graphObserver) precounts() bool { return o.fused && o.counts != nil }
-
-// countRound is the fused path's per-round pre-pass over the shard's
-// agents [lo, hi). It gathers each agent's row, defers a homogeneous
-// row's whole round into the agent's debt (its counts, 0 or m per call,
-// are known from the row), and for a mixed row settles the debt and
-// queues the agent; the queue counts eight streams at a time through
-// rng.CountPackedLanes into the agent's slab entry. Every stream is
-// consumed exactly as by the per-agent bind-time counting it replaces —
-// debt flush, then calls·callSize outputs — and only rows of the
-// current opinions are read, which the double buffer keeps fixed for
-// the round. Shards own disjoint ranges of srcs, deficit and counts.
-//
-//fet:hotpath
-func (o *graphObserver) countRound(lo, hi int, srcs []rng.Source) {
-	words := o.ops.words
-	q := 0
-	for i := lo; i < hi; i++ {
-		o.view.Bind(i)
-		row, _ := o.view.RowBits(words)
-		cnt := o.counts[i*o.calls : (i+1)*o.calls]
-		if o.ladder != nil {
-			if row == 0 || row == o.fullRow {
-				o.deficit[i]++
-				c := int32(0)
-				if row != 0 {
-					c = int32(o.callSize)
-				}
-				for b := range cnt {
-					cnt[b] = c
-				}
-				continue
-			}
-			o.flushDebt(i, &srcs[i])
-		}
-		o.qsrc[q], o.qrow[q], o.qcnt[q] = &srcs[i], row, cnt
-		if q++; q == rng.MaxLanes {
-			//fet:allow rngmirror: consumes exactly calls·callSize outputs per queued stream — each agent's whole FixedDraws round, counted before its Step
-			rng.CountPackedLanes(o.qsrc[:], o.qrow[:], o.shift, o.callSize, o.qcnt[:])
-			q = 0
-		}
-	}
-	if q > 0 {
-		//fet:allow rngmirror: consumes exactly calls·callSize outputs per queued stream — each agent's whole FixedDraws round, counted before its Step
-		rng.CountPackedLanes(o.qsrc[:q], o.qrow[:q], o.shift, o.callSize, o.qcnt[:q])
-	}
-}
-
 //fet:hotpath
 func (o *graphObserver) bind(agent int, src *rng.Source) {
 	o.src = src
-	if o.precounts() {
-		// countRound already consumed (or deferred) the agent's whole
-		// round: the calls just read its counts off the slab.
-		o.packed = true
-		o.cnts, o.cpos = o.counts[agent*o.calls:(agent+1)*o.calls], 0
-		return
-	}
 	o.view.Bind(agent)
 	o.rowBits, o.packed = o.view.RowBits(o.ops.words)
 	if o.packed && !o.fused {
@@ -432,25 +310,8 @@ func (o *graphObserver) CountOnes(m int) int {
 	}
 	if o.fused {
 		// Power-of-two degree, no noise: every draw is exactly one output
-		// (x >> shift, no Lemire rejection, no Bernoulli), so counts are
-		// either pre-computed by the round pre-pass, known from a
-		// homogeneous row (its outputs burned here), or run inside the
-		// generator kernel.
-		if o.counts != nil {
-			c := o.cnts[o.cpos]
-			o.cpos++
-			return int(c)
-		}
-		switch o.rowBits {
-		case 0:
-			//fet:allow rngmirror: burns exactly the m draws the per-draw path would spend on an all-zero row
-			o.src.Advance(m)
-			return 0
-		case o.fullRow:
-			//fet:allow rngmirror: burns exactly the m draws the per-draw path would spend on an all-one row
-			o.src.Advance(m)
-			return m
-		}
+		// (x >> shift, no Lemire rejection, no Bernoulli), so the count
+		// runs inside the generator kernel.
 		//fet:allow rngmirror: exactly m one-output Lemire draws (power-of-two degree never rejects)
 		return o.src.CountPacked(o.rowBits, o.shift, m)
 	}

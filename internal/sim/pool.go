@@ -14,15 +14,17 @@ import (
 // seed, correct opinion, initializer, noise, corruption hooks, round
 // caps, observers — is (re)applied per lease by populate and the
 // orchestrator. stateInit separates configs with a StateInit hook,
-// which needs live agent objects and so never runs on the trend
-// executor; within one key the choice between the trend executor and
-// the generic agentExecutor is therefore fixed.
+// which needs live agent objects, and noisyGraph graph configs with
+// NoiseEps > 0, whose draws the graph round cannot replay; neither runs
+// on the trend executor, so within one key the choice between the trend
+// executor and the generic agentExecutor is fixed.
 type poolKey struct {
 	engine             EngineKind
 	n, sources, shards int
 	protocol           string
 	topology           string
 	stateInit          bool
+	noisyGraph         bool
 }
 
 // Pool reuses agent executors — and with them every O(n) replicate
@@ -37,9 +39,9 @@ type poolKey struct {
 // consumption of a fresh construction.
 //
 // The Pool also owns the read-only state its executors can share: the
-// graph observer's stream-jump ladders, built once per (round jump,
-// depth) and handed to every executor leased concurrently, so running
-// W sparse replicates at once costs one ladder, not W.
+// trend executor's graph-round stream-jump ladders, built once per
+// (round jump, depth) and handed to every executor leased concurrently,
+// so running W sparse replicates at once costs one ladder, not W.
 //
 // A Pool is safe for concurrent use. Call Release when a batch
 // finishes: it drops the idle executors and stops their persistent
@@ -112,16 +114,14 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	key := poolKey{
-		engine:    c.Engine,
-		n:         c.N,
-		sources:   c.Sources,
-		protocol:  c.Protocol.Name(),
-		topology:  topo.DisplayName(c.Topology),
-		shards:    1,
-		stateInit: c.StateInit != nil,
-	}
-	if c.Engine == EngineAgentParallel {
-		key.shards = resolvedWorkers(&c)
+		engine:     c.Engine,
+		n:          c.N,
+		sources:    c.Sources,
+		protocol:   c.Protocol.Name(),
+		topology:   topo.DisplayName(c.Topology),
+		shards:     engineShards(&c),
+		stateInit:  c.StateInit != nil,
+		noisyGraph: c.NoiseEps > 0 && !topo.IsComplete(c.Topology),
 	}
 
 	e := p.get(key)

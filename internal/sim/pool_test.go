@@ -11,12 +11,13 @@ import (
 	"passivespread/internal/topo"
 )
 
-// TestPoolSharesJumpLadder: executors leased from one Pool at the same
-// time share a single graph jump ladder instead of building one each,
-// and the ladder has just the rungs the round cap can use.
+// TestPoolSharesJumpLadder: trend executors leased from one Pool at the
+// same time share a single graph jump ladder instead of building one
+// each, and the ladder has just the rungs the round cap can use.
 func TestPoolSharesJumpLadder(t *testing.T) {
 	const maxRounds = 200
 	cfg := hotpathConfig(EngineAgentFast, 0, topo.RandomRegular(8))
+	cfg.Protocol = lsTrend(8, 2)
 	cfg.N = 512
 	cfg.MaxRounds = maxRounds
 	p := NewPool()
@@ -61,20 +62,20 @@ func TestPoolSharesJumpLadder(t *testing.T) {
 		}
 	}
 
-	var frees []*agentExecutor
+	var frees []*trendExecutor
 	for _, fs := range p.free {
 		for _, e := range fs {
-			frees = append(frees, e.(*agentExecutor))
+			frees = append(frees, e.(*trendExecutor))
 		}
 	}
 	if len(frees) != 2 {
 		t.Fatalf("pool holds %d idle executors, want the 2 leased concurrently", len(frees))
 	}
-	ladder := frees[0].observers[0].(*graphObserver).ladder
+	ladder := frees[0].ladder
 	if ladder == nil {
 		t.Fatal("graph executor has no jump ladder")
 	}
-	if other := frees[1].observers[0].(*graphObserver).ladder; other != ladder {
+	if other := frees[1].ladder; other != ladder {
 		t.Fatal("concurrently leased executors built separate jump ladders")
 	}
 	if got, want := ladder.Depth(), bits.Len(maxRounds); got != want {

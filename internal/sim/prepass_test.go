@@ -48,7 +48,7 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	e, err := newAgentExecutor(&c, nil)
+	e, err := newAgentExecutor(&c)
 	if err != nil {
 		t.Fatalf("newAgentExecutor: %v", err)
 	}
@@ -59,15 +59,18 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 	return runLoop(context.Background(), &c, e)
 }
 
-// TestGraphPrepassMatchesLiteral: on every packed power-of-two topology,
-// for both trend rules and both starts, the executor — whose graph
-// observers count each round in the lane pre-pass, deferring
-// homogeneous rows into debt — must equal the literal per-draw
-// reference in its Result and in every RoundEvent, sequentially and
-// sharded, across pooled replicates. Any reordered, dropped or extra
-// stream consumption diverges a later draw. A round shape wider than
-// maxFixedDraws skips the pre-pass, counting each call in the generator
-// kernel and burning homogeneous rows call by call, and must match too.
+// TestGraphPrepassMatchesLiteral: on every packed power-of-two
+// topology, for both trend rules, every start (all-wrong, half,
+// corrupted memories, a mid-run source flip) and every agent engine
+// that runs them (fast, parallel at P = 1 and 3), the executor must
+// equal the literal per-draw reference in its Result and in every
+// RoundEvent, across pooled replicates. Any reordered, dropped or extra
+// stream consumption diverges a later draw. The trend rules run on the
+// trend executor's graph round — rows gathered per opinion word,
+// homogeneous rows deferred into debt, mixed rows counted by
+// rng.Streams.CountRows — and a round shape wider than maxFixedDraws
+// runs on the generic executor, counting each call in the generator
+// kernel and burning homogeneous rows call by call; both must match.
 func TestGraphPrepassMatchesLiteral(t *testing.T) {
 	specs := []string{"random-regular:8", "small-world:4:0.1", "ring", "torus", "dynamic:8:0.2"}
 	protocols := []Protocol{
@@ -75,7 +78,24 @@ func TestGraphPrepassMatchesLiteral(t *testing.T) {
 		lsTrend(7, 1),  // SimpleTrend-shaped
 		wideDrawsProto{ell: 3, draws: maxFixedDraws + 1},
 	}
-	inits := []Initializer{allWrongInit{}, halfInit{}}
+	starts := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"all-wrong", func(c *Config) { c.Init = allWrongInit{} }},
+		{"half", func(c *Config) { c.Init = halfInit{} }},
+		{"corrupt", func(c *Config) { c.Init = allWrongInit{}; c.CorruptStates = true }},
+		{"flip", func(c *Config) { c.Init = halfInit{}; c.FlipCorrectAt = 30 }},
+	}
+	engines := []struct {
+		name string
+		kind EngineKind
+		par  int
+	}{
+		{"p=1", EngineAgentParallel, 1},
+		{"p=3", EngineAgentParallel, 3},
+		{"fast", EngineAgentFast, 0},
+	}
 	for _, spec := range specs {
 		tp, err := topo.Parse(spec)
 		if err != nil {
@@ -83,25 +103,69 @@ func TestGraphPrepassMatchesLiteral(t *testing.T) {
 		}
 		for _, proto := range protocols {
 			draws := proto.(FixedDraws).DrawsPerRound()
-			for _, init := range inits {
-				for _, par := range []int{1, 3} {
-					name := fmt.Sprintf("%s/d=%d/%s/p=%d", spec, draws, init.Name(), par)
-					t.Run(name, func(t *testing.T) {
+			for _, st := range starts {
+				for _, eng := range engines {
+					t.Run(fmt.Sprintf("%s/d=%d/%s/%s", spec, draws, st.name, eng.name), func(t *testing.T) {
 						cfg := Config{
 							N:           1024, // a perfect square for the torus
 							Protocol:    proto,
-							Init:        init,
 							Correct:     OpinionOne,
-							Engine:      EngineAgentParallel,
-							Parallelism: par,
+							Engine:      eng.kind,
+							Parallelism: eng.par,
 							Topology:    tp,
 							MaxRounds:   80,
 						}
-						checkPrepassRuns(t, cfg, draws <= maxFixedDraws)
+						if testing.Short() {
+							// Still a square, and four words for three shards.
+							cfg.N = 256
+						}
+						st.mut(&cfg)
+						checkExecutorKind(t, cfg, draws <= 2)
 						checkMatchesLiteral(t, cfg)
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestGraphGenericCellsStayGeneric: graph cells outside the trend
+// executor's envelope — a non-trend round shape, noise, a degree that
+// is not a power of two, a StateInit hook — run on the generic
+// agentExecutor, and the noiseless ones still equal the literal
+// reference.
+func TestGraphGenericCellsStayGeneric(t *testing.T) {
+	base := Config{
+		N:         1024,
+		Protocol:  lsTrend(13, 2),
+		Init:      halfInit{},
+		Correct:   OpinionOne,
+		Topology:  topo.RandomRegular(8),
+		MaxRounds: 80,
+	}
+	cases := []struct {
+		name    string
+		mut     func(*Config)
+		literal bool // compare with the (noiseless) literal reference
+	}{
+		{"wide-draws", func(c *Config) { c.Protocol = wideDrawsProto{ell: 3, draws: maxFixedDraws + 1} }, true},
+		{"noise", func(c *Config) { c.NoiseEps = 0.05 }, false},
+		{"random-regular:6", func(c *Config) { c.Topology = topo.RandomRegular(6) }, true},
+		{"state-init", func(c *Config) {
+			c.StateInit = func(i int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = i % 14 }
+		}, true},
+	}
+	for _, tc := range cases {
+		for _, eng := range []EngineKind{EngineAgentFast, EngineAgentParallel} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, eng), func(t *testing.T) {
+				cfg := base
+				cfg.Engine, cfg.Parallelism = eng, 3
+				tc.mut(&cfg)
+				checkExecutorKind(t, cfg, false)
+				if tc.literal {
+					checkMatchesLiteral(t, cfg)
+				}
+			})
 		}
 	}
 }
@@ -166,26 +230,45 @@ func checkMatchesLiteral(t *testing.T, cfg Config) {
 	}
 }
 
-// checkPrepassRuns fails unless cfg's executor counts rounds in the
-// lane pre-pass on every shard (want) or on none (!want).
-func checkPrepassRuns(t *testing.T, cfg Config, want bool) {
+// checkExecutorKind fails unless cfg runs on the trend executor (trend)
+// or on the generic agentExecutor (!trend).
+func checkExecutorKind(t *testing.T, cfg Config, trend bool) {
 	t.Helper()
-	c, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatalf("withDefaults: %v", err)
+	want := "*sim.agentExecutor"
+	if trend {
+		want = trendKind
 	}
-	e, err := newAgentExecutor(&c, nil)
-	if err != nil {
-		t.Fatalf("newAgentExecutor: %v", err)
+	if got := executorKind(t, cfg); got != want {
+		t.Fatalf("runs on %s, want %s", got, want)
 	}
-	defer e.close()
-	for w, obs := range e.observers {
-		g, ok := obs.(*graphObserver)
-		if !ok {
-			t.Fatalf("shard %d observer is %T, not a graph observer", w, obs)
-		}
-		if g.precounts() != want {
-			t.Fatalf("shard %d: pre-pass runs = %v, want %v", w, g.precounts(), want)
+}
+
+// TestGraphRoundSourceWords: sources that fill whole opinion words, or
+// end inside one, stay pinned through the graph round's buffer swap —
+// source-only words are copied, a mixed first word keeps its source
+// bits — and a FlipCorrectAt switch re-pins them; fast and parallel
+// equal the literal reference.
+func TestGraphRoundSourceWords(t *testing.T) {
+	for _, sources := range []int{64, 70, 130} {
+		for _, par := range []int{0, 3} {
+			t.Run(fmt.Sprintf("sources=%d/p=%d", sources, par), func(t *testing.T) {
+				cfg := Config{
+					N:             1024,
+					Protocol:      lsTrend(13, 2),
+					Init:          halfInit{},
+					Correct:       OpinionOne,
+					Sources:       sources,
+					Topology:      topo.RandomRegular(8),
+					MaxRounds:     60,
+					FlipCorrectAt: 20,
+					CorruptStates: true,
+				}
+				if par > 0 {
+					cfg.Engine, cfg.Parallelism = EngineAgentParallel, par
+				}
+				checkExecutorKind(t, cfg, true)
+				checkMatchesLiteral(t, cfg)
+			})
 		}
 	}
 }

@@ -23,8 +23,9 @@
 //     opinions (the model's operational definition);
 //   - EngineAgentFast draws each observation directly from a tabulated
 //     Binomial(m, x_t) law (the model's distributional definition);
-//   - EngineAgentParallel shards the fast sweep across a worker pool,
-//     bit-identical to EngineAgentFast at every parallelism level;
+//   - EngineAgentParallel shards the fast sweep (and the trend
+//     executor's word loop) across a worker pool, bit-identical to
+//     EngineAgentFast at every parallelism level;
 //   - EngineAggregate advances per-(opinion, state) occupancy counts in
 //     O(ℓ²) per round independent of n, agent-level exact in
 //     distribution, for populations of 10⁸ and beyond.
@@ -107,9 +108,11 @@ type FixedDraws interface {
 }
 
 // TrendLockstep is implemented by protocols eligible for the trend
-// executor, which EngineAgentFast runs their replicates on under
-// uniform mixing. The marker asserts that, on the tabulated fast path,
-// the protocol's whole per-agent update is the trend-compare rule:
+// executor, which EngineAgentFast and EngineAgentParallel run their
+// replicates on under uniform mixing and on noiseless graphs with
+// power-of-two packed rows. The marker asserts that, whatever the
+// observation source, the protocol's whole per-agent update is the
+// trend-compare rule:
 //
 //	draw DrawsPerRound() counts c_0 … c_{d−1}, each a CountOnes of the
 //	single declared sample size; adopt opinion 1 if c_0 exceeds the

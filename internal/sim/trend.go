@@ -9,48 +9,86 @@ import (
 )
 
 // This file implements the trend executor (DESIGN.md §10): the round
-// executor EngineAgentFast runs one replicate on whenever the protocol
-// is a TrendLockstep rule under uniform mixing. It replays the
-// per-agent trend-compare update directly against the round's tabulated
-// binomial thresholds instead of stepping agent objects: one kernel
-// sweeps the population in address order through the fused
-// rng.Streams.TrendWord, which draws, decides the compared draw by two
-// threshold compares and inverts only the stored draw. It consumes exactly
-// the generic fast path's RNG stream layout — StreamSeed(seed, 0) for
-// the initializer, StreamSeed(seed, j+1) for agent j, d = DrawsPerRound
-// outputs per agent per round — so its results are bit-identical to the
+// executor EngineAgentFast and EngineAgentParallel run one replicate on
+// whenever the protocol is a TrendLockstep rule, under uniform mixing or
+// on a noiseless graph whose packed rows have a power-of-two degree. It
+// replays the per-agent trend-compare update directly over a word-major
+// rng.Streams block instead of stepping agent objects, sweeping the
+// population one opinion word (64 agents) at a time. It consumes exactly
+// the generic path's RNG stream layout — StreamSeed(seed, 0) for the
+// initializer, StreamSeed(seed, j+1) for agent j, d = DrawsPerRound
+// counts per agent per round — so its results are bit-identical to the
 // agentExecutor's.
 //
-// Degenerate rounds — xObs ∈ {0, 1}, the early worst-case rounds before
-// a source observation lands and the absorption tails — are skipped
-// entirely: the generic fast path still draws d outputs per agent
-// (fastObserver.bind prefetches unconditionally) but the values are
-// unused (the p = 0 table answers 0 for every uniform, the p = 1 table
-// answers m) and the population cannot move (it is homogeneous and the
-// trend rule keeps it there), so the trend executor pins the stored
+// Under uniform mixing a count is one draw from the round's tabulated
+// binomial law: the fused rng.Streams.TrendWord draws, decides the
+// compared draw by two threshold compares and inverts only the stored
+// draw. Degenerate rounds — xObs ∈ {0, 1}, the early worst-case rounds
+// before a source observation lands and the absorption tails — are
+// skipped entirely: the generic fast path still draws d outputs per
+// agent (fastObserver.bind prefetches unconditionally) but the values
+// are unused (the p = 0 table answers 0 for every uniform, the p = 1
+// table answers m) and the population cannot move (it is homogeneous and
+// the trend rule keeps it there), so the trend executor pins the stored
 // counts once per episode, counts the skipped rounds as debt, and
 // settles the debt with one bulk rng.Source.Advance(d·debt) per agent
 // stream when the run returns to live rounds — which can only happen
 // through a FlipCorrectAt source switch, hence at most once per
 // replicate. Debt still pending when the run ends is dropped: an
-// absorbed population's streams are never read again (the same
-// precedent as the graph observer's deferred advances).
+// absorbed population's streams are never read again.
+//
+// On a graph a count is m uniform draws over the agent's packed out-row,
+// one output each (x >> shift for a power-of-two degree). Per word, the
+// graph round gathers every agent's row from the current opinions
+// (topo.View.RowBits). A homogeneous row answers all d counts (0 or m),
+// so its d·m outputs become one unit of the agent's debt, settled
+// through the pool's shared JumpLadder when the stream is next read, or
+// dropped at replicate end; the mixed rows' streams count in
+// rng.Streams.CountRows. The counts are compared with the stored ones
+// into up and down masks, as under uniform mixing, but the new word goes
+// to a second opinion buffer: neighbours read the current opinions all
+// round.
+//
+// EngineAgentParallel splits the word loop across word-aligned shards
+// (shardPool). Every agent owns its stream, stored count and debt, so
+// any partition produces the same bytes.
 
 // maxTrendCount bounds the protocol's declared sample size on the trend
 // executor: stored counts are uint16.
 const maxTrendCount = 1<<16 - 1
 
+// maxRoundJumpSteps bounds the graph round's jump precompute (building
+// a StepJump runs 256·steps serial state advances); rounds consuming
+// more outputs than this count homogeneous rows instead of deferring
+// them.
+const maxRoundJumpSteps = 1 << 16
+
+// jumpLadderDepth caps the number of powers-of-two rungs built over the
+// graph round's jump: deferred-round debts up to 2^16−1 settle in
+// popcount applications, and longer ones (an agent homogeneous for a
+// whole epoch) fall back to repeated top-rung applications. Shorter
+// round caps build fewer rungs (see Pool.jumpLadder).
+const jumpLadderDepth = 16
+
 // trendSupported reports whether the defaulted config c runs on the
-// trend executor: EngineAgentFast under uniform mixing, a TrendLockstep
-// protocol with d ∈ {1, 2} draws of one declared sample size, agents
-// exposing PrevCount/ResetAgent, and no StateInit hook (which would
-// need live per-agent objects). NoiseEps, CorruptStates,
-// FlipCorrectAt, AbsorbWindow, RunToEnd, RecordTrajectory and Observers
-// are all supported. EngineAgentParallel keeps its sharded executor:
-// splitting one replicate across cores is its purpose.
+// trend executor: an agent engine that draws from the protocol's law
+// (EngineAgentFast or EngineAgentParallel), a TrendLockstep protocol
+// with d ∈ {1, 2} draws of one declared sample size, agents exposing
+// PrevCount/ResetAgent, no StateInit hook (which would need live
+// per-agent objects), and either uniform mixing or a graph whose packed
+// rows have a power-of-two degree with no noise — the graph round's
+// one-output draws. CorruptStates, FlipCorrectAt, AbsorbWindow,
+// RunToEnd, RecordTrajectory and Observers are all supported, and so is
+// NoiseEps under uniform mixing.
 func trendSupported(c *Config) bool {
-	if c.Engine != EngineAgentFast || !topo.IsComplete(c.Topology) || c.StateInit != nil {
+	if (c.Engine != EngineAgentFast && c.Engine != EngineAgentParallel) || c.StateInit != nil {
 		return false
+	}
+	if !topo.IsComplete(c.Topology) {
+		deg, ok := topo.PackedDegree(c.Topology)
+		if _, shift := rowShape(deg); !ok || shift == 0 || c.NoiseEps > 0 {
+			return false
+		}
 	}
 	proto, ok := c.Protocol.(TrendLockstep)
 	if !ok {
@@ -72,66 +110,104 @@ func trendSupported(c *Config) bool {
 
 // trendExecutor holds one replicate of a trend-rule population: packed
 // opinions, one RNG stream and one stored count per agent, and the
-// round's threshold table. Every buffer is allocated at construction
-// and reused across replicates through the Pool, and a steady-state
-// round allocates nothing.
+// round's threshold table or observation graph. Every buffer is
+// allocated at construction and reused across replicates through the
+// Pool, and a steady-state round allocates nothing.
 type trendExecutor struct {
 	cfg Config // the current replicate's configuration
 	d   int    // protocol draws per round (1 or 2)
 	m   int    // the single declared sample size
 
 	// scratch reads the protocol's reset count once per replicate in
-	// populate; the kernel never invokes agent Steps.
+	// populate; the kernels never invoke agent Steps.
 	scratchReset AgentResetter
 	scratchPrev  PrevCounter
 	corruptible  bool // the protocol's agents implement StateCorruptible
 
-	isSource []bool
-	initBuf  []byte
-	// initSrc is the initializer-stream generator: a field (not a
-	// populate local) because it is passed through the Initializer
-	// interface seam, which would otherwise heap-allocate it per
-	// replicate.
-	initSrc rng.Source
+	// population holds the opinions. Under uniform mixing they are
+	// updated in place (observations never read them); graph rounds
+	// write next and swap. srcs (word-major, for the vector kernels) and
+	// prev are indexed by agent; the sources' entries are unused.
+	population
+	srcs rng.Streams
+	prev []uint16
 
-	// opinions is updated in place: on the tabulated path observations
-	// never read the opinion bitset, so there is no double buffer. srcs
-	// (word-major, for the vector kernel) and prev are indexed by agent;
-	// the sources' entries are unused.
-	opinions opinionBits
-	srcs     rng.Streams
-	prev     []uint16
-
-	ones   int                    // 1-opinions, sources included
 	debt   uint32                 // skipped degenerate rounds
 	pinned int8                   // pinned prev sign (−1 none, 0, 1)
 	thr    rng.BinomialThresholds // the round law
+
+	// shards runs each live round's word loop: one shard, or
+	// Parallelism under EngineAgentParallel.
+	shards *shardPool
+
+	// The graph round's state, unused under uniform mixing: the
+	// observation graph, rebuilt in place per replicate, the opinions
+	// buffer the round writes, and per-shard scratch. fullRow is the
+	// packed all-ones row and shift 64−log₂(degree). deficit counts each
+	// agent's deferred rounds, settled through ladder (both nil when a
+	// round consumes more than maxRoundJumpSteps outputs: every row then
+	// counts). round numbers the rounds for dynamic rewiring.
+	graph   *topo.Graph
+	next    opinionBits
+	gshards []graphShard
+	fullRow uint64
+	shift   uint
+	deficit []uint32
+	ladder  *rng.JumpLadder
+	round   int
+}
+
+// graphShard is one shard's graph-round scratch: its View and, for the
+// word the round is on, the mixed rows and every agent's d counts,
+// indexed from the word's first agent.
+type graphShard struct {
+	view   *topo.View
+	rows   [64]uint64
+	counts [2][64]int32
 }
 
 // newTrendExecutor builds the trend executor for c, which has passed
-// trendSupported, and populates it for c's replicate.
-func newTrendExecutor(c *Config) (*trendExecutor, error) {
+// trendSupported, and populates it for c's replicate. The pool p
+// supplies the graph round's shared jump ladder; nil builds it
+// privately.
+func newTrendExecutor(c *Config, p *Pool) (*trendExecutor, error) {
 	proto := c.Protocol.(TrendLockstep)
 	m, _ := singleSampleSize(proto.SampleSizes())
 	n := c.N
 	e := &trendExecutor{
-		d:        proto.DrawsPerRound(),
-		m:        m,
-		isSource: make([]bool, n),
-		initBuf:  make([]byte, n),
-		prev:     make([]uint16, n),
+		d:          proto.DrawsPerRound(),
+		m:          m,
+		population: newPopulation(n, c.Sources),
+		prev:       make([]uint16, n),
 	}
 	e.srcs.Resize(n)
-	e.opinions.resize(n)
-	for i := 0; i < c.Sources; i++ {
-		e.isSource[i] = true
-	}
 	var s rng.Source
 	agent := proto.NewAgent(&s)
 	e.scratchReset = agent.(AgentResetter)
 	e.scratchPrev = agent.(PrevCounter)
 	_, e.corruptible = agent.(StateCorruptible)
+
+	workers := engineShards(c)
+	graph, err := buildGraph(c, workers)
+	if err != nil {
+		return nil, err
+	}
+	if graph != nil {
+		e.graph = graph
+		e.next.resize(n)
+		e.fullRow, e.shift = rowShape(graph.Degree())
+		e.gshards = make([]graphShard, workers)
+		for w := range e.gshards {
+			e.gshards[w].view = graph.NewView()
+		}
+		if e.d*m <= maxRoundJumpSteps {
+			e.ladder = p.jumpLadder(e.d*m, c.MaxRounds)
+			e.deficit = make([]uint32, n)
+		}
+	}
+	e.shards = newShardPool(c.Sources, n, workers, e.stepShard)
 	if err := e.populate(*c); err != nil {
+		e.close()
 		return nil, err
 	}
 	return e, nil
@@ -148,19 +224,9 @@ func (e *trendExecutor) populate(cfg Config) error {
 	e.cfg = cfg
 	c := &e.cfg
 	n, s0 := c.N, c.Sources
-	clear(e.initBuf)
-	for i := 0; i < s0; i++ {
-		e.initBuf[i] = c.Correct
+	if err := e.assign(c); err != nil {
+		return err
 	}
-	e.initSrc.Reseed(rng.StreamSeed(c.Seed, 0))
-	c.Init.Assign(e.initBuf, e.isSource, &e.initSrc)
-	for i := 0; i < s0; i++ {
-		if e.initBuf[i] != c.Correct {
-			return fmt.Errorf("sim: initializer %q overwrote a source opinion", c.Init.Name())
-		}
-	}
-	e.opinions.packFrom(e.initBuf)
-	e.ones = e.opinions.ones()
 	bound := 0 // no draws: every agent keeps the reset count
 	if c.CorruptStates && e.corruptible {
 		bound = e.m + 1
@@ -180,34 +246,34 @@ func (e *trendExecutor) populate(cfg Config) error {
 	e.srcs.Seed(c.Seed, s0, n, bound, e.prev)
 	e.debt = 0
 	e.pinned = -1
-	return nil
+	e.round = 0
+	clear(e.deficit)
+	return rebuildGraph(e.graph, c, len(e.gshards))
 }
 
-// Ones implements roundExecutor.
-func (e *trendExecutor) Ones() int { return e.ones }
+// close implements roundExecutor: it stops the shard workers.
+func (e *trendExecutor) close() { e.shards.close() }
 
-// close implements roundExecutor: the trend executor owns no background
-// resources.
-func (e *trendExecutor) close() {}
-
-// Step implements roundExecutor. A degenerate round (xObs ∈ {0, 1})
-// skips its RNG: the stored counts pin to the forced value once per
-// episode and the d unused draws per agent accrue as debt. A live round
-// first settles any debt with bulk stream advances, then tabulates its
-// law and runs the kernel.
+// Step implements roundExecutor. A graph round runs the word loop over
+// the shards and swaps the opinion buffers. Under uniform mixing, a
+// degenerate round (xObs ∈ {0, 1}) skips its RNG: the stored counts pin
+// to the forced value once per episode and the d unused draws per agent
+// accrue as debt. A live round first settles any debt with bulk stream
+// advances, then tabulates its law and runs the kernel over the shards.
 //
 //fet:hotpath
 func (e *trendExecutor) Step(correct byte) error {
 	c := &e.cfg
 	n, s0 := c.N, c.Sources
-
-	// Re-pin the sources: under FlipCorrectAt the displayed opinions
-	// must follow the flip before observations.
-	for i := 0; i < s0; i++ {
-		if cur := e.opinions.get(i); cur != correct {
-			e.ones += int(correct) - int(cur)
-			e.opinions.set(i, correct)
-		}
+	e.pinSources(s0, correct)
+	if e.graph != nil {
+		delta, _ := e.shards.run()
+		// Words holding only sources are outside every shard.
+		copy(e.next.words[:s0>>6], e.opinions.words[:s0>>6])
+		e.opinions, e.next = e.next, e.opinions
+		e.ones += delta
+		e.round++
+		return nil
 	}
 
 	xObs := observedFraction(float64(e.ones)/float64(n), c.NoiseEps)
@@ -233,37 +299,127 @@ func (e *trendExecutor) Step(correct byte) error {
 	}
 	e.pinned = -1
 	e.thr.Reset(e.m, xObs)
-	e.ones += e.kernel()
+	delta, _ := e.shards.run()
+	e.ones += delta
 	return nil
 }
 
-// kernel advances every non-source agent one live round and returns the
-// change in 1-opinions. It sweeps the population one opinion word (64
-// agents) at a time: rng.Streams.TrendWord draws each agent's d outputs,
-// decides the trend rule against the stored count — two threshold
-// compares on the compared draw (the verdict), no inversion — inverts
-// only the stored draw into prev, and returns the word's up and down
-// masks, which the word takes in one or/and-not; the 1-count change is a
-// popcount difference. On AVX2 hosts TrendWord steps four agents per
-// vector instruction. The sweep is straight-line over preallocated
-// buffers: zero allocations, no interface dispatch.
+// stepShard advances the non-source agents [lo, hi) of shard sh one
+// round and returns the change in 1-opinions.
 //
 //fet:hotpath
-func (e *trendExecutor) kernel() int {
-	n := e.cfg.N
+func (e *trendExecutor) stepShard(sh, lo, hi int) (int, error) {
+	if e.graph != nil {
+		return e.graphWords(sh, lo, hi), nil
+	}
+	return e.kernel(lo, hi), nil
+}
+
+// kernel advances the agents [lo, hi) one live round under uniform
+// mixing and returns the change in 1-opinions. It sweeps them one
+// opinion word (64 agents) at a time: rng.Streams.TrendWord draws each
+// agent's d outputs, decides the trend rule against the stored count —
+// two threshold compares on the compared draw (the verdict), no
+// inversion — inverts only the stored draw into prev, and returns the
+// word's up and down masks, which the word takes in one or/and-not; the
+// 1-count change is a popcount difference. On AVX2 hosts TrendWord
+// steps four agents per vector instruction. The sweep is straight-line
+// over preallocated buffers: zero allocations, no interface dispatch.
+//
+//fet:hotpath
+func (e *trendExecutor) kernel(lo, hi int) int {
 	words := e.opinions.words
 	delta := 0
-	for lo := e.cfg.Sources; lo < n; {
+	for lo < hi {
 		wi := lo >> 6
-		hi := min(n, (wi+1)<<6)
-		//fet:allow rngmirror: exactly d outputs per agent stream in [lo, hi) — the generic fast path's d tabulated draws per agent per round
-		up, down := e.srcs.TrendWord(e.d, &e.thr, e.prev, lo, hi)
-		shift := uint(lo) & 63
-		old := words[wi]
-		w := (old | up<<shift) &^ (down << shift)
-		words[wi] = w
-		delta += bits.OnesCount64(w) - bits.OnesCount64(old)
-		lo = hi
+		whi := min(hi, (wi+1)<<6)
+		//fet:allow rngmirror: exactly d outputs per agent stream in [lo, whi) — the generic fast path's d tabulated draws per agent per round
+		up, down := e.srcs.TrendWord(e.d, &e.thr, e.prev, lo, whi)
+		delta += applyWord(words, words, lo, up, down)
+		lo = whi
 	}
 	return delta
+}
+
+// graphWords advances the agents [lo, hi) one graph round through shard
+// sh's scratch, and returns the change in 1-opinions. Per opinion word
+// it gathers every row; a homogeneous row adds one unit of debt and
+// fixes the agent's counts at 0 or m, a mixed row settles the agent's
+// debt and marks its stream live; rng.Streams.CountRows counts the live
+// streams; and the counts decide the trend rule against prev exactly as
+// the agents' Step would, the new word going to e.next.
+//
+//fet:hotpath
+func (e *trendExecutor) graphWords(sh, lo, hi int) int {
+	w := &e.gshards[sh]
+	v := w.view
+	v.NewRound(e.round)
+	cur, next := e.opinions.words, e.next.words
+	last := e.d - 1
+	delta := 0
+	for lo < hi {
+		wi := lo >> 6
+		whi := min(hi, (wi+1)<<6)
+		var live uint64
+		for i := lo; i < whi; i++ {
+			v.Bind(i)
+			row, _ := v.RowBits(cur)
+			k := i - lo
+			if e.ladder != nil {
+				if row == 0 || row == e.fullRow {
+					e.deficit[i]++
+					c := int32(e.m) * int32(row&1) // 0 or m
+					w.counts[0][k], w.counts[last][k] = c, c
+					continue
+				}
+				if e.deficit[i] != 0 {
+					e.settleDebt(i)
+				}
+			}
+			w.rows[k] = row
+			live |= 1 << uint(k)
+		}
+		//fet:allow rngmirror: exactly d·m outputs per live (mixed-row) agent stream in [lo, whi) — the generic graph path's d CountOnes calls of m one-output draws; a homogeneous row's outputs are deferred as one unit of the agent's debt instead
+		e.srcs.CountRows(lo, whi, live, w.rows[:], e.shift, e.m, w.counts[:e.d])
+		var up, down uint64
+		prev := e.prev[lo:whi]
+		for k, p := range prev {
+			c := w.counts[0][k]
+			var u, dn uint64
+			if c > int32(p) {
+				u = 1
+			}
+			if c < int32(p) {
+				dn = 1
+			}
+			up |= u << uint(k)
+			down |= dn << uint(k)
+			prev[k] = uint16(w.counts[last][k])
+		}
+		delta += applyWord(next, cur, lo, up, down)
+		lo = whi
+	}
+	return delta
+}
+
+// applyWord writes to dst the word of src holding agent lo with the
+// verdict masks applied — bit j of up (down) moves agent lo+j to 1 (0)
+// — and returns the word's change in 1-opinions.
+func applyWord(dst, src []uint64, lo int, up, down uint64) int {
+	wi, shift := lo>>6, uint(lo)&63
+	old := src[wi]
+	w := (old | up<<shift) &^ (down << shift)
+	dst[wi] = w
+	return bits.OnesCount64(w) - bits.OnesCount64(old)
+}
+
+// settleDebt advances agent i's stream past its deferred rounds before
+// the stream is next read, keeping it byte-identical to the
+// never-deferred schedule.
+func (e *trendExecutor) settleDebt(i int) {
+	var src rng.Source
+	e.srcs.Load(i, &src)
+	e.ladder.Flush(&src, uint64(e.deficit[i]))
+	e.srcs.Store(i, &src)
+	e.deficit[i] = 0
 }

@@ -104,7 +104,7 @@ func runGeneric(t *testing.T, ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	e, err := newAgentExecutor(&c, nil)
+	e, err := newAgentExecutor(&c)
 	if err != nil {
 		t.Fatalf("newAgentExecutor: %v", err)
 	}
@@ -179,9 +179,9 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 		{"observer-stop", func(c *Config) {
 			c.Observers = []Observer{StopWhen(func(ev RoundEvent) bool { return ev.Round == 25 })}
 		}, true},
-		// EngineAgentParallel keeps its sharded executor and stays
-		// bit-identical to the fast reference.
-		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 4 }, false},
+		// EngineAgentParallel splits the trend executor's word loop into
+		// shards and stays bit-identical to the fast reference.
+		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 4 }, true},
 	}
 	widths := []int{2, 5, 32, 64}
 
@@ -253,7 +253,7 @@ func TestTrendExecutorPooledReuseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := newTrendExecutor(&c)
+		fresh, err := newTrendExecutor(&c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,8 +299,16 @@ func TestLockstepFallbackIneligible(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"exact-engine", func(c *Config) { c.Engine = EngineAgentExact }},
-		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 3 }},
-		{"graph-topology", func(c *Config) { c.Topology = topo.RandomRegular(8) }},
+		// The parallel engine on a noisy graph, whose draws the graph
+		// round cannot replay.
+		{"parallel-engine", func(c *Config) {
+			c.Engine = EngineAgentParallel
+			c.Parallelism = 3
+			c.Topology = topo.RandomRegular(8)
+			c.NoiseEps = 0.05
+		}},
+		// A degree that is not a power of two: Lemire draws can reject.
+		{"graph-topology", func(c *Config) { c.Topology = topo.RandomRegular(6) }},
 		{"non-trend-protocol", func(c *Config) { c.Protocol = majorityProtocol{m: 5} }},
 		{"state-init", func(c *Config) {
 			c.StateInit = func(_ int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = 3 }
@@ -530,7 +538,7 @@ func TestTrendRejectsOutOfRangeCount(t *testing.T) {
 	if !trendSupported(&c) {
 		t.Fatal("config not eligible for the trend executor")
 	}
-	if _, err := newTrendExecutor(&c); err == nil {
+	if _, err := newTrendExecutor(&c, nil); err == nil {
 		t.Fatal("stored count 7 with m = 6 accepted")
 	}
 }
@@ -539,9 +547,54 @@ func TestTrendRejectsOutOfRangeCount(t *testing.T) {
 // table reset at x = 0.5, so no round is skipped as degenerate — once
 // through the dispatched kernel (the AVX2 one where the CPU has it) and
 // once through the portable rng.Streams.TrendWordGeneric, and reports
-// ns per agent-round.
+// ns per agent-round. The graph rows time whole FET rounds (d = 2) on
+// random-regular:8 and small-world:4:0.1 from a random half-and-half
+// start, re-populated every 16 rounds (untimed) so the rows stay mixed:
+// gather, debt, CountRows and decision through the executor's Step.
 func BenchmarkTrendKernel(b *testing.B) {
 	const n = 4096
+	for _, spec := range []string{"random-regular:8", "small-world:4:0.1"} {
+		b.Run("graph="+spec, func(b *testing.B) {
+			tp, err := topo.Parse(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{
+				N:             n,
+				Protocol:      lsTrend(18, 2),
+				Init:          randomBernoulliInit{p: 0.5},
+				Correct:       OpinionOne,
+				Topology:      tp,
+				CorruptStates: true,
+				Seed:          5,
+				MaxRounds:     1 << 20,
+			}
+			c, err := cfg.withDefaults()
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := newPooledExecutor(&c, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%16 == 15 {
+					b.StopTimer()
+					c.Seed++
+					if err := e.populate(c); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := e.Step(c.Correct); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n-c.Sources), "ns/agent-round")
+		})
+	}
 	for _, d := range []int{1, 2} {
 		for _, kernel := range []string{"vector", "portable"} {
 			b.Run(fmt.Sprintf("d=%d/%s", d, kernel), func(b *testing.B) {
@@ -560,7 +613,7 @@ func BenchmarkTrendKernel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e, err := newTrendExecutor(&c)
+				e, err := newTrendExecutor(&c, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -568,7 +621,7 @@ func BenchmarkTrendKernel(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if kernel == "vector" {
-						e.kernel()
+						e.kernel(c.Sources, n)
 						continue
 					}
 					for lo := c.Sources; lo < n; {
@@ -604,7 +657,7 @@ func BenchmarkTrendPopulate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := newTrendExecutor(&c)
+			e, err := newTrendExecutor(&c, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -195,14 +195,23 @@ func (p *gatherPlan) gather(agent int, words []uint64) uint64 {
 	return row
 }
 
-// CanGather reports whether the graph routes static rows through a live
-// frozen gather plan (neighbors share bitset words; out-degree ≤ 64).
-func (g *Graph) CanGather() bool { return g.planLive }
-
 // PackedRows reports whether the graph's rows pack into single uint64s
 // of opinion bits (out-degree in [1, 64]), i.e. whether View.RowBits
 // succeeds — with or without a live frozen plan.
 func (g *Graph) PackedRows() bool { return g.deg >= 1 && g.deg <= maxGatherDegree }
+
+// PackedDegree reports, without building the graph, the uniform
+// out-degree of a graph topology whose rows pack into single uint64s —
+// the degree its Graph reports and whether PackedRows will hold. It is
+// (0, false) for Complete and for every topology with unpacked rows.
+func PackedDegree(t Topology) (int, bool) {
+	rt, ok := t.(rowTopology)
+	if !ok {
+		return 0, false
+	}
+	d := rt.degree()
+	return d, d >= 1 && d <= maxGatherDegree
+}
 
 // RowBits packs the bound agent's current out-row opinions into a
 // uint64 read from the population bitset words (bit j = opinion of

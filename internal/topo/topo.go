@@ -421,9 +421,6 @@ func (g *Graph) Degree() int { return g.deg }
 // returned slice aliases the graph; callers must not modify it.
 func (g *Graph) Base(i int) []int32 { return g.adj[i*g.deg : (i+1)*g.deg] }
 
-// Dynamic reports whether rows are resampled per round.
-func (g *Graph) Dynamic() bool { return g.dyn != nil }
-
 // Seed returns the seed the current rows were built from (updated by
 // Rebuild).
 func (g *Graph) Seed() uint64 { return g.seed }

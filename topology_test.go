@@ -254,8 +254,7 @@ func goldenAtWorkers(t *testing.T, golden []byte, workers int) []byte {
 // testdata/golden_fetsim.txt was captured from the pre-topology tree at
 // fixed seeds and one worker; the refactored fetsim must reproduce it
 // byte for byte — no silent RNG-stream reshuffle for existing users —
-// at -jobs 1, and at -jobs 4 -batch 32 up to the worker count in the
-// header.
+// at -jobs 1, and at -jobs 4 up to the worker count in the header.
 func TestGoldenFetsimByteIdentical(t *testing.T) {
 	bin := buildCLITools(t)
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_fetsim.txt"))
@@ -267,7 +266,7 @@ func TestGoldenFetsimByteIdentical(t *testing.T) {
 		want []byte
 	}{
 		{[]string{"-jobs", "1"}, golden},
-		{[]string{"-jobs", "4", "-batch", "32"}, goldenAtWorkers(t, golden, 4)},
+		{[]string{"-jobs", "4"}, goldenAtWorkers(t, golden, 4)},
 	} {
 		args := append([]string{"-n", "1024", "-seed", "7", "-replicates", "8"}, sched.args...)
 		out, err := exec.Command(filepath.Join(bin, "fetsim"), args...).CombinedOutput()
@@ -404,6 +403,27 @@ func TestCompleteSweepCSVSchemaStable(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsRemovedBatchFlag: the -batch flags, which had no effect
+// since every replicate became its own task, are gone, so an old
+// command line that still passes one fails with the usage exit status
+// instead of running.
+func TestCLIRejectsRemovedBatchFlag(t *testing.T) {
+	bin := buildCLITools(t)
+	for _, tc := range []struct {
+		tool string
+		args []string
+	}{
+		{"fetsim", []string{"-n", "256", "-replicates", "4", "-batch", "32"}},
+		{"fetsweep", []string{"-ns", "256", "-replicates", "4", "-batch", "32"}},
+	} {
+		out, err := exec.Command(filepath.Join(bin, tc.tool), tc.args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s %v: %v, want exit status 2\n%s", tc.tool, tc.args, err, out)
+		}
+	}
+}
+
 // runCLIGolden executes a built CLI tool and returns its combined
 // output, tolerating exit code 1 — fetsim reports "not all replicates
 // converged" through its exit status, and the sparse goldens were
@@ -441,7 +461,7 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 	}{
 		{"golden_sparse_fetsim.txt", "fetsim",
 			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "1"),
-			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "4", "-batch", "32")},
+			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "4")},
 		{"golden_sparse_fetsim_traj.txt", "fetsim", []string{
 			"-n", "512", "-seed", "3", "-init", "half",
 			"-topology", "dynamic:8:0.2", "-trajectory", "-rounds", "64"}, nil},
