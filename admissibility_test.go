@@ -19,7 +19,7 @@ import (
 // pinned topology, so it takes no topology axis here; a custom-runner
 // scenario ignores the engine, so it takes only the default one.
 func TestCellAdmissibilityAgreesAcrossLayers(t *testing.T) {
-	engines := []string{"fast", "exact", "parallel", "aggregate", "aggregate-sparse", "chain"}
+	engines := []string{"fast", "exact", "aggregate", "aggregate-sparse", "chain"}
 	topologies := []string{"complete", "ring:2", "random-regular:8"}
 	h := newServeHandler(t, passivespread.ServeConfig{Workers: 1})
 	const n, rounds = 64, 16
@@ -205,12 +205,11 @@ func TestPinnedSweepCellIsServedCell(t *testing.T) {
 }
 
 // TestEngineVocabularyRoundTrip: every engine parses from its CLI flag
-// and from its display name, and unknown names are errors.
+// and from its display name, and unknown or removed names are errors.
 func TestEngineVocabularyRoundTrip(t *testing.T) {
 	for flag, k := range map[string]passivespread.EngineKind{
 		"fast":             passivespread.EngineAgentFast,
 		"exact":            passivespread.EngineAgentExact,
-		"parallel":         passivespread.EngineAgentParallel,
 		"aggregate":        passivespread.EngineAggregate,
 		"aggregate-sparse": passivespread.EngineAggregateSparse,
 		"chain":            passivespread.EngineMarkovChain,
@@ -221,7 +220,7 @@ func TestEngineVocabularyRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"", "quantum", "Fast", "agent-chain", "markov"} {
+	for _, bad := range []string{"", "quantum", "Fast", "agent-chain", "markov", "parallel", "agent-parallel"} {
 		if k, err := passivespread.ParseEngine(bad); err == nil {
 			t.Errorf("ParseEngine(%q) = %v, want an error", bad, k)
 		}

@@ -18,7 +18,7 @@ func scenarioSpec(t *testing.T, name string, n int, seed uint64) StudySpec {
 	if !ok {
 		t.Fatalf("scenario %q is not registered", name)
 	}
-	cfg := sc.config(n, SampleSize(n), DefaultMaxRounds(n), EngineAgentFast, sc.Topology, 1, seed)
+	cfg := sc.config(n, SampleSize(n), DefaultMaxRounds(n), EngineAgentFast, sc.Topology, seed)
 	return StudySpec{Config: &cfg}
 }
 
@@ -43,7 +43,7 @@ func TestStudyBatchBitIdenticalMatrix(t *testing.T) {
 		{"trend-flip", scenarioSpec(t, "trend-flip", 256, 32)},
 		{"multi-source", scenarioSpec(t, "multi-source", 256, 33)},
 		{"simple-trend", scenarioSpec(t, "simple-trend", 256, 34)},
-		{"parallel-engine", StudySpec{Options: Options{N: 256, Seed: 7, Engine: EngineAgentParallel, Parallelism: 2}}},
+		{"parallel-engine", StudySpec{Options: Options{N: 256, Seed: 7, Parallelism: 2}}},
 		{"exact-engine-fallback", StudySpec{Options: Options{N: 96, Seed: 7, Engine: EngineAgentExact}}},
 		{"aggregate-fallback", StudySpec{Options: Options{N: 512, Seed: 7, Engine: EngineAggregate}}},
 		{"topology-fallback", StudySpec{Options: Options{N: 128, Seed: 7, Topology: regular}}},

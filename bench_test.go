@@ -3,6 +3,7 @@ package passivespread
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"passivespread/internal/checkpoint"
@@ -103,30 +104,33 @@ func BenchmarkFETRoundByN(b *testing.B) {
 }
 
 // BenchmarkEngineRound compares the per-round cost of the sequential
-// fast engine, the sharded parallel engine, and the aggregate occupancy
-// engine at n ∈ {10⁴, 10⁶}. Recorded results live in BENCH_engines.json.
+// fast engine, the fast engine sharded across GOMAXPROCS workers (the
+// historical "parallel" row), and the aggregate occupancy engine at
+// n ∈ {10⁴, 10⁶}. Recorded results live in BENCH_engines.json.
 func BenchmarkEngineRound(b *testing.B) {
 	engines := []struct {
 		name string
 		kind EngineKind
+		par  int
 	}{
-		{"fast", EngineAgentFast},
-		{"parallel", EngineAgentParallel},
-		{"aggregate", EngineAggregate},
+		{"fast", EngineAgentFast, 0},
+		{"parallel", EngineAgentFast, runtime.GOMAXPROCS(0)},
+		{"aggregate", EngineAggregate, 0},
 	}
 	for _, n := range []int{10_000, 1_000_000} {
 		for _, eng := range engines {
 			b.Run(fmt.Sprintf("n=%d/%s", n, eng.name), func(b *testing.B) {
 				ell := SampleSize(n)
 				res, err := Run(Config{
-					N:         n,
-					Protocol:  NewFET(ell),
-					Init:      FractionInit(0.5),
-					Correct:   OpinionOne,
-					Engine:    eng.kind,
-					Seed:      1,
-					MaxRounds: b.N,
-					RunToEnd:  true,
+					N:           n,
+					Protocol:    NewFET(ell),
+					Init:        FractionInit(0.5),
+					Correct:     OpinionOne,
+					Engine:      eng.kind,
+					Parallelism: eng.par,
+					Seed:        1,
+					MaxRounds:   b.N,
+					RunToEnd:    true,
 					Observers: []Observer{ObserverFunc(func(ev RoundEvent) error {
 						if ev.Round == 0 {
 							// Exclude the O(n) population construction from
@@ -214,7 +218,7 @@ func BenchmarkReplicateAlloc(b *testing.B) {
 		tp   Topology
 	}{
 		{"fast", EngineAgentFast, 0, nil},
-		{"parallel", EngineAgentParallel, 4, nil},
+		{"parallel", EngineAgentFast, 4, nil},
 		// The frozen-graph fused path: per-agent packed rows, bind-time
 		// whole-round popcounts and deferred homogeneous-round jumps must
 		// all stay allocation-free in the steady state.
@@ -354,24 +358,26 @@ func BenchmarkCompete(b *testing.B) {
 // API — replicates per second per engine at fixed n = 4096, worst-case
 // start, default worker pool — plus the lockstep rows: the same agent
 // study on a single worker, isolating the per-replicate cost from
-// worker-pool parallelism. The rows keep their historical names and
-// their Batch widths 8 and 32, which have no effect. Recorded results
-// live in BENCH_study.json.
+// worker-pool parallelism. The rows keep their historical names (the
+// "parallel" row is the fast engine sharded across GOMAXPROCS workers)
+// and their Batch widths 8 and 32, which have no effect. Recorded
+// results live in BENCH_study.json.
 func BenchmarkStudyReplicates(b *testing.B) {
 	engines := []struct {
 		name string
 		kind EngineKind
+		par  int
 	}{
-		{"fast", EngineAgentFast},
-		{"parallel", EngineAgentParallel},
-		{"aggregate", EngineAggregate},
-		{"chain", EngineMarkovChain},
+		{"fast", EngineAgentFast, 0},
+		{"parallel", EngineAgentFast, runtime.GOMAXPROCS(0)},
+		{"aggregate", EngineAggregate, 0},
+		{"chain", EngineMarkovChain, 0},
 	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
 			study, err := NewStudy(StudySpec{
 				Replicates: b.N,
-				Options:    Options{N: 4096, Seed: 1, Engine: eng.kind},
+				Options:    Options{N: 4096, Seed: 1, Engine: eng.kind, Parallelism: eng.par},
 			})
 			if err != nil {
 				b.Fatal(err)

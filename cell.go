@@ -22,9 +22,8 @@ import (
 type cellExec interface {
 	// run executes replicate i.
 	run(ctx context.Context, i int) RunResult
-	// release frees the cell's idle pooled executors (and stops the
-	// parallel engine's persistent shard workers). The cell stays
-	// runnable.
+	// release frees the cell's idle pooled executors (and stops their
+	// persistent shard workers). The cell stays runnable.
 	release()
 }
 

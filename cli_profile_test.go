@@ -19,7 +19,7 @@ func TestCLIProfilesLeaveStdoutUnchanged(t *testing.T) {
 		tool string
 		args []string
 	}{
-		{"fetsim", []string{"-n", "1024", "-seed", "7", "-replicates", "16", "-jobs", "2"}},
+		{"fetsim", []string{"-n", "1024", "-seed", "7", "-replicates", "16", "-workers", "2"}},
 		{"fetsweep", []string{"-ns", "256,1024", "-replicates", "4", "-seed", "9", "-format", "csv"}},
 		{"fetlab", []string{"-run", "E16", "-quick", "-seed", "3"}},
 	} {

@@ -41,7 +41,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced sweep sizes (CI scale)")
 		seed       = flag.Uint64("seed", 42, "root random seed")
 		format     = flag.String("format", "text", "output format: text or markdown")
-		workers    = flag.Int("workers", 0, "parallel trial workers (0 = all CPUs)")
+		workers    = flag.Int("workers", 0, "concurrent trials (0 = all CPUs)")
 	)
 	profiles := prof.Register()
 	flag.Parse()
@@ -92,7 +92,7 @@ func main() {
 		exit(2)
 	}
 
-	cfg := passivespread.ExperimentConfig{Seed: *seed, Quick: *quick, Parallelism: *workers}
+	cfg := passivespread.ExperimentConfig{Seed: *seed, Quick: *quick, Workers: *workers}
 	failed := 0
 	for _, id := range ids {
 		e, ok := passivespread.LookupExperiment(id)

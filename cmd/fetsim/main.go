@@ -6,8 +6,8 @@
 //
 //	fetsim -n 1024 [-protocol fet] [-init all-wrong] [-seed 1] [-trajectory]
 //	fetsim -n 100000000 -engine aggregate
-//	fetsim -n 1000000 -engine parallel [-workers 8]
-//	fetsim -n 4096 -replicates 100 [-jobs 8]
+//	fetsim -n 1000000 [-parallelism 8]
+//	fetsim -n 4096 -replicates 100 [-workers 8]
 //	fetsim -n 1000000000 -engine chain -replicates 50
 //	fetsim -n 4096 -topology small-world:4:0.1 [-replicates 20]
 //	fetsim -n 100000000 -engine aggregate-sparse -topology random-regular:8
@@ -17,13 +17,19 @@
 // -topology selects the observation topology (default complete, the
 // paper's uniform mixing): ring[:k], torus, random-regular[:k],
 // small-world[:k[:beta]] or dynamic[:k[:p]]. Non-complete topologies
-// run on the agent engines (fast, exact, parallel), plus
+// run on the agent engines (fast, exact), plus
 // aggregate-sparse for the degree-annealed ones (random-regular,
 // dynamic), which reaches n = 10⁸ the way aggregate does under
 // uniform mixing.
 //
 // -engine also takes the display names that the output's engine line
-// reports (agent-fast, agent-exact, agent-parallel, markov-chain).
+// reports (agent-fast, agent-exact, markov-chain).
+//
+// -workers bounds the replicate pool, as in fetsweep, fetserve and
+// fetlab; -parallelism shards each replicate's rounds (fast and exact),
+// bit-identical at any value. The removed -jobs flag and -engine
+// parallel exit 2 naming their replacements (-workers; -engine fast
+// with -parallelism).
 //
 // -cpuprofile, -memprofile and -trace write runtime/pprof CPU and heap
 // profiles and a runtime/trace execution trace of the run; their
@@ -32,6 +38,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,13 +59,16 @@ func main() {
 		sources    = flag.Int("sources", 1, "number of agreeing sources")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		rounds     = flag.Int("rounds", 0, "round cap (0 = 400·log₂ n)")
-		engine     = flag.String("engine", "fast", "engine: fast, exact, parallel, aggregate, aggregate-sparse or chain (or a display name such as agent-fast)")
+		engine     = flag.String("engine", "fast", "engine: fast, exact, aggregate, aggregate-sparse or chain (or a display name such as agent-fast)")
 		topology   = flag.String("topology", "complete", "observation topology: complete, ring[:k], torus, random-regular[:k], small-world[:k[:beta]], dynamic[:k[:p]]")
-		workers    = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
+		shards     = flag.Int("parallelism", 0, "shards per round of an agent engine (0 or 1 = one)")
 		replicates = flag.Int("replicates", 1, "number of replicate runs (a study when > 1)")
-		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "concurrent replicates (0 = GOMAXPROCS)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
 	)
+	flag.Func("jobs", "removed: use -workers", func(string) error {
+		return errors.New("-jobs is removed: use -workers for the replicate pool")
+	})
 	profiles := prof.Register()
 	flag.Parse()
 
@@ -79,7 +89,7 @@ func main() {
 
 	engineKind, err := passivespread.ParseEngine(*engine)
 	if err != nil {
-		fatalf("unknown engine %q", *engine)
+		fatalf("%v", err)
 	}
 
 	topoKind, err := passivespread.ParseTopology(*topology)
@@ -112,7 +122,7 @@ func main() {
 		}
 		study, err = passivespread.NewStudy(passivespread.StudySpec{
 			Replicates: *replicates,
-			Workers:    *jobs,
+			Workers:    *workers,
 			Options: passivespread.Options{
 				N:                *n,
 				Ell:              *ell,
@@ -139,7 +149,7 @@ func main() {
 			Seed:             *seed,
 			MaxRounds:        *rounds,
 			Engine:           engineKind,
-			Parallelism:      *workers,
+			Parallelism:      *shards,
 			Topology:         topoKind,
 			CorruptStates:    true,
 			RecordTrajectory: *traj,
@@ -149,7 +159,7 @@ func main() {
 		}
 		study, err = passivespread.NewStudy(passivespread.StudySpec{
 			Replicates: *replicates,
-			Workers:    *jobs,
+			Workers:    *workers,
 			Config:     &cfg,
 		})
 		if err != nil {

@@ -19,18 +19,19 @@
 // answer "does FET's trend-following survive sparse structure?" as a
 // sweepable axis.
 //
-// -engines selects the executors: fast (sequential agent engine),
-// parallel (sharded agent engine), aggregate (occupancy-vector engine),
-// aggregate-sparse (its degree-annealed analogue for random-regular and
-// dynamic topologies), or chain (the (K_t, K_{t+1}) Markov chain);
-// the display names that rows report (agent-fast, agent-exact,
-// agent-parallel, markov-chain) are accepted too, and a flag and a
-// display name of one engine are duplicates. Each cell is judged on
-// the topology it runs on — a scenario's pinned topology, else the
-// -topologies entry — so -scenarios sparse-regular -engines
+// -engines selects the executors: fast (agent engine, tabulated
+// binomial draws), exact (agent engine, literal index draws), aggregate
+// (occupancy-vector engine), aggregate-sparse (its degree-annealed
+// analogue for random-regular and dynamic topologies), or chain (the
+// (K_t, K_{t+1}) Markov chain); the display names that rows report
+// (agent-fast, agent-exact, markov-chain) are accepted too, and a flag
+// and a display name of one engine are duplicates. The removed
+// parallel engine exits 2 naming fast as its replacement. Each cell is
+// judged on the topology it runs on — a scenario's pinned topology,
+// else the -topologies entry — so -scenarios sparse-regular -engines
 // aggregate-sparse runs. aggregate, aggregate-sparse and chain scale
-// to populations of hundreds of millions. -scenarios names presets from
-// the scenario registry (list them with `fetlab -scenarios`).
+// to populations of hundreds of millions. -scenarios names presets
+// from the scenario registry (list them with `fetlab -scenarios`).
 //
 // The default table output appends a polylog fit of the median
 // convergence times per (scenario, engine) group spanning ≥ 2
@@ -71,7 +72,7 @@ func main() {
 	var (
 		nsFlag     = flag.String("ns", "256,1024,4096,16384,65536", "comma-separated population sizes")
 		ellsFlag   = flag.String("ells", "", "comma-separated per-half sample sizes (0 or empty = ⌈c·log₂ n⌉)")
-		engines    = flag.String("engines", "fast", "comma-separated engines: fast, exact, parallel, aggregate, aggregate-sparse, chain (or display names such as agent-fast)")
+		engines    = flag.String("engines", "fast", "comma-separated engines: fast, exact, aggregate, aggregate-sparse, chain (or display names such as agent-fast)")
 		topologies = flag.String("topologies", "complete", "comma-separated observation topologies: complete, ring[:k], torus, random-regular[:k], small-world[:k[:beta]], dynamic[:k[:p]]")
 		scenarios  = flag.String("scenarios", passivespread.DefaultScenario, "comma-separated scenario names (see `fetlab -scenarios`)")
 		replicates = flag.Int("replicates", 40, "replicates per grid cell")
@@ -277,7 +278,7 @@ func parseEngines(s string) ([]passivespread.EngineKind, error) {
 		}
 		kind, err := passivespread.ParseEngine(p)
 		if err != nil {
-			return nil, fmt.Errorf("-engines: unknown engine %q", p)
+			return nil, fmt.Errorf("-engines: %v", err)
 		}
 		if seen[kind] {
 			return nil, fmt.Errorf("-engines: duplicate engine %q", p)

@@ -8,34 +8,51 @@ import (
 	"passivespread/internal/stats"
 )
 
-// TestParallelEngineBitIdentical: the acceptance bar for the parallel
-// engine — byte-identical Results to the sequential fast engine for the
-// same seed at every parallelism level, on the real FET protocol under
-// the worst-case start.
-func TestParallelEngineBitIdentical(t *testing.T) {
-	base := Options{
-		N:                4096,
-		Seed:             9,
-		RecordTrajectory: true,
-	}
-	ref, err := Disseminate(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.Converged {
-		t.Fatalf("reference run did not converge: %+v", ref)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 13} {
-		opts := base
-		opts.Engine = EngineAgentParallel
-		opts.Parallelism = workers
-		got, err := Disseminate(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("parallelism %d diverged from the fast engine:\nfast:     %+v\nparallel: %+v",
-				workers, ref, got)
+// TestShardedRoundsBitIdentical: sharding is a schedule, not a sampling
+// law — both agent engines return byte-identical Results for the same
+// seed at every shard count (Parallelism), on the real FET protocol from
+// the worst-case start, under uniform mixing, on a packed power-of-two
+// graph and on a noisy ring (the generic agent sweep).
+func TestShardedRoundsBitIdentical(t *testing.T) {
+	cells := []struct {
+		topology string
+		noise    float64
+	}{{"complete", 0}, {"random-regular:8", 0}, {"ring:2", 0.05}}
+	for _, engine := range []EngineKind{EngineAgentFast, EngineAgentExact} {
+		for _, cell := range cells {
+			tp, err := ParseTopology(cell.topology)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 1024
+			base := Config{
+				N:                n,
+				Protocol:         NewFET(SampleSize(n)),
+				Init:             AllWrong(OpinionOne),
+				Correct:          OpinionOne,
+				Engine:           engine,
+				Topology:         tp,
+				NoiseEps:         cell.noise,
+				Seed:             9,
+				MaxRounds:        200,
+				CorruptStates:    true,
+				RecordTrajectory: true,
+			}
+			var ref Result
+			for _, p := range []int{0, 1, 2, 4, 13} {
+				cfg := base
+				cfg.Parallelism = p
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p == 0 {
+					ref = got
+				} else if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("%v on %s (ε = %v): P=%d diverged from one shard:\none:     %+v\nsharded: %+v",
+						engine, cell.topology, cell.noise, p, ref, got)
+				}
+			}
 		}
 	}
 }

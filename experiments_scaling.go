@@ -76,7 +76,7 @@ func runE01(cfg experiment.Config) (*experiment.Report, error) {
 		Ns:         ns,
 		Scenarios:  scenarios,
 		Replicates: trials,
-		Workers:    cfg.Parallelism,
+		Workers:    cfg.Workers,
 		Seed:       cfg.Seed,
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func runE01(cfg experiment.Config) (*experiment.Report, error) {
 		Ns:         chainNs,
 		Engines:    []EngineKind{EngineMarkovChain},
 		Replicates: chainTrials,
-		Workers:    cfg.Parallelism,
+		Workers:    cfg.Workers,
 		Seed:       cfg.Seed ^ 0xabcd,
 	})
 	if err != nil {
@@ -167,7 +167,7 @@ func runE13(cfg experiment.Config) (*experiment.Report, error) {
 		Ns:         []int{n},
 		Ells:       ells,
 		Replicates: trials,
-		Workers:    cfg.Parallelism,
+		Workers:    cfg.Workers,
 		Seed:       cfg.Seed,
 		MaxRounds:  cap,
 	})

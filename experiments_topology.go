@@ -58,7 +58,7 @@ func runE23(cfg experiment.Config) (*experiment.Report, error) {
 		Ns:         []int{n},
 		Topologies: topologies,
 		Replicates: trials,
-		Workers:    cfg.Parallelism,
+		Workers:    cfg.Workers,
 		Seed:       cfg.Seed,
 		MaxRounds:  maxRounds,
 	})

@@ -172,7 +172,7 @@ func runE12(cfg Config) (*Report, error) {
 
 		fetTimes := parallelTimes(cfg, trials, func(trial int) float64 {
 			return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-				sim.EngineAgentFast, cfg.Seed^uint64(n)<<14^uint64(trial), cap)
+				sim.EngineAgentFast, 0, cfg.Seed^uint64(n)<<14^uint64(trial), cap)
 		})
 		fetMedian := stats.Summarize(fetTimes).Median
 

@@ -134,7 +134,7 @@ func runE20(cfg Config) (*Report, error) {
 
 	fresh := parallelTimes(cfg, trials, func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-			sim.EngineAgentFast, cfg.Seed^0xf22b<<16^uint64(trial), cap)
+			sim.EngineAgentFast, 0, cfg.Seed^0xf22b<<16^uint64(trial), cap)
 	})
 	fs := stats.Summarize(fresh)
 
@@ -219,7 +219,7 @@ func runE22(cfg Config) (*Report, error) {
 
 	syncTimes := parallelTimes(cfg, trials, func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-			sim.EngineAgentFast, cfg.Seed^0xa51c<<16^uint64(trial), horizon)
+			sim.EngineAgentFast, 0, cfg.Seed^0xa51c<<16^uint64(trial), horizon)
 	})
 	syncMed := stats.Summarize(syncTimes).Median
 

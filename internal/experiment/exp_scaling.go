@@ -31,7 +31,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:       "E16",
-		Title:    "Engine cross-validation (exact, fast, parallel, occupancy, chain)",
+		Title:    "Engine cross-validation (exact, fast, sharded fast, occupancy, chain)",
 		PaperRef: "DESIGN.md engine ablation",
 		Run:      runE16,
 	})
@@ -45,7 +45,7 @@ func init() {
 
 // fetTrial runs one FET simulation and returns t_con, or cap when the run
 // did not converge.
-func fetTrial(n, ell int, init sim.Initializer, engine sim.EngineKind, seed uint64, cap int) float64 {
+func fetTrial(n, ell int, init sim.Initializer, engine sim.EngineKind, shards int, seed uint64, cap int) float64 {
 	res, err := sim.Run(sim.Config{
 		N:             n,
 		Protocol:      core.NewFET(ell),
@@ -54,6 +54,7 @@ func fetTrial(n, ell int, init sim.Initializer, engine sim.EngineKind, seed uint
 		Seed:          seed,
 		MaxRounds:     cap,
 		Engine:        engine,
+		Parallelism:   shards,
 		CorruptStates: true,
 	})
 	if err != nil {
@@ -175,19 +176,19 @@ func runE16(cfg Config) (*Report, error) {
 	}
 	run("agent-exact", func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-			sim.EngineAgentExact, cfg.Seed^0x11<<32^uint64(trial), cap)
+			sim.EngineAgentExact, 0, cfg.Seed^0x11<<32^uint64(trial), cap)
 	})
 	run("agent-fast", func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-			sim.EngineAgentFast, cfg.Seed^0x22<<32^uint64(trial), cap)
+			sim.EngineAgentFast, 0, cfg.Seed^0x22<<32^uint64(trial), cap)
 	})
-	run("agent-parallel", func(trial int) float64 {
+	run("agent-fast-sharded", func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-			sim.EngineAgentParallel, cfg.Seed^0x44<<32^uint64(trial), cap)
+			sim.EngineAgentFast, 4, cfg.Seed^0x44<<32^uint64(trial), cap)
 	})
 	run("aggregate-occupancy", func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
-			sim.EngineAggregate, cfg.Seed^0x55<<32^uint64(trial), cap)
+			sim.EngineAggregate, 0, cfg.Seed^0x55<<32^uint64(trial), cap)
 	})
 	run("aggregate-chain", func(trial int) float64 {
 		return chainTrial(n, ell, 0, 0, cfg.Seed^0x33<<32^uint64(trial), cap)
@@ -196,7 +197,7 @@ func runE16(cfg Config) (*Report, error) {
 
 	// Distribution-level comparison: a Kolmogorov–Smirnov test between
 	// every engine pair at α = 0.01.
-	names := []string{"agent-exact", "agent-fast", "agent-parallel", "aggregate-occupancy", "aggregate-chain"}
+	names := []string{"agent-exact", "agent-fast", "agent-fast-sharded", "aggregate-occupancy", "aggregate-chain"}
 	ksTab := tablefmt.New("pair", "KS statistic", "critical (α=0.01)", "same distribution")
 	allSame := true
 	for i := 0; i < len(names); i++ {

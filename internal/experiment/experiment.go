@@ -29,13 +29,13 @@ type Config struct {
 	// end-to-end without dominating `go test ./...`. Implies Quick;
 	// results are exercised, not meaningful.
 	Smoke bool
-	// Parallelism bounds concurrent trials (0 = GOMAXPROCS).
-	Parallelism int
+	// Workers bounds concurrent trials (0 = GOMAXPROCS).
+	Workers int
 }
 
 func (c Config) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
+	if c.Workers > 0 {
+		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -99,7 +99,7 @@ func TestReportHelpers(t *testing.T) {
 }
 
 func TestParallelTimesOrderAndCompleteness(t *testing.T) {
-	cfg := Config{Parallelism: 4}
+	cfg := Config{Workers: 4}
 	out := parallelTimes(cfg, 100, func(trial int) float64 {
 		return float64(trial * trial)
 	})
@@ -114,7 +114,7 @@ func TestParallelTimesOrderAndCompleteness(t *testing.T) {
 }
 
 func TestParallelTimesSerialPath(t *testing.T) {
-	cfg := Config{Parallelism: 1}
+	cfg := Config{Workers: 1}
 	out := parallelTimes(cfg, 5, func(trial int) float64 { return float64(trial) })
 	for i, v := range out {
 		if v != float64(i) {
@@ -143,7 +143,7 @@ func TestFormatExits(t *testing.T) {
 }
 
 func TestConfigWorkers(t *testing.T) {
-	if got := (Config{Parallelism: 3}).workers(); got != 3 {
+	if got := (Config{Workers: 3}).workers(); got != 3 {
 		t.Fatalf("workers = %d", got)
 	}
 	if got := (Config{}).workers(); got < 1 {

@@ -44,7 +44,7 @@ func (b *opinionBits) get(i int) byte {
 }
 
 // set writes agent i's opinion bit. Concurrent writers must not share a
-// word: the parallel sweep aligns its shard boundaries to multiples of
+// word: a sharded sweep aligns its shard boundaries to multiples of
 // 64 so each word has exactly one writer.
 func (b *opinionBits) set(i int, v byte) {
 	w := &b.words[uint(i)>>6]

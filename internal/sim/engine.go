@@ -25,10 +25,11 @@ type Config struct {
 	Init Initializer
 	// Engine selects the round executor (default fast).
 	Engine EngineKind
-	// Parallelism bounds the number of worker goroutines used by
-	// EngineAgentParallel (0 = GOMAXPROCS). Results are bit-identical
-	// across all parallelism levels: every agent owns its RNG stream and
-	// shards write disjoint slices.
+	// Parallelism is the number of shards an agent engine (fast or
+	// exact) splits each round across, one worker goroutine each
+	// (0 or 1 = one shard, run inline). Results are bit-identical at
+	// every value: every agent owns its RNG stream and shards write
+	// disjoint slices.
 	Parallelism int
 	// Seed is the root seed; all randomness derives from it.
 	Seed uint64

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"passivespread/internal/rng"
@@ -13,11 +12,11 @@ import (
 // population representation and advances it one synchronous round at a
 // time, while the orchestrator keeps all protocol-independent bookkeeping.
 //
-// Implementations: the per-agent executors (exact, fast, parallel) hold
-// packed opinion bitsets and agent arrays; the trend executor holds
-// packed opinions, streams and stored counts for the trend-rule
-// protocols on the fast and parallel engines; the aggregate executor
-// holds only per-state occupancy counts.
+// Implementations: the per-agent executors (exact, fast) hold packed
+// opinion bitsets and agent arrays; the trend executor holds packed
+// opinions, streams and stored counts for the trend-rule protocols on
+// the fast engine; the aggregate executor holds only per-state
+// occupancy counts.
 type roundExecutor interface {
 	// Ones returns the current number of 1-opinions across the whole
 	// population, sources included.
@@ -26,9 +25,9 @@ type roundExecutor interface {
 	// sources currently display (it can change mid-run under
 	// Config.FlipCorrectAt; the executor re-pins sources every round).
 	Step(correct byte) error
-	// close releases executor-owned background resources (the parallel
-	// engine's persistent shard workers). A closed executor must not
-	// Step again.
+	// close releases executor-owned background resources (the
+	// persistent shard workers of a sharded run). A closed executor must
+	// not Step again.
 	close()
 }
 
@@ -48,7 +47,7 @@ type pooledExecutor interface {
 // already-validated config.
 func newRoundExecutor(c *Config) (roundExecutor, error) {
 	switch c.Engine {
-	case EngineAgentFast, EngineAgentExact, EngineAgentParallel:
+	case EngineAgentFast, EngineAgentExact:
 		e, err := newPooledExecutor(c, nil)
 		if err != nil {
 			return nil, err
@@ -82,9 +81,8 @@ func newPooledExecutor(c *Config, p *Pool) (pooledExecutor, error) {
 }
 
 // agentExecutor advances an explicit per-agent population. It backs the
-// exact, fast, and parallel engines wherever the trend executor does
-// not apply; they differ only in how a round's observations are sampled
-// and how the agent sweep is scheduled.
+// exact and fast engines wherever the trend executor does not apply;
+// they differ only in how a round's observations are sampled.
 //
 // The executor is built once and re-populated per replicate (see
 // populate and Pool): every O(n) buffer — the opinion bitsets, the
@@ -269,19 +267,12 @@ func newAgentExecutor(c *Config) (*agentExecutor, error) {
 	return e, nil
 }
 
-// engineShards returns the number of shards c's agent engine splits a
-// round into: 1, or under EngineAgentParallel Parallelism, defaulted to
-// GOMAXPROCS, capped by the non-source population, floored at 1. It is
-// part of the executor's reuse shape.
+// engineShards returns the number of shards an agent executor splits
+// c's round into: Parallelism capped by the non-source population,
+// floored at 1 (0 and 1 both mean one shard). It is part of the
+// executor's reuse shape.
 func engineShards(c *Config) int {
-	if c.Engine != EngineAgentParallel {
-		return 1
-	}
-	workers := c.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, c.N-c.Sources))
+	return max(1, min(c.Parallelism, c.N-c.Sources))
 }
 
 // buildGraph builds c's observation graph (nil under uniform mixing)
@@ -504,8 +495,8 @@ func (e *agentExecutor) Step(correct byte) error {
 // stepShard advances the non-source agents in [lo, hi) and returns the
 // change in the number of 1-opinions over the shard. Each agent draws only
 // from its own RNG stream, so shards are independent and the sweep order
-// inside a shard never affects other shards — the basis of the parallel
-// engine's bit-identical determinism.
+// inside a shard never affects other shards — the basis of sharded
+// rounds' bit-identical determinism.
 //
 //fet:hotpath
 func (e *agentExecutor) stepShard(lo, hi int, obs reusableObserver) (onesDelta int, err error) {

@@ -7,10 +7,9 @@ import (
 	"passivespread/internal/rng"
 )
 
-// TestParallelBitIdenticalAcrossWorkerCounts: the parallel engine must
-// produce byte-identical results to the sequential fast engine for every
-// worker count — each agent owns its RNG stream, so sharding cannot
-// change any draw.
+// TestParallelBitIdenticalAcrossWorkerCounts: the fast engine must
+// produce byte-identical results at every shard count (Parallelism) —
+// each agent owns its RNG stream, so sharding cannot change any draw.
 func TestParallelBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, proto := range []Protocol{
 		majorityProtocol{m: 9},             // exercises the tabulated CountOnes path
@@ -31,14 +30,13 @@ func TestParallelBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		for _, workers := range []int{0, 1, 2, 3, 7, 64} {
 			cfg := base
-			cfg.Engine = EngineAgentParallel
 			cfg.Parallelism = workers
 			got, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s: parallel(%d) diverged from fast:\nfast:     %+v\nparallel: %+v",
+				t.Fatalf("%s: P=%d diverged from one shard:\none:     %+v\nsharded: %+v",
 					proto.Name(), workers, ref, got)
 			}
 		}
@@ -205,8 +203,8 @@ func TestOccupancyHelpers(t *testing.T) {
 }
 
 func TestEngineKindStringNew(t *testing.T) {
-	if EngineAgentParallel.String() != "agent-parallel" {
-		t.Fatal(EngineAgentParallel.String())
+	if EngineAggregateSparse.String() != "aggregate-sparse" {
+		t.Fatal(EngineAggregateSparse.String())
 	}
 	if EngineAggregate.String() != "aggregate" {
 		t.Fatal(EngineAggregate.String())

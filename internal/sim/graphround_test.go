@@ -10,7 +10,7 @@ import (
 	"passivespread/internal/topo"
 )
 
-// literalGraphObserver is the round pre-pass's independent reference:
+// literalGraphObserver is the graph round's independent reference:
 // every observation draws a neighbor through View.Next on the agent's
 // own stream (one src.Intn per draw) and reads its current opinion —
 // no packed rows, no deferred debt, no lane batching.
@@ -61,8 +61,8 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 
 // TestGraphPrepassMatchesLiteral: on every packed power-of-two
 // topology, for both trend rules, every start (all-wrong, half,
-// corrupted memories, a mid-run source flip) and every agent engine
-// that runs them (fast, parallel at P = 1 and 3), the executor must
+// corrupted memories, a mid-run source flip) and the fast engine at
+// P ∈ {0, 1, 3} shards (Parallelism), the executor must
 // equal the literal per-draw reference in its Result and in every
 // RoundEvent, across pooled replicates. Any reordered, dropped or extra
 // stream consumption diverges a later draw. The trend rules run on the
@@ -89,12 +89,11 @@ func TestGraphPrepassMatchesLiteral(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		kind EngineKind
 		par  int
 	}{
-		{"p=1", EngineAgentParallel, 1},
-		{"p=3", EngineAgentParallel, 3},
-		{"fast", EngineAgentFast, 0},
+		{"p=1", 1},
+		{"p=3", 3},
+		{"fast", 0},
 	}
 	for _, spec := range specs {
 		tp, err := topo.Parse(spec)
@@ -110,7 +109,6 @@ func TestGraphPrepassMatchesLiteral(t *testing.T) {
 							N:           1024, // a perfect square for the torus
 							Protocol:    proto,
 							Correct:     OpinionOne,
-							Engine:      eng.kind,
 							Parallelism: eng.par,
 							Topology:    tp,
 							MaxRounds:   80,
@@ -156,10 +154,13 @@ func TestGraphGenericCellsStayGeneric(t *testing.T) {
 		}, true},
 	}
 	for _, tc := range cases {
-		for _, eng := range []EngineKind{EngineAgentFast, EngineAgentParallel} {
-			t.Run(fmt.Sprintf("%s/%v", tc.name, eng), func(t *testing.T) {
+		for _, eng := range []struct {
+			name string
+			par  int
+		}{{"agent-fast", 0}, {"p=3", 3}} {
+			t.Run(tc.name+"/"+eng.name, func(t *testing.T) {
 				cfg := base
-				cfg.Engine, cfg.Parallelism = eng, 3
+				cfg.Parallelism = eng.par
 				tc.mut(&cfg)
 				checkExecutorKind(t, cfg, false)
 				if tc.literal {
@@ -246,7 +247,7 @@ func checkExecutorKind(t *testing.T, cfg Config, trend bool) {
 // TestGraphRoundSourceWords: sources that fill whole opinion words, or
 // end inside one, stay pinned through the graph round's buffer swap —
 // source-only words are copied, a mixed first word keeps its source
-// bits — and a FlipCorrectAt switch re-pins them; fast and parallel
+// bits — and a FlipCorrectAt switch re-pins them; one shard and three
 // equal the literal reference.
 func TestGraphRoundSourceWords(t *testing.T) {
 	for _, sources := range []int{64, 70, 130} {
@@ -262,9 +263,7 @@ func TestGraphRoundSourceWords(t *testing.T) {
 					MaxRounds:     60,
 					FlipCorrectAt: 20,
 					CorruptStates: true,
-				}
-				if par > 0 {
-					cfg.Engine, cfg.Parallelism = EngineAgentParallel, par
+					Parallelism:   par,
 				}
 				checkExecutorKind(t, cfg, true)
 				checkMatchesLiteral(t, cfg)

@@ -72,7 +72,7 @@ func hotpathConfig(engine EngineKind, parallelism int, tp topo.Topology) Config 
 // allocations on every agent engine path: the sequential fast engine
 // (tabulated binomials retabulated in place), the trend executor's
 // kernel (d = 2 and d = 1) and graph round, sequential and sharded, the
-// sharded parallel engine (persistent word-aligned shard workers,
+// sharded fast engine (persistent word-aligned shard workers,
 // pool-owned deltas/errs), the exact engine, and the literal graph path
 // including dynamic rewiring.
 func TestStepZeroAllocsPerRound(t *testing.T) {
@@ -90,13 +90,13 @@ func TestStepZeroAllocsPerRound(t *testing.T) {
 		{"fast", hotpathConfig(EngineAgentFast, 0, nil), "*sim.agentExecutor"},
 		{"trend", trend(2), trendKind},
 		{"trend-d1", trend(1), trendKind},
-		{"trend-parallel", trendOn(EngineAgentParallel, 4, nil, 2), trendKind},
+		{"trend-parallel", trendOn(EngineAgentFast, 4, nil, 2), trendKind},
 		{"trend-graph", trendOn(EngineAgentFast, 0, topo.SmallWorld(4, 0.1), 2), trendKind},
-		{"trend-graph-dynamic", trendOn(EngineAgentParallel, 4, topo.DynamicRewire(8, 0.2), 1), trendKind},
-		{"parallel", hotpathConfig(EngineAgentParallel, 4, nil), "*sim.agentExecutor"},
+		{"trend-graph-dynamic", trendOn(EngineAgentFast, 4, topo.DynamicRewire(8, 0.2), 1), trendKind},
+		{"parallel", hotpathConfig(EngineAgentFast, 4, nil), "*sim.agentExecutor"},
 		{"exact", hotpathConfig(EngineAgentExact, 0, nil), "*sim.agentExecutor"},
 		{"graph", hotpathConfig(EngineAgentFast, 0, topo.RandomRegular(8)), "*sim.agentExecutor"},
-		{"graph-dynamic", hotpathConfig(EngineAgentParallel, 4, topo.DynamicRewire(8, 0.2)), "*sim.agentExecutor"},
+		{"graph-dynamic", hotpathConfig(EngineAgentFast, 4, topo.DynamicRewire(8, 0.2)), "*sim.agentExecutor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +134,7 @@ func TestStepZeroAllocsPerRound(t *testing.T) {
 // TestPoolReplicatesBitIdentical is the pooling determinism contract:
 // leasing a reused executor for every replicate must reproduce the
 // unpooled per-replicate results bit for bit — same opinions, same
-// trajectories, same convergence rounds — on the fast, parallel, exact,
+// trajectories, same convergence rounds — on the fast, sharded, exact,
 // and graph paths, with state corruption exercising the agent-reset
 // sequence.
 func TestPoolReplicatesBitIdentical(t *testing.T) {
@@ -144,7 +144,7 @@ func TestPoolReplicatesBitIdentical(t *testing.T) {
 		cfg  Config
 	}{
 		{"fast", hotpathConfig(EngineAgentFast, 0, nil)},
-		{"parallel", hotpathConfig(EngineAgentParallel, 3, nil)},
+		{"parallel", hotpathConfig(EngineAgentFast, 3, nil)},
 		{"exact", hotpathConfig(EngineAgentExact, 0, nil)},
 		{"dynamic", hotpathConfig(EngineAgentFast, 0, topo.DynamicRewire(8, 0.3))},
 	} {
@@ -209,7 +209,7 @@ func TestPoolReusesExecutors(t *testing.T) {
 // pool must still serve fresh leases.
 func TestPooledParallelWorkersStop(t *testing.T) {
 	pool := NewPool()
-	cfg := hotpathConfig(EngineAgentParallel, 4, nil)
+	cfg := hotpathConfig(EngineAgentFast, 4, nil)
 	cfg.MaxRounds = 10
 	cfg.RunToEnd = true
 	if _, err := pool.RunContext(context.Background(), cfg); err != nil {

@@ -153,8 +153,8 @@ const maxGraphPrefetch = 4096
 // restricted to the observation graph. The binomial shortcut of
 // fastObserver is a uniform-mixing identity and does not apply here, so
 // every agent engine shares this path on sparse topologies; the agent's
-// own RNG stream drives the draws, which is what keeps the sharded
-// parallel sweep bit-identical to the sequential one.
+// own RNG stream drives the draws, which is what keeps a sharded sweep
+// bit-identical to the sequential one.
 //
 // The hot path is the PR 5 playbook applied to graphs. At bind, the
 // agent's whole out-row packs into one uint64 of opinion bits (a CSR

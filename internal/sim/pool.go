@@ -31,7 +31,7 @@ type poolKey struct {
 // buffer: the packed opinion bitsets, the initializer scratch, the
 // per-agent RNG states, resettable agent objects, the observation
 // graph's adjacency and its per-worker View row buffers, and the
-// parallel engine's persistent shard workers — across replicates that
+// persistent shard workers of a sharded run — across replicates that
 // share a shape. Batch runners (Study, and Sweep through its per-cell
 // Studies) lease an executor per replicate instead of rebuilding one,
 // which removes the per-replicate allocation storm at large n while
@@ -45,7 +45,7 @@ type poolKey struct {
 //
 // A Pool is safe for concurrent use. Call Release when a batch
 // finishes: it drops the idle executors and stops their persistent
-// workers (leaked otherwise for EngineAgentParallel). The Pool remains
+// workers (leaked otherwise for Parallelism > 1). The Pool remains
 // usable after Release.
 type Pool struct {
 	mu      sync.Mutex

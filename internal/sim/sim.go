@@ -23,12 +23,13 @@
 //     opinions (the model's operational definition);
 //   - EngineAgentFast draws each observation directly from a tabulated
 //     Binomial(m, x_t) law (the model's distributional definition);
-//   - EngineAgentParallel shards the fast sweep (and the trend
-//     executor's word loop) across a worker pool, bit-identical to
-//     EngineAgentFast at every parallelism level;
 //   - EngineAggregate advances per-(opinion, state) occupancy counts in
 //     O(ℓ²) per round independent of n, agent-level exact in
 //     distribution, for populations of 10⁸ and beyond.
+//
+// An engine names a sampling law, not a schedule: Config.Parallelism
+// shards either agent engine's round across a worker pool, bit-identical
+// at every shard count because every agent owns its RNG stream.
 //
 // Tests cross-validate all of them. A still-coarser engine that
 // simulates only the (x_t, x_{t+1}) Markov chain of Observation 1 lives
@@ -108,9 +109,8 @@ type FixedDraws interface {
 }
 
 // TrendLockstep is implemented by protocols eligible for the trend
-// executor, which EngineAgentFast and EngineAgentParallel run their
-// replicates on under uniform mixing and on noiseless graphs with
-// power-of-two packed rows. The marker asserts that, whatever the
+// executor, which EngineAgentFast runs its replicates on under uniform
+// mixing and on noiseless graphs with power-of-two packed rows. The marker asserts that, whatever the
 // observation source, the protocol's whole per-agent update is the
 // trend-compare rule:
 //
@@ -184,11 +184,6 @@ const (
 	EngineAgentFast EngineKind = iota
 	// EngineAgentExact samples agent indices uniformly and reads opinions.
 	EngineAgentExact
-	// EngineAgentParallel is EngineAgentFast sharded across a worker pool
-	// (Config.Parallelism, default GOMAXPROCS). Because every agent owns
-	// its RNG stream and shards write disjoint slices, results are
-	// bit-identical to EngineAgentFast at every parallelism level.
-	EngineAgentParallel
 	// EngineAggregate advances the population as occupancy counts per
 	// (opinion, internal state) instead of per-agent objects: one round
 	// costs O(ℓ²) multinomial updates independent of n, reaching
@@ -237,8 +232,6 @@ func (k EngineKind) String() string {
 		return "agent-fast"
 	case EngineAgentExact:
 		return "agent-exact"
-	case EngineAgentParallel:
-		return "agent-parallel"
 	case EngineAggregate:
 		return "aggregate"
 	case EngineAggregateSparse:

@@ -79,12 +79,12 @@ func TestGraphTopologyParallelBitIdentical(t *testing.T) {
 			t.Fatalf("%s fast: %v", tp.Name(), err)
 		}
 		for _, workers := range []int{1, 2, 5, 16} {
-			got, err := Run(topoConfig(t, EngineAgentParallel, tp, workers))
+			got, err := Run(topoConfig(t, EngineAgentFast, tp, workers))
 			if err != nil {
-				t.Fatalf("%s parallel/%d: %v", tp.Name(), workers, err)
+				t.Fatalf("%s P=%d: %v", tp.Name(), workers, err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s: parallel(%d) diverged from fast:\nfast:     %+v\nparallel: %+v",
+				t.Errorf("%s: P=%d diverged from one shard:\none:     %+v\nsharded: %+v",
 					tp.Name(), workers, ref, got)
 			}
 		}

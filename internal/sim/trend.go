@@ -9,16 +9,15 @@ import (
 )
 
 // This file implements the trend executor (DESIGN.md §10): the round
-// executor EngineAgentFast and EngineAgentParallel run one replicate on
-// whenever the protocol is a TrendLockstep rule, under uniform mixing or
-// on a noiseless graph whose packed rows have a power-of-two degree. It
-// replays the per-agent trend-compare update directly over a word-major
-// rng.Streams block instead of stepping agent objects, sweeping the
-// population one opinion word (64 agents) at a time. It consumes exactly
-// the generic path's RNG stream layout — StreamSeed(seed, 0) for the
-// initializer, StreamSeed(seed, j+1) for agent j, d = DrawsPerRound
-// counts per agent per round — so its results are bit-identical to the
-// agentExecutor's.
+// executor EngineAgentFast runs one replicate on whenever the protocol
+// is a TrendLockstep rule, under uniform mixing or on a noiseless graph
+// whose packed rows have a power-of-two degree. It replays the per-agent
+// trend-compare update directly over a word-major rng.Streams block
+// instead of stepping agent objects, sweeping the population one opinion
+// word (64 agents) at a time. It consumes exactly the generic path's RNG
+// stream layout — StreamSeed(seed, 0) for the initializer,
+// StreamSeed(seed, j+1) for agent j, d = DrawsPerRound counts per agent
+// per round — so its results are bit-identical to the agentExecutor's.
 //
 // Under uniform mixing a count is one draw from the round's tabulated
 // binomial law: the fused rng.Streams.TrendWord draws, decides the
@@ -49,7 +48,7 @@ import (
 // to a second opinion buffer: neighbours read the current opinions all
 // round.
 //
-// EngineAgentParallel splits the word loop across word-aligned shards
+// Config.Parallelism splits the word loop across word-aligned shards
 // (shardPool). Every agent owns its stream, stored count and debt, so
 // any partition produces the same bytes.
 
@@ -71,17 +70,16 @@ const maxRoundJumpSteps = 1 << 16
 const jumpLadderDepth = 16
 
 // trendSupported reports whether the defaulted config c runs on the
-// trend executor: an agent engine that draws from the protocol's law
-// (EngineAgentFast or EngineAgentParallel), a TrendLockstep protocol
-// with d ∈ {1, 2} draws of one declared sample size, agents exposing
-// PrevCount/ResetAgent, no StateInit hook (which would need live
-// per-agent objects), and either uniform mixing or a graph whose packed
-// rows have a power-of-two degree with no noise — the graph round's
-// one-output draws. CorruptStates, FlipCorrectAt, AbsorbWindow,
-// RunToEnd, RecordTrajectory and Observers are all supported, and so is
-// NoiseEps under uniform mixing.
+// trend executor: the agent engine that draws from the protocol's law
+// (EngineAgentFast), a TrendLockstep protocol with d ∈ {1, 2} draws of
+// one declared sample size, agents exposing PrevCount/ResetAgent, no
+// StateInit hook (which would need live per-agent objects), and either
+// uniform mixing or a graph whose packed rows have a power-of-two degree
+// with no noise — the graph round's one-output draws. CorruptStates,
+// FlipCorrectAt, AbsorbWindow, RunToEnd, RecordTrajectory and Observers
+// are all supported, and so is NoiseEps under uniform mixing.
 func trendSupported(c *Config) bool {
-	if (c.Engine != EngineAgentFast && c.Engine != EngineAgentParallel) || c.StateInit != nil {
+	if c.Engine != EngineAgentFast || c.StateInit != nil {
 		return false
 	}
 	if !topo.IsComplete(c.Topology) {
@@ -136,8 +134,7 @@ type trendExecutor struct {
 	pinned int8                   // pinned prev sign (−1 none, 0, 1)
 	thr    rng.BinomialThresholds // the round law
 
-	// shards runs each live round's word loop: one shard, or
-	// Parallelism under EngineAgentParallel.
+	// shards runs each live round's word loop (engineShards shards).
 	shards *shardPool
 
 	// The graph round's state, unused under uniform mixing: the

@@ -96,8 +96,7 @@ func (l *eventLog) ObserveRound(ev RoundEvent) error {
 
 // runGeneric is the independent reference: cfg's replicate on the
 // generic agentExecutor, built directly, whose agents step through the
-// tabulated fastObserver (or the sharded sweep under
-// EngineAgentParallel).
+// tabulated fastObserver (sharded at cfg.Parallelism).
 func runGeneric(t *testing.T, ctx context.Context, cfg Config) (Result, error) {
 	t.Helper()
 	c, err := cfg.withDefaults()
@@ -179,9 +178,9 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 		{"observer-stop", func(c *Config) {
 			c.Observers = []Observer{StopWhen(func(ev RoundEvent) bool { return ev.Round == 25 })}
 		}, true},
-		// EngineAgentParallel splits the trend executor's word loop into
-		// shards and stays bit-identical to the fast reference.
-		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 4 }, true},
+		// Parallelism splits the trend executor's word loop into shards
+		// and stays bit-identical to the one-shard reference.
+		{"parallel-engine", func(c *Config) { c.Parallelism = 4 }, true},
 	}
 	widths := []int{2, 5, 32, 64}
 
@@ -299,10 +298,9 @@ func TestLockstepFallbackIneligible(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"exact-engine", func(c *Config) { c.Engine = EngineAgentExact }},
-		// The parallel engine on a noisy graph, whose draws the graph
-		// round cannot replay.
+		// A sharded run on a noisy graph, whose draws the graph round
+		// cannot replay.
 		{"parallel-engine", func(c *Config) {
-			c.Engine = EngineAgentParallel
 			c.Parallelism = 3
 			c.Topology = topo.RandomRegular(8)
 			c.NoiseEps = 0.05

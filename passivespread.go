@@ -120,9 +120,6 @@ const (
 	EngineAgentFast = sim.EngineAgentFast
 	// EngineAgentExact samples agent indices literally.
 	EngineAgentExact = sim.EngineAgentExact
-	// EngineAgentParallel shards the agent sweep across a worker pool;
-	// results are bit-identical to EngineAgentFast at any parallelism.
-	EngineAgentParallel = sim.EngineAgentParallel
 	// EngineAggregate advances per-state occupancy counts instead of
 	// agents: rounds cost O(ℓ²) independent of n, reaching populations of
 	// 10⁸ and beyond with agent-level-exact statistics.
@@ -160,20 +157,24 @@ var engineFlags = []struct {
 }{
 	{"fast", EngineAgentFast},
 	{"exact", EngineAgentExact},
-	{"parallel", EngineAgentParallel},
 	{"aggregate", EngineAggregate},
 	{"aggregate-sparse", EngineAggregateSparse},
 	{"chain", EngineMarkovChain},
 }
 
 // ParseEngine returns the engine named by its CLI flag ("fast",
-// "exact", "parallel", "aggregate", "aggregate-sparse" or "chain") or
-// by its display name (EngineName: "agent-fast", "markov-chain", …).
+// "exact", "aggregate", "aggregate-sparse" or "chain") or by its
+// display name (EngineName: "agent-fast", "markov-chain", …). The
+// removed "parallel" engine errors with a message naming its
+// replacement: sharding is a schedule, not a sampling law.
 func ParseEngine(name string) (EngineKind, error) {
 	for _, e := range engineFlags {
 		if name == e.flag || name == EngineName(e.kind) {
 			return e.kind, nil
 		}
+	}
+	if name == "parallel" || name == "agent-parallel" {
+		return 0, fmt.Errorf("engine %q is removed: use \"fast\" (sharded rounds are the Parallelism option, fetsim -parallelism)", name)
 	}
 	return 0, fmt.Errorf("unknown engine %q", name)
 }
@@ -276,12 +277,12 @@ type Options struct {
 	// RecordTrajectory stores x_t per round in the result.
 	RecordTrajectory bool
 	// Engine selects the round executor (default EngineAgentFast). Use
-	// EngineAgentParallel for large agent-level populations,
 	// EngineAggregate for populations beyond agent-level reach, and (in
 	// Studies only) EngineMarkovChain for the opinion-count chain.
 	Engine EngineKind
-	// Parallelism bounds EngineAgentParallel's worker count
-	// (0 = GOMAXPROCS). Any value yields bit-identical results.
+	// Parallelism shards each round of an agent engine (fast or exact)
+	// across that many workers (0 or 1 = one shard). Any value yields
+	// bit-identical results.
 	Parallelism int
 	// Topology selects the observation topology (nil = CompleteTopology(),
 	// the paper's uniform mixing). Non-complete topologies run on the

@@ -136,7 +136,7 @@ func (sc Scenario) validate() error {
 
 // config builds the per-replicate simulation template of a synchronous
 // sweep cell. The cell seed goes into Config.Seed (the Study root seed).
-func (sc Scenario) config(n, ell, maxRounds int, engine EngineKind, topology Topology, parallelism int, cellSeed uint64) Config {
+func (sc Scenario) config(n, ell, maxRounds int, engine EngineKind, topology Topology, cellSeed uint64) Config {
 	init, sources := sc.resolved()
 	var proto Protocol
 	if sc.Protocol != nil {
@@ -158,7 +158,6 @@ func (sc Scenario) config(n, ell, maxRounds int, engine EngineKind, topology Top
 		Protocol:      proto,
 		Init:          init,
 		Engine:        engine,
-		Parallelism:   parallelism,
 		Topology:      topology,
 		Seed:          cellSeed,
 		MaxRounds:     maxRounds,
@@ -189,7 +188,7 @@ func (sc Scenario) chainCompatible() bool {
 // through newCell. The template is the Options form — which carries a
 // custom runner's ScenarioParams and is the only form the chain engine
 // accepts — plus, for every other engine, the Config form it runs.
-func (sc Scenario) cell(n, ell, maxRounds int, engine EngineKind, topology Topology, parallelism int, cellSeed uint64,
+func (sc Scenario) cell(n, ell, maxRounds int, engine EngineKind, topology Topology, cellSeed uint64,
 	replicates int) (cellExec, error) {
 	init, sources := sc.resolved()
 	spec := StudySpec{Replicates: replicates, Options: Options{
@@ -202,7 +201,7 @@ func (sc Scenario) cell(n, ell, maxRounds int, engine EngineKind, topology Topol
 		Engine:    engine,
 	}}
 	if engine != EngineMarkovChain {
-		cfg := sc.config(n, ell, maxRounds, engine, topology, parallelism, cellSeed)
+		cfg := sc.config(n, ell, maxRounds, engine, topology, cellSeed)
 		spec.Config = &cfg
 	}
 	return newCell(&spec, sc.Run)

@@ -98,7 +98,7 @@ func TestScenarioTrendFlip(t *testing.T) {
 		t.Fatal("trend-flip not registered")
 	}
 	n := 256
-	cfg := sc.config(n, SampleSize(n), DefaultMaxRounds(n), EngineAgentFast, nil, 0, 21)
+	cfg := sc.config(n, SampleSize(n), DefaultMaxRounds(n), EngineAgentFast, nil, 21)
 	if cfg.FlipCorrectAt == 0 {
 		t.Fatal("trend-flip built a config with no flip")
 	}

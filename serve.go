@@ -371,7 +371,7 @@ func (b *serveBackend) Run(ctx context.Context, key CellKey, progress func(done,
 		return nil, err
 	}
 	total := key.Replicates
-	exec, err := cell.scenario.cell(key.N, key.Ell, key.MaxRounds, cell.engine, cell.topology, 1, key.Seed, total)
+	exec, err := cell.scenario.cell(key.N, key.Ell, key.MaxRounds, cell.engine, cell.topology, key.Seed, total)
 	if err != nil {
 		return nil, asToolError(err)
 	}

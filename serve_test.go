@@ -42,7 +42,8 @@ func serveGet(t testing.TB, h http.Handler, path string) *httptest.ResponseRecor
 // engine (including aggregate-sparse and a dynamic topology) and for a
 // custom-runner scenario, the cache-hit answer is byte-identical to
 // the cold run, and a second daemon with a different Workers setting
-// cold-computes the exact same bytes.
+// cold-computes the exact same bytes. The removed parallel engine (no
+// tier) is rejected with invalidArgument.
 func TestServeDeterminism(t *testing.T) {
 	queries := []struct {
 		name, body, tier string
@@ -52,7 +53,7 @@ func TestServeDeterminism(t *testing.T) {
 		{"aggregate-sparse", `{"n":512,"engine":"aggregate-sparse","topology":"random-regular:8","replicates":6,"seed":7}`, "exact"},
 		{"agent-fast", `{"n":128,"engine":"fast","replicates":6,"seed":3}`, "fallback"},
 		{"agent-exact", `{"n":96,"engine":"exact","replicates":4,"seed":3}`, "fallback"},
-		{"agent-parallel", `{"n":128,"engine":"parallel","replicates":4,"seed":3}`, "fallback"},
+		{"agent-parallel", `{"n":128,"engine":"parallel","replicates":4,"seed":3}`, ""},
 		{"dynamic-topology", `{"n":128,"engine":"fast","topology":"dynamic:8:0.1","replicates":4,"seed":9}`, "fallback"},
 		{"custom-runner", `{"n":96,"scenario":"async","replicates":4,"seed":5}`, "fallback"},
 		{"noisy-overrides", `{"n":128,"scenario":"noisy","noise_eps":0.1,"sources":2,"replicates":4,"seed":11}`, "fallback"},
@@ -62,6 +63,12 @@ func TestServeDeterminism(t *testing.T) {
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
 			cold := servePost(t, daemonA, "/v1/tools/fet.study.run", q.body)
+			if q.tier == "" {
+				if cold.Code != http.StatusBadRequest || !strings.Contains(cold.Body.String(), `"code":"invalidArgument"`) {
+					t.Fatalf("removed engine: %d %s, want 400 invalidArgument", cold.Code, cold.Body)
+				}
+				return
+			}
 			if cold.Code != http.StatusOK {
 				t.Fatalf("cold run: %d %s", cold.Code, cold.Body)
 			}

@@ -16,7 +16,7 @@ type StudySpec struct {
 	// Workers bounds the replicate worker pool (0 = GOMAXPROCS). The
 	// worker count affects scheduling only: replicate seeds derive from
 	// (root seed, replicate index) alone, so results are bit-identical at
-	// every parallelism level.
+	// every worker count.
 	Workers int
 	// Batch is accepted for compatibility; it has no effect: every
 	// replicate runs as its own task. Values outside 0…MaxBatch are

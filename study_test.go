@@ -359,7 +359,7 @@ func TestParseEngineChain(t *testing.T) {
 	if _, err := ParseEngine("bogus"); err == nil {
 		t.Fatal("ParseEngine(bogus) should fail")
 	}
-	for _, name := range []string{"fast", "exact", "parallel", "aggregate"} {
+	for _, name := range []string{"fast", "exact", "aggregate"} {
 		if _, err := ParseEngine(name); err != nil {
 			t.Fatalf("ParseEngine(%s): %v", name, err)
 		}

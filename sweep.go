@@ -73,12 +73,6 @@ type SweepSpec struct {
 	// MaxRounds overrides the per-cell round cap (0 = 400·log₂ n per
 	// cell).
 	MaxRounds int
-	// Parallelism bounds EngineAgentParallel's inner worker count per
-	// replicate (0 = 1: the sweep already parallelizes across cells and
-	// replicates, so inner sharding would only oversubscribe the CPUs —
-	// set this explicitly to shard within replicates anyway). Any value
-	// yields bit-identical results.
-	Parallelism int
 	// Shard restricts execution to a deterministic 1/m slice of the
 	// grid: shard i of m owns every cell c with c mod m == i−1 (zero
 	// value = the whole grid). Sharding only selects which cells run —
@@ -298,10 +292,6 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	if c == 0 {
 		c = DefaultC
 	}
-	parallelism := spec.Parallelism
-	if parallelism == 0 {
-		parallelism = 1
-	}
 	s := &Sweep{replicates: spec.Replicates, seed: spec.Seed, shard: spec.Shard}
 	s.cells = make([]sweepCell, 0, len(scenarios)*len(engines)*len(topologies)*len(spec.Ns)*len(ells))
 	for _, sc := range scenarios {
@@ -324,7 +314,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 						if maxRounds == 0 {
 							maxRounds = DefaultMaxRounds(n)
 						}
-						cell, err := newSweepCell(idx, sc, engine, cellTopo, n, ell, maxRounds, parallelism,
+						cell, err := newSweepCell(idx, sc, engine, cellTopo, n, ell, maxRounds,
 							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates)
 						if err != nil {
 							return nil, fmt.Errorf("cell %d (scenario %s, engine %s, topology %s, n=%d, ℓ=%d): %w",
@@ -365,7 +355,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 
 // newSweepCell prepares one grid cell, judged by checkCell on the
 // topology it runs on: a scenario's pin, else the axis value.
-func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n, ell, maxRounds, parallelism int,
+func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n, ell, maxRounds int,
 	cellSeed uint64, replicates int) (sweepCell, error) {
 	cell := sweepCell{meta: SweepCell{
 		Index:     idx,
@@ -384,7 +374,7 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 		return cell, err
 	}
 	var err error
-	cell.exec, err = sc.cell(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed, replicates)
+	cell.exec, err = sc.cell(n, ell, maxRounds, engine, cellTopo, cellSeed, replicates)
 	return cell, err
 }
 

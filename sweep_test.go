@@ -104,7 +104,7 @@ func TestSweepCellSeedContract(t *testing.T) {
 	if kind == -2 {
 		t.Fatalf("unexpected engine %q", cell.Engine)
 	}
-	cfg := sc.config(cell.N, cell.Ell, DefaultMaxRounds(cell.N), kind, nil, 0, cell.Seed)
+	cfg := sc.config(cell.N, cell.Ell, DefaultMaxRounds(cell.N), kind, nil, cell.Seed)
 	study, err := NewStudy(StudySpec{Replicates: spec.Replicates, Config: &cfg})
 	if err != nil {
 		t.Fatal(err)

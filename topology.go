@@ -17,10 +17,9 @@ import (
 //
 // Determinism is preserved on every topology: graphs build from the
 // run seed via the repository's SplitMix64 stream rule, per-round
-// rewiring derives from (seed, round, agent) alone, and
-// EngineAgentParallel stays bit-identical to EngineAgentFast at any
-// Parallelism. Engine support: the agent engines (fast, exact,
-// parallel) run every topology; EngineAggregate and EngineMarkovChain
+// rewiring derives from (seed, round, agent) alone, and sharded rounds
+// stay bit-identical at any Parallelism. Engine support: the agent
+// engines (fast, exact) run every topology; EngineAggregate and EngineMarkovChain
 // are exact only under uniform mixing and reject non-complete
 // topologies up front with ErrInvalidOptions.
 type Topology = topo.Topology

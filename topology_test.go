@@ -102,9 +102,9 @@ func TestTopologyEngineIncompatibilitiesUpFront(t *testing.T) {
 }
 
 // TestSparseTopologyParallelBitIdentical: the root-level acceptance bar —
-// EngineAgentParallel must be byte-identical to EngineAgentFast at any
-// Parallelism on a non-complete topology (neighbor-list construction and
-// per-round rewiring included).
+// the fast engine must be byte-identical at any Parallelism on a
+// non-complete topology (neighbor-list construction and per-round
+// rewiring included).
 func TestSparseTopologyParallelBitIdentical(t *testing.T) {
 	for _, tp := range []Topology{RandomRegular(8), DynamicRewire(8, 0.3)} {
 		base := Options{
@@ -120,14 +120,13 @@ func TestSparseTopologyParallelBitIdentical(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 8} {
 			opts := base
-			opts.Engine = EngineAgentParallel
 			opts.Parallelism = workers
 			got, err := Disseminate(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s: parallelism %d diverged from fast", TopologyName(tp), workers)
+				t.Fatalf("%s: P=%d diverged from one shard", TopologyName(tp), workers)
 			}
 		}
 	}
@@ -238,7 +237,7 @@ func buildCLITools(t *testing.T) string {
 }
 
 // goldenAtWorkers rewrites a fetsim golden captured at one worker
-// (-jobs 1) to the output expected at -jobs workers: only the
+// (-workers 1) to the output expected at -workers workers: only the
 // "replicates R across W workers" header line names the worker count,
 // every other byte is scheduling-independent.
 func goldenAtWorkers(t *testing.T, golden []byte, workers int) []byte {
@@ -254,7 +253,7 @@ func goldenAtWorkers(t *testing.T, golden []byte, workers int) []byte {
 // testdata/golden_fetsim.txt was captured from the pre-topology tree at
 // fixed seeds and one worker; the refactored fetsim must reproduce it
 // byte for byte — no silent RNG-stream reshuffle for existing users —
-// at -jobs 1, and at -jobs 4 up to the worker count in the header.
+// at -workers 1, and at -workers 4 up to the worker count in the header.
 func TestGoldenFetsimByteIdentical(t *testing.T) {
 	bin := buildCLITools(t)
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_fetsim.txt"))
@@ -265,8 +264,8 @@ func TestGoldenFetsimByteIdentical(t *testing.T) {
 		args []string
 		want []byte
 	}{
-		{[]string{"-jobs", "1"}, golden},
-		{[]string{"-jobs", "4"}, goldenAtWorkers(t, golden, 4)},
+		{[]string{"-workers", "1"}, golden},
+		{[]string{"-workers", "4"}, goldenAtWorkers(t, golden, 4)},
 	} {
 		args := append([]string{"-n", "1024", "-seed", "7", "-replicates", "8"}, sched.args...)
 		out, err := exec.Command(filepath.Join(bin, "fetsim"), args...).CombinedOutput()
@@ -403,23 +402,35 @@ func TestCompleteSweepCSVSchemaStable(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsRemovedBatchFlag: the -batch flags, which had no effect
-// since every replicate became its own task, are gone, so an old
-// command line that still passes one fails with the usage exit status
-// instead of running.
-func TestCLIRejectsRemovedBatchFlag(t *testing.T) {
+// TestCLIRejectsRemovedFlags: removed flags and engine names fail with
+// the usage exit status instead of running, so an old command line never
+// silently changes meaning. The -batch flags had no effect since every
+// replicate became its own task; fetsim's -jobs is now -workers, and
+// the parallel engine is the fast engine with -parallelism shards. The
+// message names the replacement (replace) where there is one.
+func TestCLIRejectsRemovedFlags(t *testing.T) {
 	bin := buildCLITools(t)
 	for _, tc := range []struct {
-		tool string
-		args []string
+		tool    string
+		args    []string
+		replace string
 	}{
-		{"fetsim", []string{"-n", "256", "-replicates", "4", "-batch", "32"}},
-		{"fetsweep", []string{"-ns", "256", "-replicates", "4", "-batch", "32"}},
+		{"fetsim", []string{"-n", "256", "-replicates", "4", "-batch", "32"}, ""},
+		{"fetsweep", []string{"-ns", "256", "-replicates", "4", "-batch", "32"}, ""},
+		{"fetsim", []string{"-n", "256", "-replicates", "4", "-jobs", "2"}, "-workers"},
+		{"fetsim", []string{"-n", "256", "-engine", "parallel"}, "-parallelism"},
+		{"fetsweep", []string{"-ns", "256", "-replicates", "4", "-engines", "parallel"}, `"fast"`},
 	} {
-		out, err := exec.Command(filepath.Join(bin, tc.tool), tc.args...).CombinedOutput()
+		var stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, tc.tool), tc.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Errorf("%s %v: %v, want exit status 2\n%s", tc.tool, tc.args, err, out)
+			t.Errorf("%s %v: %v, want exit status 2\n%s", tc.tool, tc.args, err, stderr.Bytes())
+		}
+		if !strings.Contains(stderr.String(), tc.replace) {
+			t.Errorf("%s %v: stderr does not name %s:\n%s", tc.tool, tc.args, tc.replace, stderr.Bytes())
 		}
 	}
 }
@@ -460,8 +471,8 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 		spread []string
 	}{
 		{"golden_sparse_fetsim.txt", "fetsim",
-			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "1"),
-			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-jobs", "4")},
+			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-workers", "1"),
+			append(sparseStudy[:len(sparseStudy):len(sparseStudy)], "-workers", "4")},
 		{"golden_sparse_fetsim_traj.txt", "fetsim", []string{
 			"-n", "512", "-seed", "3", "-init", "half",
 			"-topology", "dynamic:8:0.2", "-trajectory", "-rounds", "64"}, nil},
