@@ -12,12 +12,14 @@ import (
 
 // literalGraphObserver is the graph round's independent reference:
 // every observation draws a neighbor through View.Next on the agent's
-// own stream (one src.Intn per draw) and reads its current opinion —
-// no packed rows, no deferred debt, no lane batching.
+// own stream (one src.Intn per draw), reads its current opinion and,
+// under noise, flips it on one src.Bernoulli(noiseEps) — no packed
+// rows, no deferred debt, no lane batching.
 type literalGraphObserver struct {
-	ops  *opinionBits
-	view *topo.View
-	src  *rng.Source
+	ops      *opinionBits
+	view     *topo.View
+	src      *rng.Source
+	noiseEps float64
 }
 
 func (o *literalGraphObserver) bind(agent int, src *rng.Source) {
@@ -37,7 +39,13 @@ func (o *literalGraphObserver) CountOnes(m int) int {
 	return count
 }
 
-func (o *literalGraphObserver) Sample() byte { return o.ops.get(o.view.Next(o.src)) }
+func (o *literalGraphObserver) Sample() byte {
+	b := o.ops.get(o.view.Next(o.src))
+	if o.src.Bernoulli(o.noiseEps) {
+		b ^= 1
+	}
+	return b
+}
 
 // runLiteralGraph runs cfg's replicate on a sequential agentExecutor
 // whose observers are all literalGraphObservers.
@@ -54,7 +62,7 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 	}
 	defer e.close()
 	for w := range e.observers {
-		e.observers[w] = &literalGraphObserver{ops: &e.opinions, view: e.graph.NewView()}
+		e.observers[w] = &literalGraphObserver{ops: &e.opinions, view: e.graph.NewView(), noiseEps: c.NoiseEps}
 	}
 	return runLoop(context.Background(), &c, e)
 }
@@ -130,8 +138,7 @@ func TestGraphPrepassMatchesLiteral(t *testing.T) {
 // TestGraphGenericCellsStayGeneric: graph cells outside the trend
 // executor's envelope — a non-trend round shape, noise, a degree that
 // is not a power of two, a StateInit hook — run on the generic
-// agentExecutor, and the noiseless ones still equal the literal
-// reference.
+// agentExecutor, and every one still equals the literal reference.
 func TestGraphGenericCellsStayGeneric(t *testing.T) {
 	base := Config{
 		N:         1024,
@@ -142,16 +149,16 @@ func TestGraphGenericCellsStayGeneric(t *testing.T) {
 		MaxRounds: 80,
 	}
 	cases := []struct {
-		name    string
-		mut     func(*Config)
-		literal bool // compare with the (noiseless) literal reference
+		name string
+		mut  func(*Config)
 	}{
-		{"wide-draws", func(c *Config) { c.Protocol = wideDrawsProto{ell: 3, draws: maxFixedDraws + 1} }, true},
-		{"noise", func(c *Config) { c.NoiseEps = 0.05 }, false},
-		{"random-regular:6", func(c *Config) { c.Topology = topo.RandomRegular(6) }, true},
+		{"wide-draws", func(c *Config) { c.Protocol = wideDrawsProto{ell: 3, draws: maxFixedDraws + 1} }},
+		{"noise", func(c *Config) { c.NoiseEps = 0.05 }},
+		{"noise+random-regular:6", func(c *Config) { c.NoiseEps = 0.05; c.Topology = topo.RandomRegular(6) }},
+		{"random-regular:6", func(c *Config) { c.Topology = topo.RandomRegular(6) }},
 		{"state-init", func(c *Config) {
 			c.StateInit = func(i int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = i % 14 }
-		}, true},
+		}},
 	}
 	for _, tc := range cases {
 		for _, eng := range []struct {
@@ -163,9 +170,7 @@ func TestGraphGenericCellsStayGeneric(t *testing.T) {
 				cfg.Parallelism = eng.par
 				tc.mut(&cfg)
 				checkExecutorKind(t, cfg, false)
-				if tc.literal {
-					checkMatchesLiteral(t, cfg)
-				}
+				checkMatchesLiteral(t, cfg)
 			})
 		}
 	}
