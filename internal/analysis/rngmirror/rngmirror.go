@@ -1,9 +1,9 @@
 // Package rngmirror guards the exact-consumption contract around raw
 // RNG stream access.
 //
-// The batched hot paths (rng.Batch, the fast observer's per-agent
-// prefetch, the graph observer's fused counting kernel, the trend
-// executor's fused kernels and degenerate-round debt) are all mirrors:
+// The batched hot paths (rng.Batch, the graph observer's fused
+// counting kernel, the trend executor's fused kernels and
+// degenerate-round debt) are all mirrors:
 // they must consume exactly the same
 // number of stream outputs, in the same order, as the unbatched
 // per-draw path they replace — otherwise every later draw of that

@@ -102,10 +102,8 @@ func (f *FET) MemoryBits() int {
 // SampleSizes implements sim.Protocol.
 func (f *FET) SampleSizes() []int { return []int{f.ell} }
 
-// DrawsPerRound implements sim.FixedDraws: every Step makes exactly two
-// declared CountOnes calls and no Sample calls, so on the tabulated fast
-// path an agent consumes exactly two stream outputs per round — which
-// the fast observer prefetches in one bulk fill.
+// DrawsPerRound implements sim.TrendLockstep: every Step makes exactly
+// two declared CountOnes calls and no Sample calls.
 func (f *FET) DrawsPerRound() int { return 2 }
 
 // LockstepRule implements sim.TrendLockstep: FETAgent.Step is exactly
@@ -131,7 +129,6 @@ var (
 	_ sim.TrendSeeder      = (*FETAgent)(nil)
 	_ sim.AgentResetter    = (*FETAgent)(nil)
 	_ sim.PrevCounter      = (*FETAgent)(nil)
-	_ sim.FixedDraws       = (*FET)(nil)
 	_ sim.TrendLockstep    = (*FET)(nil)
 )
 
@@ -218,8 +215,8 @@ func (s *SimpleTrend) SamplesPerRound() int { return s.ell }
 // SampleSizes implements sim.Protocol.
 func (s *SimpleTrend) SampleSizes() []int { return []int{s.ell} }
 
-// DrawsPerRound implements sim.FixedDraws: one declared CountOnes call
-// per Step, no Sample calls.
+// DrawsPerRound implements sim.TrendLockstep: one declared CountOnes
+// call per Step, no Sample calls.
 func (s *SimpleTrend) DrawsPerRound() int { return 1 }
 
 // LockstepRule implements sim.TrendLockstep: SimpleTrendAgent.Step is
@@ -244,7 +241,6 @@ var (
 	_ sim.TrendSeeder      = (*SimpleTrendAgent)(nil)
 	_ sim.AgentResetter    = (*SimpleTrendAgent)(nil)
 	_ sim.PrevCounter      = (*SimpleTrendAgent)(nil)
-	_ sim.FixedDraws       = (*SimpleTrend)(nil)
 	_ sim.TrendLockstep    = (*SimpleTrend)(nil)
 )
 

@@ -223,14 +223,14 @@ func (b *BinomialCDF) P() float64 { return b.p }
 
 // Sample draws one variate using the source. It consumes exactly one
 // Float64 (one stream output) per call, in every regime of p — the
-// invariant the fast observer's per-agent draw prefetch relies on.
+// invariant the trend executor's degenerate-round debt relies on.
 func (b *BinomialCDF) Sample(src *Source) int {
 	return b.SampleU(src.Float64())
 }
 
 // SampleU inverts the tabulated CDF at u ∈ [0, 1): it is Sample with the
-// uniform variate supplied by the caller, for consumers that draw their
-// uniforms in bulk.
+// uniform variate supplied by the caller — the float reference that
+// BinomialThresholds.SampleRaw is checked against.
 func (b *BinomialCDF) SampleU(u float64) int {
 	// Binary search for the smallest k with cdf[k] > u.
 	lo, hi := 0, b.n

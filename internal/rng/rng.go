@@ -99,10 +99,9 @@ func (s *Source) Uint64() uint64 {
 
 // UnitFloat maps one 64-bit stream output to a uniform float64 in
 // [0, 1) with 53 bits of precision. It is the single conversion every
-// Float64-style draw in the repository uses — consumers that pre-fetch
-// raw outputs (rng.Batch, the fast observer's per-agent prefetch) must
-// apply exactly this function to stay bit-identical to a direct
-// Float64 call.
+// Float64-style draw in the repository uses — a consumer that draws
+// raw outputs in bulk (rng.Batch) must apply exactly this function to
+// stay bit-identical to a direct Float64 call.
 func UnitFloat(u uint64) float64 {
 	return float64(u>>11) / (1 << 53)
 }
@@ -115,8 +114,7 @@ func (s *Source) Float64() float64 {
 // Fill writes the next len(dst) outputs of the stream into dst. It is
 // exactly equivalent to len(dst) consecutive Uint64 calls — same values,
 // same order, same final generator state — but keeps the generator state
-// in locals across the whole run, which is what the batched hot paths
-// (Batch, the fast observer's per-agent prefetch) use to amortize
+// in locals across the whole run, which is what Batch uses to amortize
 // per-draw overhead without changing any stream.
 func (s *Source) Fill(dst []uint64) {
 	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
@@ -253,7 +251,7 @@ func (s *Source) CountPacked(row uint64, shift uint, m int) int {
 // CountPackedBlocks runs len(counts) consecutive CountPacked(row,
 // shift, m) draws with a single state round-trip, storing each block's
 // count. It consumes exactly len(counts)·m outputs — one agent's whole
-// round of a FixedDraws protocol on the fused graph path. It is the
+// round of a trend rule on the fused graph path. It is the
 // scalar reference of Streams.CountRows, and that kernel's portable
 // path.
 //

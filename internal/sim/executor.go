@@ -235,13 +235,6 @@ func newAgentExecutor(c *Config) (*agentExecutor, error) {
 	if fastPath {
 		e.tables = newRoundTables(e.sampleSizes)
 	}
-	drawsPerRound := 0
-	if fd, ok := c.Protocol.(FixedDraws); ok && fastPath {
-		if d := fd.DrawsPerRound(); d >= 1 && d <= maxFixedDraws {
-			drawsPerRound = d
-		}
-	}
-
 	e.observers = make([]reusableObserver, workers)
 	for w := range e.observers {
 		switch {
@@ -253,7 +246,7 @@ func newAgentExecutor(c *Config) (*agentExecutor, error) {
 		case c.Engine == EngineAgentExact:
 			e.observers[w] = &exactObserver{ops: &e.opinions, noiseEps: c.NoiseEps}
 		default:
-			e.observers[w] = &fastObserver{draws: drawsPerRound}
+			e.observers[w] = &fastObserver{}
 		}
 	}
 
@@ -435,16 +428,14 @@ func (e *agentExecutor) populate(cfg Config) error {
 	if err := rebuildGraph(e.graph, c, len(e.observers)); err != nil {
 		return err
 	}
-	// Per-replicate observer parameters (the shape — observer kind, view
-	// graph, draw batching — is construction-time).
+	// The replicate's noise level (the shape — observer kind, view graph
+	// — is construction-time).
 	for _, obs := range e.observers {
 		switch o := obs.(type) {
 		case *exactObserver:
 			o.noiseEps = c.NoiseEps
 		case *graphObserver:
-			// Noise changes the per-observation stream consumption, so the
-			// prefetch size follows it.
-			o.setNoise(c.NoiseEps)
+			o.noiseEps = c.NoiseEps
 		}
 	}
 	return nil

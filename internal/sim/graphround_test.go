@@ -76,15 +76,15 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 // stream consumption diverges a later draw. The trend rules run on the
 // trend executor's graph round — rows gathered per opinion word,
 // homogeneous rows deferred into debt, mixed rows counted by
-// rng.Streams.CountRows — and a round shape wider than maxFixedDraws
-// runs on the generic executor, counting each call in the generator
-// kernel and burning homogeneous rows call by call; both must match.
+// rng.Streams.CountRows — and the nine-draw wideDrawsProto runs on the
+// generic executor, counting each call in the generator kernel; both
+// must match.
 func TestGraphPrepassMatchesLiteral(t *testing.T) {
 	specs := []string{"random-regular:8", "small-world:4:0.1", "ring", "torus", "dynamic:8:0.2"}
 	protocols := []Protocol{
 		lsTrend(13, 2), // FET-shaped
 		lsTrend(7, 1),  // SimpleTrend-shaped
-		wideDrawsProto{ell: 3, draws: maxFixedDraws + 1},
+		wideDrawsProto{ell: 3, draws: 9},
 	}
 	starts := []struct {
 		name string
@@ -109,7 +109,7 @@ func TestGraphPrepassMatchesLiteral(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, proto := range protocols {
-			draws := proto.(FixedDraws).DrawsPerRound()
+			draws := proto.(interface{ DrawsPerRound() int }).DrawsPerRound()
 			for _, st := range starts {
 				for _, eng := range engines {
 					t.Run(fmt.Sprintf("%s/d=%d/%s/%s", spec, draws, st.name, eng.name), func(t *testing.T) {
@@ -152,7 +152,7 @@ func TestGraphGenericCellsStayGeneric(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"wide-draws", func(c *Config) { c.Protocol = wideDrawsProto{ell: 3, draws: maxFixedDraws + 1} }},
+		{"wide-draws", func(c *Config) { c.Protocol = wideDrawsProto{ell: 3, draws: 9} }},
 		{"noise", func(c *Config) { c.NoiseEps = 0.05 }},
 		{"noise+random-regular:6", func(c *Config) { c.NoiseEps = 0.05; c.Topology = topo.RandomRegular(6) }},
 		{"random-regular:6", func(c *Config) { c.Topology = topo.RandomRegular(6) }},
@@ -176,9 +176,10 @@ func TestGraphGenericCellsStayGeneric(t *testing.T) {
 	}
 }
 
-// wideDrawsProto is a FixedDraws protocol whose round shape exceeds
-// maxFixedDraws: each agent makes draws CountOnes calls of size ell and
-// follows the trend of their sum.
+// wideDrawsProto is a trend-following protocol that is not a
+// TrendLockstep, so it runs on the generic agentExecutor: each agent
+// makes draws CountOnes calls of size ell and follows the trend of
+// their sum.
 type wideDrawsProto struct{ ell, draws int }
 
 func (p wideDrawsProto) Name() string       { return "wide-draws" }

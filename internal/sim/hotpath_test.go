@@ -13,12 +13,12 @@ import (
 
 // hotpathProtocol is a FET-shaped trend protocol local to the hot-path
 // tests (internal/sim cannot import internal/core): two declared
-// CountOnes calls per round, resettable agents, fixed draws.
+// CountOnes calls per round and resettable agents. It is not a
+// TrendLockstep, so it runs on the generic agentExecutor.
 type hotpathProtocol struct{ ell int }
 
 func (p *hotpathProtocol) Name() string       { return "hotpath-trend" }
 func (p *hotpathProtocol) SampleSizes() []int { return []int{p.ell} }
-func (p *hotpathProtocol) DrawsPerRound() int { return 2 }
 func (p *hotpathProtocol) NewAgent(*rng.Source) Agent {
 	return &hotpathAgent{ell: p.ell}
 }
@@ -47,7 +47,6 @@ func (a *hotpathAgent) CorruptState(src *rng.Source) { a.prev = src.Intn(a.ell +
 
 var (
 	_ Protocol         = (*hotpathProtocol)(nil)
-	_ FixedDraws       = (*hotpathProtocol)(nil)
 	_ AgentResetter    = (*hotpathAgent)(nil)
 	_ StateCorruptible = (*hotpathAgent)(nil)
 )

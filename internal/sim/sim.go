@@ -94,25 +94,11 @@ type Initializer interface {
 	Assign(opinions []byte, isSource []bool, src *rng.Source)
 }
 
-// FixedDraws is implemented by protocols whose agents consume exactly
-// DrawsPerRound outputs from their RNG stream per round on the
-// tabulated fast path — i.e. every Step makes exactly that many
-// CountOnes calls, each with a size declared in SampleSizes, and no
-// Sample calls. The fast observer then prefetches each agent's whole
-// round of draws in one bulk fill (rng.Source.Fill) instead of drawing
-// one value at a time; because a tabulated CountOnes consumes exactly
-// one output per call, every consuming call reads the same value it
-// would have drawn itself and the stream stays bit-identical to the
-// unbatched path. FET declares 2, SimpleTrend 1.
-type FixedDraws interface {
-	DrawsPerRound() int
-}
-
 // TrendLockstep is implemented by protocols eligible for the trend
 // executor, which EngineAgentFast runs its replicates on under uniform
-// mixing and on noiseless graphs with power-of-two packed rows. The marker asserts that, whatever the
-// observation source, the protocol's whole per-agent update is the
-// trend-compare rule:
+// mixing and on noiseless graphs with power-of-two packed rows. The
+// marker asserts that, whatever the observation source, the protocol's
+// whole per-agent update is the trend-compare rule:
 //
 //	draw DrawsPerRound() counts c_0 … c_{d−1}, each a CountOnes of the
 //	single declared sample size; adopt opinion 1 if c_0 exceeds the
@@ -133,7 +119,9 @@ type FixedDraws interface {
 // (TrendSeeder composes as usual).
 type TrendLockstep interface {
 	Protocol
-	FixedDraws
+	// DrawsPerRound returns d, the number of CountOnes calls every Step
+	// makes.
+	DrawsPerRound() int
 	// LockstepRule is a marker method carrying no behavior.
 	LockstepRule()
 }

@@ -25,8 +25,8 @@ import (
 // draw. Degenerate rounds — xObs ∈ {0, 1}, the early worst-case rounds
 // before a source observation lands and the absorption tails — are
 // skipped entirely: the generic fast path still draws d outputs per
-// agent (fastObserver.bind prefetches unconditionally) but the values
-// are unused (the p = 0 table answers 0 for every uniform, the p = 1
+// agent (a tabulated CountOnes consumes one output at every p) but the
+// values are unused (the p = 0 table answers 0 for every uniform, the p = 1
 // table answers m) and the population cannot move (it is homogeneous and
 // the trend rule keeps it there), so the trend executor pins the stored
 // counts once per episode, counts the skipped rounds as debt, and
