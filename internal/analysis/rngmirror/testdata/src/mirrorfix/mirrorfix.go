@@ -23,12 +23,12 @@ func accounted(src *rng.Source, buf []uint64) {
 }
 
 func countRows(blk *rng.Streams, rows []uint64, counts [][64]int32) {
-	blk.CountRows(0, 64, ^uint64(0), rows, 61, 40, counts) // want `raw rng\.Streams\.CountRows consumption outside internal/rng`
+	blk.CountRows(0, 64, rows, 61, 40, counts) // want `raw rng\.Streams\.CountRows consumption outside internal/rng`
 }
 
 func accountedRows(blk *rng.Streams, rows []uint64, counts [][64]int32) {
-	//fet:allow rngmirror: consumes exactly len(counts)·40 outputs per live stream, each agent's whole round
-	blk.CountRows(0, 64, ^uint64(0), rows, 61, 40, counts)
+	//fet:allow rngmirror: consumes exactly len(counts)·40 outputs per stream in [0, 64), each agent's whole round
+	blk.CountRows(0, 64, rows, 61, 40, counts)
 }
 
 func typed(src *rng.Source) int {

@@ -57,13 +57,10 @@ func (b *Streams) Seed(root uint64, lo, hi, bound int, prev []uint16) {
 	}
 }
 
-// CountRows advances each live stream of [lo, hi) by exactly
+// CountRows advances each stream of [lo, hi) by exactly
 // len(counts)·m outputs, counting set row bits.
-func (b *Streams) CountRows(lo, hi int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
+func (b *Streams) CountRows(lo, hi int, rows []uint64, shift uint, m int, counts [][64]int32) {
 	for i := lo; i < hi; i++ {
-		if live>>uint(i-lo)&1 == 0 {
-			continue
-		}
 		for c := range counts {
 			for k := 0; k < m; k++ {
 				b.s[i]++

@@ -1,3 +1,7 @@
+// Tests and benchmarks of the generator's raw-output kernels: the bulk
+// Advance, the packed-row counts (CountPacked, CountPackedBlocks and
+// Streams.CountRows), the seeding shortcut FirstRaw and the integer
+// UnitThreshold compare.
 package rng
 
 import "testing"
@@ -26,97 +30,6 @@ func TestAdvanceMatchesSerialDraws(t *testing.T) {
 			t.Fatalf("Advance(%d) diverged from %d serial draws", m, m)
 		}
 	}
-}
-
-// TestStepJumpMatchesAdvance: one table application must equal an
-// m-step serial advance for every state it is applied to.
-func TestStepJumpMatchesAdvance(t *testing.T) {
-	for _, m := range []int{1, 2, 3, 80, 161} {
-		j := NewStepJump(m)
-		if j.Steps() != m {
-			t.Fatalf("NewStepJump(%d).Steps() = %d", m, j.Steps())
-		}
-		for seed := uint64(0); seed < 5; seed++ {
-			a := New(seed)
-			b := *a
-			j.Apply(a)
-			b.Advance(m)
-			if a.Uint64() != b.Uint64() {
-				t.Fatalf("StepJump(%d) at seed %d diverged from Advance", m, seed)
-			}
-		}
-	}
-}
-
-// TestSquareDoublesSteps: squaring must produce the exact 2m-step jump,
-// not merely one of the same length.
-func TestSquareDoublesSteps(t *testing.T) {
-	j := NewStepJump(7)
-	sq := j.Square()
-	if sq.Steps() != 14 {
-		t.Fatalf("Square of 7 steps reports %d", sq.Steps())
-	}
-	a := New(3)
-	b := *a
-	sq.Apply(a)
-	b.Advance(14)
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("squared jump diverged from a 14-step advance")
-	}
-}
-
-// TestJumpLadderFlushMatchesSerial: Flush(units) must consume exactly
-// units·BaseSteps outputs for debts below, at, and far beyond the
-// ladder's top rung.
-func TestJumpLadderFlushMatchesSerial(t *testing.T) {
-	const base, depth = 5, 3
-	l := NewJumpLadder(NewStepJump(base), depth)
-	if l.BaseSteps() != base {
-		t.Fatalf("BaseSteps = %d, want %d", l.BaseSteps(), base)
-	}
-	// 7 = all rungs; 8 and 9 exercise the leftover path (depth covers
-	// units < 8); 41 leaves a large multi-application remainder.
-	for _, units := range []uint64{0, 1, 2, 3, 7, 8, 9, 41} {
-		a := New(100 + units)
-		b := *a
-		l.Flush(a, units)
-		b.Advance(int(units) * base)
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("Flush(%d) diverged from Advance(%d)", units, units*base)
-		}
-	}
-}
-
-// TestJumpLadderDepthInvariant: a ladder's depth changes its cost, never
-// its result — Flush on a shallow ladder must leave exactly the state a
-// full-depth ladder leaves, for debts inside, at and past the shallow
-// ladder's top rung.
-func TestJumpLadderDepthInvariant(t *testing.T) {
-	const base = 6
-	full := NewJumpLadder(NewStepJump(base), 16)
-	for _, k := range []int{1, 3, 8} {
-		shallow := NewJumpLadder(NewStepJump(base), k)
-		top := uint64(1) << uint(k)
-		for _, units := range []uint64{0, 1, top - 1, top, 3*top + 5, 70000} {
-			a := New(7 + units)
-			b := *a
-			shallow.Flush(a, units)
-			full.Flush(&b, units)
-			if *a != b {
-				t.Fatalf("depth %d: Flush(%d) diverged from the depth-16 ladder", k, units)
-			}
-		}
-	}
-}
-
-// TestNewJumpLadderPanicsOnZeroDepth guards the constructor contract.
-func TestNewJumpLadderPanicsOnZeroDepth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewJumpLadder(base, 0) did not panic")
-		}
-	}()
-	NewJumpLadder(NewStepJump(1), 0)
 }
 
 // TestCountPackedMatchesPerDraw: the fused counting kernel must agree
@@ -218,15 +131,6 @@ func TestUnitThresholdEquivalence(t *testing.T) {
 	}
 }
 
-func BenchmarkStepJumpApply(b *testing.B) {
-	j := NewStepJump(80)
-	s := New(42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j.Apply(s)
-	}
-}
-
 func BenchmarkAdvance80(b *testing.B) {
 	s := New(42)
 	b.ResetTimer()
@@ -247,18 +151,18 @@ func BenchmarkCountPackedBlocks(b *testing.B) {
 
 // BenchmarkCountRows counts the same round shape as
 // BenchmarkCountPackedBlocks (2 blocks of 80 outputs, degree 8) on one
-// word of 64 live streams, through the dispatched kernel and the
-// portable CountPackedBlocks loop; ns/stream is the per-stream cost to
-// set against BenchmarkCountPackedBlocks' ns/op.
+// word of 64 streams, through the dispatched kernel and the portable
+// CountPackedBlocks loop; ns/stream is the per-stream cost to set
+// against BenchmarkCountPackedBlocks' ns/op.
 func BenchmarkCountRows(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
-		kernel func(*Streams, int, uint64, []uint64, uint, int, [][64]int32)
+		kernel func(*Streams, int, int, []uint64, uint, int, [][64]int32)
 	}{
-		{"dispatch", func(s *Streams, lo int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
-			s.CountRows(lo, lo+64, live, rows, shift, m, counts)
+		{"dispatch", (*Streams).CountRows},
+		{"generic", func(s *Streams, lo, hi int, rows []uint64, shift uint, m int, counts [][64]int32) {
+			s.countRowsGeneric(lo, 0, hi, rows, shift, m, counts)
 		}},
-		{"generic", (*Streams).countRowsGeneric},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var s Streams
@@ -272,7 +176,7 @@ func BenchmarkCountRows(b *testing.B) {
 			counts := make([][64]int32, 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bc.kernel(&s, 0, ^uint64(0), rows, 61, 80, counts)
+				bc.kernel(&s, 0, 64, rows, 61, 80, counts)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/stream")
 		})

@@ -134,9 +134,9 @@ func (s *Source) Fill(dst []uint64) {
 // Advance discards the next m outputs of the stream: exactly equivalent
 // to m Uint64 calls whose results are ignored, with the state kept in
 // locals across the run. Batched consumers use it when a block's
-// aggregate answer is known without inspecting the values (a packed-row
-// count over a homogeneous row) but the stream must still move exactly
-// as the per-draw path would.
+// answer is known without inspecting the values (the trend executor's
+// skipped degenerate rounds) but the stream must still move exactly as
+// the per-draw path would.
 func (s *Source) Advance(m int) {
 	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
 	i := 0

@@ -1,7 +1,5 @@
 package rng
 
-import "math/bits"
-
 // Streams holds n xoshiro256★★ generators word-major: stream i's state
 // is (s0[i], s1[i], s2[i], s3[i]), so four consecutive streams' copies
 // of one state word are one 32-byte vector load. It is the trend
@@ -193,92 +191,49 @@ func (s *Streams) TrendWordGeneric(d int, thr *BinomialThresholds, prev []uint16
 // d ∈ {1, 2} counts per round.
 const maxRowBlocks = 2
 
-// CountRows advances the live streams of [lo, hi) — at most 64,
-// typically one opinion word's agents; stream j is live when bit j−lo
-// of live is set, and bits at or above hi−lo are ignored — by
-// len(counts) ≤ maxRowBlocks blocks of m outputs each. counts[b][j−lo]
-// receives how many outputs of block b select a set bit of the packed
-// row rows[j−lo] (bit index x >> shift). Per live stream it consumes
-// exactly len(counts)·m outputs, with the counts and final state
-// Source.CountPackedBlocks(rows[j−lo], shift, m, ·) gives; dead
-// streams, their counts entries and every stream outside [lo, hi) keep
-// their values.
+// CountRows advances every stream of [lo, hi) — at most 64, typically
+// one opinion word's agents — by len(counts) ≤ maxRowBlocks blocks of m
+// outputs each. counts[b][j−lo] receives how many outputs of block b
+// select a set bit of the packed row rows[j−lo] (bit index x >> shift).
+// Per stream it consumes exactly len(counts)·m outputs, with the counts
+// and final state Source.CountPackedBlocks(rows[j−lo], shift, m, ·)
+// gives; every stream outside [lo, hi) keeps its state.
 //
-// On amd64 with AVX2 the live streams are packed into a contiguous
-// block and counted eight at a time by the vector kernel, whose
-// extraction mirrors CountPacked's (an index of 64 or more reads 0, as
-// Go's oversized shifts do); elsewhere each live stream runs
-// CountPackedBlocks, which stays the reference.
-func (s *Streams) CountRows(lo, hi int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
+// On amd64 with AVX2 whole 8-stream chunks are counted in place by the
+// vector kernel, whose extraction mirrors CountPacked's (an index of 64
+// or more reads 0, as Go's oversized shifts do); a tail of fewer than
+// eight streams, and every stream elsewhere, runs CountPackedBlocks,
+// which stays the reference.
+func (s *Streams) CountRows(lo, hi int, rows []uint64, shift uint, m int, counts [][64]int32) {
 	if hi-lo > 64 || len(counts) > maxRowBlocks {
 		panic("rng: CountRows spans more than 64 streams or maxRowBlocks blocks")
 	}
-	if hi-lo < 64 {
-		live &= 1<<uint(max(hi-lo, 0)) - 1
+	mid := lo
+	if useAVX2 && m > 0 && len(counts) > 0 {
+		mid += max(hi-lo, 0) &^ 7
 	}
-	if useAVX2 {
-		s.countRowsVec(lo, live, rows, shift, m, counts)
-		return
+	if mid > lo {
+		s0, s1, s2, s3 := s.s0[lo:mid], s.s1[lo:mid], s.s2[lo:mid], s.s3[lo:mid]
+		r := rows[:mid-lo]
+		sh := [2]uint64{uint64(shift)}
+		countRowGroups(&s0[0], &s1[0], &s2[0], &s3[0], &r[0], &counts[0][0], len(s0)/8, &sh, m, len(counts))
 	}
-	s.countRowsGeneric(lo, live, rows, shift, m, counts)
+	s.countRowsGeneric(lo, mid-lo, hi, rows, shift, m, counts)
 }
 
-// countRowsGeneric is CountRows' portable kernel: one
-// CountPackedBlocks pass per live stream, in stream order.
-func (s *Streams) countRowsGeneric(lo int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
+// countRowsGeneric is CountRows' portable kernel over the streams
+// [lo+k0, hi), rows and counts still indexed from lo: one
+// CountPackedBlocks pass per stream, in stream order.
+func (s *Streams) countRowsGeneric(lo, k0, hi int, rows []uint64, shift uint, m int, counts [][64]int32) {
 	var src Source
 	var c [maxRowBlocks]int32
-	for ; live != 0; live &= live - 1 {
-		k := bits.TrailingZeros64(live)
+	for k := k0; k < hi-lo; k++ {
 		s.Load(lo+k, &src)
 		src.CountPackedBlocks(rows[k], shift, m, c[:len(counts)])
 		s.Store(lo+k, &src)
 		for b := range counts {
 			counts[b][k] = c[b]
 		}
-	}
-}
-
-// rowBlock is the vector row kernel's operand: the live streams'
-// states and rows packed to the front, and their per-block counts.
-type rowBlock struct {
-	st     [4][64]uint64
-	rows   [64]uint64
-	counts [maxRowBlocks][64]uint64
-}
-
-// countRowsVec packs the live streams into a rowBlock, runs the vector
-// kernel over its whole 8-stream chunks (a short last chunk counts
-// leftover lanes whose results are discarded), and unpacks the states
-// and counts.
-func (s *Streams) countRowsVec(lo int, live uint64, rows []uint64, shift uint, m int, counts [][64]int32) {
-	if live == 0 || len(counts) == 0 {
-		return
-	}
-	var blk rowBlock
-	p := 0
-	for l := live; l != 0; l &= l - 1 {
-		k := bits.TrailingZeros64(l)
-		i := lo + k
-		blk.st[0][p], blk.st[1][p], blk.st[2][p], blk.st[3][p] = s.s0[i], s.s1[i], s.s2[i], s.s3[i]
-		blk.rows[p] = rows[k]
-		p++
-	}
-	if m > 0 {
-		sh := [2]uint64{uint64(shift)}
-		countRowGroups(&blk.st, &blk.rows, &blk.counts, (p+7)/8, &sh, m, len(counts))
-	}
-	// Unpack in the same order; p and k stay below 64, so the arrays
-	// need no bounds checks.
-	p = 0
-	for l := live; l != 0; l &= l - 1 {
-		k := bits.TrailingZeros64(l)
-		i := lo + k
-		s.s0[i], s.s1[i], s.s2[i], s.s3[i] = blk.st[0][p&63], blk.st[1][p&63], blk.st[2][p&63], blk.st[3][p&63]
-		for b := range counts {
-			counts[b][k] = int32(blk.counts[b][p&63])
-		}
-		p++
 	}
 }
 

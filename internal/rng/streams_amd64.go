@@ -29,15 +29,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (XCR0).
 func xgetbv() (eax, edx uint32)
 
-// countRowGroups runs CountRows' vector kernel over a packed block:
-// the first 8·chunks streams of st (word-major, st[w][k] is state word
-// w of stream k) advance by exactly blocks·m outputs each, and
-// counts[b][k] receives how many outputs of block b select a set bit
-// of rows[k] (bit index x >> shift[0]). It requires AVX2 and chunks,
-// m, blocks ≥ 1.
+// countRowGroups runs CountRows' vector kernel in place over 8·chunks
+// streams held word-major at s0..s3: each advances by exactly blocks·m
+// outputs, and counts[b·64+k] receives how many outputs of block b
+// select a set bit of rows[k] (bit index x >> shift[0]; shift is 16
+// bytes because VPSRLQ reads its count as a 128-bit operand). counts
+// points at a [blocks][64]int32 array. It requires AVX2 and chunks, m,
+// blocks ≥ 1.
 //
 //go:noescape
-func countRowGroups(st *[4][64]uint64, rows *[64]uint64, counts *[maxRowBlocks][64]uint64, chunks int, shift *[2]uint64, m, blocks int)
+func countRowGroups(s0, s1, s2, s3, rows *uint64, counts *int32, chunks int, shift *[2]uint64, m, blocks int)
 
 // trendGroupsFET runs the d = 2 trend kernel over n streams (a multiple
 // of 4) held word-major at s0..s3 with stored counts at prev, against

@@ -245,7 +245,7 @@ GLOBL rowOne<>(SB), RODATA|NOPTR, $32
 	VPAND   rowOne<>(SB), x, x; \
 	VPADDQ  x, acc, acc
 
-// func countRowGroups(st *[4][64]uint64, rows *[64]uint64, counts *[maxRowBlocks][64]uint64, chunks int, shift *[2]uint64, m, blocks int)
+// func countRowGroups(s0, s1, s2, s3, rows *uint64, counts *int32, chunks int, shift *[2]uint64, m, blocks int)
 //
 // Per 8-stream chunk, two 4-stream groups A and B step side by side so
 // each group's dependency chain hides the other's latency:
@@ -255,29 +255,33 @@ GLOBL rowOne<>(SB), RODATA|NOPTR, $32
 //	Y5 / Y13         block counts
 //	Y6-Y7 / Y14-Y15  temporaries
 //
-// SI walks st (state word w of stream k at w·512 + 8k), R10 rows, R11
-// the chunk's counts (block b at b·512), R8 the current block's.
-TEXT ·countRowGroups(SB), NOSPLIT, $0-56
-	MOVQ st+0(FP), SI
-	MOVQ rows+8(FP), R10
-	MOVQ counts+16(FP), R11
-	MOVQ chunks+24(FP), BX
-	MOVQ shift+32(FP), AX
-	MOVQ m+40(FP), R12
-	MOVQ blocks+48(FP), R13
+// SI, DI, R8 and R9 walk the state words and R10 the rows (8 bytes a
+// stream), R11 the chunk's counts (4 bytes a stream, block b at b·256)
+// and R14 the current block's.
+TEXT ·countRowGroups(SB), NOSPLIT, $0-80
+	MOVQ s0+0(FP), SI
+	MOVQ s1+8(FP), DI
+	MOVQ s2+16(FP), R8
+	MOVQ s3+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ counts+40(FP), R11
+	MOVQ chunks+48(FP), BX
+	MOVQ shift+56(FP), AX
+	MOVQ m+64(FP), R12
+	MOVQ blocks+72(FP), R13
 
 rowChunk:
 	VMOVDQU 0(SI), Y0
-	VMOVDQU 512(SI), Y1
-	VMOVDQU 1024(SI), Y2
-	VMOVDQU 1536(SI), Y3
+	VMOVDQU 0(DI), Y1
+	VMOVDQU 0(R8), Y2
+	VMOVDQU 0(R9), Y3
 	VMOVDQU 32(SI), Y8
-	VMOVDQU 544(SI), Y9
-	VMOVDQU 1056(SI), Y10
-	VMOVDQU 1568(SI), Y11
+	VMOVDQU 32(DI), Y9
+	VMOVDQU 32(R8), Y10
+	VMOVDQU 32(R9), Y11
 	VMOVDQU 0(R10), Y4
 	VMOVDQU 32(R10), Y12
-	MOVQ    R11, R8
+	MOVQ    R11, R14
 	MOVQ    R13, CX
 
 rowBlock:
@@ -295,23 +299,31 @@ rowDraw:
 	DECQ DX
 	JNZ  rowDraw
 
-	VMOVDQU Y5, (R8)
-	VMOVDQU Y13, 32(R8)
-	ADDQ    $512, R8
+	// Narrow the eight 64-bit counts to int32 (every count is at most
+	// m < 2^31) and store them.
+	VMOVDQU trendLowDwords<>(SB), Y7
+	VPERMD  Y5, Y7, Y6
+	VPERMD  Y13, Y7, Y14
+	VMOVDQU X6, 0(R14)
+	VMOVDQU X14, 16(R14)
+	ADDQ    $256, R14
 	DECQ    CX
 	JNZ     rowBlock
 
 	VMOVDQU Y0, 0(SI)
-	VMOVDQU Y1, 512(SI)
-	VMOVDQU Y2, 1024(SI)
-	VMOVDQU Y3, 1536(SI)
+	VMOVDQU Y1, 0(DI)
+	VMOVDQU Y2, 0(R8)
+	VMOVDQU Y3, 0(R9)
 	VMOVDQU Y8, 32(SI)
-	VMOVDQU Y9, 544(SI)
-	VMOVDQU Y10, 1056(SI)
-	VMOVDQU Y11, 1568(SI)
+	VMOVDQU Y9, 32(DI)
+	VMOVDQU Y10, 32(R8)
+	VMOVDQU Y11, 32(R9)
 	ADDQ    $64, SI
+	ADDQ    $64, DI
+	ADDQ    $64, R8
+	ADDQ    $64, R9
 	ADDQ    $64, R10
-	ADDQ    $64, R11
+	ADDQ    $32, R11
 	DECQ    BX
 	JNZ     rowChunk
 

@@ -8,7 +8,7 @@ const useAVX2 = false
 
 // countRowGroups, trendGroupsFET and trendGroupsSimple have no vector
 // implementation off amd64; useAVX2 keeps them unreachable.
-func countRowGroups(*[4][64]uint64, *[64]uint64, *[maxRowBlocks][64]uint64, int, *[2]uint64, int, int) {
+func countRowGroups(*uint64, *uint64, *uint64, *uint64, *uint64, *int32, int, *[2]uint64, int, int) {
 	panic("rng: no vector row kernel on this architecture")
 }
 

@@ -362,10 +362,9 @@ func FuzzSeedStreams(f *testing.F) {
 // checkCountRows runs CountRows' dispatched kernel and its portable one
 // over [lo, lo+span) of a block of streams with junk on both sides,
 // and compares each with the per-stream reference: CountPackedBlocks
-// on every live stream. Counts entries start at −1, so a dead lane's
-// entry, and its state, must come through untouched, as must every
-// stream outside the span.
-func checkCountRows(t *testing.T, seed uint64, lo, span int, live uint64, shift uint, m, d int) {
+// on every stream of the span. Every stream outside the span must come
+// through untouched.
+func checkCountRows(t *testing.T, seed uint64, lo, span int, shift uint, m, d int) {
 	t.Helper()
 	n := lo + span + 3
 	root := New(seed)
@@ -378,15 +377,6 @@ func checkCountRows(t *testing.T, seed uint64, lo, span int, live uint64, shift 
 	for k := range rows {
 		rows[k] = root.Uint64()
 	}
-	if span < 64 {
-		live &= 1<<uint(span) - 1
-	}
-	wantCounts := make([][64]int32, d)
-	for b := range wantCounts {
-		for k := range wantCounts[b] {
-			wantCounts[b][k] = -1
-		}
-	}
 	for _, kernel := range []string{"dispatch", "generic"} {
 		var got Streams
 		got.Resize(n)
@@ -394,36 +384,32 @@ func checkCountRows(t *testing.T, seed uint64, lo, span int, live uint64, shift 
 		copy(got.s1, want.s1)
 		copy(got.s2, want.s2)
 		copy(got.s3, want.s3)
-		counts := append([][64]int32(nil), wantCounts...)
+		counts := make([][64]int32, d)
 		if kernel == "dispatch" {
-			got.CountRows(lo, lo+span, live, rows, shift, m, counts)
+			got.CountRows(lo, lo+span, rows, shift, m, counts)
 		} else {
-			got.countRowsGeneric(lo, live, rows, shift, m, counts)
+			got.countRowsGeneric(lo, 0, lo+span, rows, shift, m, counts)
 		}
-		tag := fmt.Sprintf("%s lo=%d span=%d live=%#x shift=%d m=%d d=%d", kernel, lo, span, live, shift, m, d)
+		tag := fmt.Sprintf("%s lo=%d span=%d shift=%d m=%d d=%d", kernel, lo, span, shift, m, d)
 		for i := 0; i < n; i++ {
 			var g, w Source
 			got.Load(i, &g)
 			want.Load(i, &w)
 			k := i - lo
-			isLive := k >= 0 && k < span && live>>uint(k)&1 == 1
+			inSpan := k >= 0 && k < span
 			c := make([]int32, d)
-			if isLive {
+			if inSpan {
 				w.CountPackedBlocks(rows[k], shift, m, c)
 			}
 			if g != w {
-				t.Fatalf("%s: stream %d (live %v): final state %+v, reference %+v", tag, i, isLive, g, w)
+				t.Fatalf("%s: stream %d (in span %v): final state %+v, reference %+v", tag, i, inSpan, g, w)
 			}
-			if k < 0 || k >= span {
+			if !inSpan {
 				continue
 			}
 			for b := range counts {
-				wc := int32(-1)
-				if isLive {
-					wc = c[b]
-				}
-				if counts[b][k] != wc {
-					t.Fatalf("%s: stream %d (live %v) block %d: count %d, want %d", tag, i, isLive, b, counts[b][k], wc)
+				if counts[b][k] != c[b] {
+					t.Fatalf("%s: stream %d block %d: count %d, want %d", tag, i, b, counts[b][k], c[b])
 				}
 			}
 		}
@@ -433,33 +419,18 @@ func checkCountRows(t *testing.T, seed uint64, lo, span int, live uint64, shift 
 // TestCountRowsMatchesCountPackedBlocks: Streams.CountRows, dispatched
 // (the AVX2 kernel where the CPU has it) and portable, equals
 // CountPackedBlocks stream by stream — counts and final states — for
-// spans starting at lo ∈ {0, 1, 7} of 0–16 whole 4-stream groups plus a
-// 0–3-stream tail, every packed degree 2…64, m ∈ {1, 36, 1000} and
-// d ∈ {1, 2}, under full, dense and sparse live masks; dead lanes and
-// the streams around the span stay untouched.
+// spans of 0–64 streams starting at lo ∈ {0, 1, 7}, so every split into
+// whole 8-stream chunks and a 0–7-stream tail runs, at every packed
+// degree 2…64, m ∈ {1, 36, 1000} and d ∈ {1, 2}; the streams around the
+// span stay untouched.
 func TestCountRowsMatchesCountPackedBlocks(t *testing.T) {
 	pick := New(77)
 	for _, lo := range []int{0, 1, 7} {
-		for groups := 0; groups <= 16; groups++ {
-			for tail := 0; tail <= 3; tail++ {
-				span := 4*groups + tail
-				if span > 64 {
-					continue
-				}
-				for shift := uint(58); shift <= 63; shift++ {
-					for _, m := range []int{1, 36, 1000} {
-						for d := 1; d <= maxRowBlocks; d++ {
-							var live uint64
-							switch pick.Intn(3) {
-							case 0:
-								live = ^uint64(0)
-							case 1:
-								live = pick.Uint64() | pick.Uint64()
-							default:
-								live = pick.Uint64() & pick.Uint64() & pick.Uint64()
-							}
-							checkCountRows(t, pick.Uint64(), lo, span, live, shift, m, d)
-						}
+		for span := 0; span <= 64; span++ {
+			for shift := uint(58); shift <= 63; shift++ {
+				for _, m := range []int{1, 36, 1000} {
+					for d := 1; d <= maxRowBlocks; d++ {
+						checkCountRows(t, pick.Uint64(), lo, span, shift, m, d)
 					}
 				}
 			}
@@ -484,26 +455,26 @@ func TestCountRowsRejectsBadShape(t *testing.T) {
 					t.Errorf("%s: CountRows did not panic", tc.name)
 				}
 			}()
-			s.CountRows(0, tc.hi, ^uint64(0), rows, 61, 4, make([][64]int32, tc.blocks))
+			s.CountRows(0, tc.hi, rows, 61, 4, make([][64]int32, tc.blocks))
 		}()
 	}
 }
 
-// FuzzCountRows: for any seed, span, live mask, degree, sample size and
-// block count, CountRows (dispatched and portable) equals the
-// per-stream CountPackedBlocks reference on every count and final
-// state, and leaves dead lanes and the streams around the span alone.
+// FuzzCountRows: for any seed, span, degree, sample size and block
+// count, CountRows (dispatched and portable) equals the per-stream
+// CountPackedBlocks reference on every count and final state, and
+// leaves the streams around the span alone.
 func FuzzCountRows(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(64), ^uint64(0), uint8(3), uint16(36), false)
-	f.Add(uint64(2), uint8(1), uint8(63), uint64(0x8000000000000001), uint8(6), uint16(1), true)
-	f.Add(uint64(3), uint8(7), uint8(9), uint64(0x155), uint8(1), uint16(1000), true)
-	f.Add(uint64(4), uint8(3), uint8(0), ^uint64(0), uint8(2), uint16(0), false)
-	f.Fuzz(func(t *testing.T, seed uint64, lo8, span8 uint8, live uint64, logDeg uint8, m16 uint16, two bool) {
+	f.Add(uint64(1), uint8(0), uint8(64), uint8(3), uint16(36), false)
+	f.Add(uint64(2), uint8(1), uint8(63), uint8(6), uint16(1), true)
+	f.Add(uint64(3), uint8(7), uint8(9), uint8(1), uint16(1000), true)
+	f.Add(uint64(4), uint8(3), uint8(0), uint8(2), uint16(0), false)
+	f.Fuzz(func(t *testing.T, seed uint64, lo8, span8 uint8, logDeg uint8, m16 uint16, two bool) {
 		d := 1
 		if two {
 			d = 2
 		}
 		shift := 64 - uint(logDeg%7) // degree 1…64
-		checkCountRows(t, seed, int(lo8%8), int(span8)%65, live, shift, int(m16)%1201, d)
+		checkCountRows(t, seed, int(lo8%8), int(span8)%65, shift, int(m16)%1201, d)
 	})
 }

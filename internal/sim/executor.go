@@ -48,7 +48,7 @@ type pooledExecutor interface {
 func newRoundExecutor(c *Config) (roundExecutor, error) {
 	switch c.Engine {
 	case EngineAgentFast, EngineAgentExact:
-		e, err := newPooledExecutor(c, nil)
+		e, err := newPooledExecutor(c)
 		if err != nil {
 			return nil, err
 		}
@@ -62,12 +62,10 @@ func newRoundExecutor(c *Config) (roundExecutor, error) {
 
 // newPooledExecutor builds and populates the executor for an agent
 // engine: the trend executor where trendSupported(c) holds, the generic
-// agentExecutor otherwise. The pool p supplies the read-only state
-// executors share (the trend executor's graph jump ladder); nil builds
-// it privately.
-func newPooledExecutor(c *Config, p *Pool) (pooledExecutor, error) {
+// agentExecutor otherwise.
+func newPooledExecutor(c *Config) (pooledExecutor, error) {
 	if trendSupported(c) {
-		e, err := newTrendExecutor(c, p)
+		e, err := newTrendExecutor(c)
 		if err != nil {
 			return nil, err
 		}

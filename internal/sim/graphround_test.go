@@ -14,7 +14,7 @@ import (
 // every observation draws a neighbor through View.Next on the agent's
 // own stream (one src.Intn per draw), reads its current opinion and,
 // under noise, flips it on one src.Bernoulli(noiseEps) — no packed
-// rows, no deferred debt, no lane batching.
+// rows, no vector kernel.
 type literalGraphObserver struct {
 	ops      *opinionBits
 	view     *topo.View
@@ -74,9 +74,9 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 // equal the literal per-draw reference in its Result and in every
 // RoundEvent, across pooled replicates. Any reordered, dropped or extra
 // stream consumption diverges a later draw. The trend rules run on the
-// trend executor's graph round — rows gathered per opinion word,
-// homogeneous rows deferred into debt, mixed rows counted by
-// rng.Streams.CountRows — and the nine-draw wideDrawsProto runs on the
+// trend executor's graph round — rows gathered per opinion word and
+// counted in place by rng.Streams.CountRows — and the nine-draw
+// wideDrawsProto runs on the
 // generic executor, counting each call in the generator kernel; both
 // must match.
 func TestGraphPrepassMatchesLiteral(t *testing.T) {
@@ -274,6 +274,43 @@ func TestGraphRoundSourceWords(t *testing.T) {
 				checkExecutorKind(t, cfg, true)
 				checkMatchesLiteral(t, cfg)
 			})
+		}
+	}
+}
+
+// TestGraphRoundEdgeShapesMatchLiteral: populations whose opinion words
+// exercise every edge of the in-place row kernel — a first word that
+// starts behind 1 or 3 sources, 8-stream chunks followed by a 1–7-stream
+// tail, and a ragged last word (N = 67, 1000, 4097) — equal the literal
+// per-draw reference on both trend rules at one shard and three.
+func TestGraphRoundEdgeShapesMatchLiteral(t *testing.T) {
+	for _, spec := range []string{"random-regular:8", "small-world:4:0.1"} {
+		tp, err := topo.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{67, 1000, 4097} {
+			for _, sources := range []int{1, 3} {
+				for _, par := range []int{1, 3} {
+					for _, d := range []int{1, 2} {
+						t.Run(fmt.Sprintf("%s/n=%d/sources=%d/p=%d/d=%d", spec, n, sources, par, d), func(t *testing.T) {
+							cfg := Config{
+								N:             n,
+								Protocol:      lsTrend(13, d),
+								Init:          halfInit{},
+								Correct:       OpinionOne,
+								Sources:       sources,
+								Parallelism:   par,
+								Topology:      tp,
+								MaxRounds:     80,
+								CorruptStates: true,
+							}
+							checkExecutorKind(t, cfg, true)
+							checkMatchesLiteral(t, cfg)
+						})
+					}
+				}
+			}
 		}
 	}
 }

@@ -118,7 +118,7 @@ type graphObserver struct {
 	noiseEps float64
 
 	// deg is the graph's uniform out-degree; shift is 64−log₂(deg) when
-	// deg is a power of two (0 sentinel otherwise; see rowShape).
+	// deg is a power of two (0 sentinel otherwise; see rowShift).
 	deg   int
 	shift uint
 	// fused selects the generator-kernel counting path: packed rows of a
@@ -136,24 +136,19 @@ type graphObserver struct {
 // newGraphObserver builds one per-shard graph observer.
 func newGraphObserver(ops *opinionBits, g *topo.Graph, c *Config) *graphObserver {
 	o := &graphObserver{ops: ops, view: g.NewView(), deg: g.Degree(), noiseEps: c.NoiseEps}
-	_, o.shift = rowShape(o.deg)
+	o.shift = rowShift(o.deg)
 	o.fused = o.shift != 0 && g.PackedRows() && c.NoiseEps <= 0
 	return o
 }
 
-// rowShape returns a degree-deg packed row's all-ones value and its
-// draw shift: 64−log₂(deg) when deg is a power of two, the sentinel 0
-// otherwise (Lemire's Intn on a power-of-two bound is exactly x >> shift
-// with no rejection).
-func rowShape(deg int) (full uint64, shift uint) {
-	full = ^uint64(0)
-	if deg < 64 {
-		full = 1<<uint(deg) - 1
-	}
+// rowShift returns a degree-deg packed row's draw shift: 64−log₂(deg)
+// when deg is a power of two, the sentinel 0 otherwise (Lemire's Intn on
+// a power-of-two bound is exactly x >> shift with no rejection).
+func rowShift(deg int) uint {
 	if deg >= 1 && deg&(deg-1) == 0 {
-		shift = uint(64 - bits.TrailingZeros(uint(deg)))
+		return uint(64 - bits.TrailingZeros(uint(deg)))
 	}
-	return full, shift
+	return 0
 }
 
 // singleSampleSize reports the protocol's sole distinct declared sample

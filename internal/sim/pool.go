@@ -2,10 +2,8 @@ package sim
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 
-	"passivespread/internal/rng"
 	"passivespread/internal/topo"
 )
 
@@ -38,57 +36,19 @@ type poolKey struct {
 // keeping results bit-identical: populate replays exactly the RNG
 // consumption of a fresh construction.
 //
-// The Pool also owns the read-only state its executors can share: the
-// trend executor's graph-round stream-jump ladders, built once per
-// (round jump, depth) and handed to every executor leased concurrently,
-// so running W sparse replicates at once costs one ladder, not W.
-//
 // A Pool is safe for concurrent use. Call Release when a batch
 // finishes: it drops the idle executors and stops their persistent
 // workers (leaked otherwise for Parallelism > 1). The Pool remains
 // usable after Release.
 type Pool struct {
-	mu      sync.Mutex
-	free    map[poolKey][]pooledExecutor
-	ladders map[ladderKey]*rng.JumpLadder
+	mu   sync.Mutex
+	free map[poolKey][]pooledExecutor
 }
 
-// ladderKey is a jump ladder's shape: the whole-round step count of its
-// base rung and its number of rungs.
-type ladderKey struct{ steps, depth int }
-
-// NewPool returns an empty executor pool. Its maps are allocated on
-// first insert, so a pool that never leases (a Study that is built but
-// not run) costs one small allocation.
+// NewPool returns an empty executor pool. Its map is allocated on first
+// insert, so a pool that never leases (a Study that is built but not
+// run) costs one small allocation.
 func NewPool() *Pool { return &Pool{} }
-
-// jumpLadder returns the shared ladder over a steps-output round jump
-// for replicates of at most maxRounds rounds, building it on first use.
-// A per-agent deferred debt never exceeds the rounds run, so
-// bits.Len(maxRounds) rungs (capped at jumpLadderDepth) settle every
-// debt in popcount applications; the depth changes no stream byte,
-// since JumpLadder.Flush is exact past its top rung. A nil *Pool builds
-// a private ladder.
-func (p *Pool) jumpLadder(steps, maxRounds int) *rng.JumpLadder {
-	depth := min(jumpLadderDepth, max(1, bits.Len(uint(maxRounds))))
-	if p == nil {
-		return rng.NewJumpLadder(rng.NewStepJump(steps), depth)
-	}
-	key := ladderKey{steps, depth}
-	// Built under the lock: a concurrent lease of the same shape waits
-	// for this ladder rather than building a second one.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l := p.ladders[key]
-	if l == nil {
-		l = rng.NewJumpLadder(rng.NewStepJump(steps), depth)
-		if p.ladders == nil {
-			p.ladders = make(map[ladderKey]*rng.JumpLadder)
-		}
-		p.ladders[key] = l
-	}
-	return l
-}
 
 // RunContext is RunContext with executor reuse: it leases a pooled
 // executor matching cfg's shape (building one on a miss), runs the
@@ -126,7 +86,7 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 
 	e := p.get(key)
 	if e == nil {
-		e, err = newPooledExecutor(&c, p)
+		e, err = newPooledExecutor(&c)
 	} else if err = e.populate(c); err != nil {
 		e.close()
 	}
@@ -161,10 +121,9 @@ func (p *Pool) put(key poolKey, e pooledExecutor) {
 	p.free[key] = append(p.free[key], e)
 }
 
-// Release closes and drops every idle executor and the shared jump
-// ladders. Executors leased at call time are unaffected — they keep
-// their ladder, return to the pool when their replicate finishes and
-// are freed by the next Release.
+// Release closes and drops every idle executor. Executors leased at
+// call time are unaffected: they return to the pool when their
+// replicate finishes and are freed by the next Release.
 func (p *Pool) Release() {
 	if p == nil {
 		return
@@ -178,5 +137,4 @@ func (p *Pool) Release() {
 		}
 		delete(p.free, key)
 	}
-	clear(p.ladders)
 }

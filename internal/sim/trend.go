@@ -39,35 +39,20 @@ import (
 // On a graph a count is m uniform draws over the agent's packed out-row,
 // one output each (x >> shift for a power-of-two degree). Per word, the
 // graph round gathers every agent's row from the current opinions
-// (topo.View.RowBits). A homogeneous row answers all d counts (0 or m),
-// so its d·m outputs become one unit of the agent's debt, settled
-// through the pool's shared JumpLadder when the stream is next read, or
-// dropped at replicate end; the mixed rows' streams count in
-// rng.Streams.CountRows. The counts are compared with the stored ones
-// into up and down masks, as under uniform mixing, but the new word goes
-// to a second opinion buffer: neighbours read the current opinions all
-// round.
+// (topo.View.RowBits) and counts all of them in place in
+// rng.Streams.CountRows, d blocks of m outputs per agent stream. A
+// homogeneous row is counted like any other: it reads 0 or m. The
+// counts are compared with the stored ones into up and down masks, as
+// under uniform mixing, but the new word goes to a second opinion
+// buffer: neighbours read the current opinions all round.
 //
 // Config.Parallelism splits the word loop across word-aligned shards
-// (shardPool). Every agent owns its stream, stored count and debt, so
-// any partition produces the same bytes.
+// (shardPool). Every agent owns its stream and stored count, so any
+// partition produces the same bytes.
 
 // maxTrendCount bounds the protocol's declared sample size on the trend
 // executor: stored counts are uint16.
 const maxTrendCount = 1<<16 - 1
-
-// maxRoundJumpSteps bounds the graph round's jump precompute (building
-// a StepJump runs 256·steps serial state advances); rounds consuming
-// more outputs than this count homogeneous rows instead of deferring
-// them.
-const maxRoundJumpSteps = 1 << 16
-
-// jumpLadderDepth caps the number of powers-of-two rungs built over the
-// graph round's jump: deferred-round debts up to 2^16−1 settle in
-// popcount applications, and longer ones (an agent homogeneous for a
-// whole epoch) fall back to repeated top-rung applications. Shorter
-// round caps build fewer rungs (see Pool.jumpLadder).
-const jumpLadderDepth = 16
 
 // trendSupported reports whether the defaulted config c runs on the
 // trend executor: the agent engine that draws from the protocol's law
@@ -84,7 +69,7 @@ func trendSupported(c *Config) bool {
 	}
 	if !topo.IsComplete(c.Topology) {
 		deg, ok := topo.PackedDegree(c.Topology)
-		if _, shift := rowShape(deg); !ok || shift == 0 || c.NoiseEps > 0 {
+		if !ok || rowShift(deg) == 0 || c.NoiseEps > 0 {
 			return false
 		}
 	}
@@ -139,24 +124,19 @@ type trendExecutor struct {
 
 	// The graph round's state, unused under uniform mixing: the
 	// observation graph, rebuilt in place per replicate, the opinions
-	// buffer the round writes, and per-shard scratch. fullRow is the
-	// packed all-ones row and shift 64−log₂(degree). deficit counts each
-	// agent's deferred rounds, settled through ladder (both nil when a
-	// round consumes more than maxRoundJumpSteps outputs: every row then
-	// counts). round numbers the rounds for dynamic rewiring.
+	// buffer the round writes, and per-shard scratch. shift is
+	// 64−log₂(degree), and round numbers the rounds for dynamic
+	// rewiring.
 	graph   *topo.Graph
 	next    opinionBits
 	gshards []graphShard
-	fullRow uint64
 	shift   uint
-	deficit []uint32
-	ladder  *rng.JumpLadder
 	round   int
 }
 
 // graphShard is one shard's graph-round scratch: its View and, for the
-// word the round is on, the mixed rows and every agent's d counts,
-// indexed from the word's first agent.
+// word the round is on, every agent's row and d counts, indexed from the
+// word's first agent.
 type graphShard struct {
 	view   *topo.View
 	rows   [64]uint64
@@ -164,10 +144,8 @@ type graphShard struct {
 }
 
 // newTrendExecutor builds the trend executor for c, which has passed
-// trendSupported, and populates it for c's replicate. The pool p
-// supplies the graph round's shared jump ladder; nil builds it
-// privately.
-func newTrendExecutor(c *Config, p *Pool) (*trendExecutor, error) {
+// trendSupported, and populates it for c's replicate.
+func newTrendExecutor(c *Config) (*trendExecutor, error) {
 	proto := c.Protocol.(TrendLockstep)
 	m, _ := singleSampleSize(proto.SampleSizes())
 	n := c.N
@@ -192,14 +170,10 @@ func newTrendExecutor(c *Config, p *Pool) (*trendExecutor, error) {
 	if graph != nil {
 		e.graph = graph
 		e.next.resize(n)
-		e.fullRow, e.shift = rowShape(graph.Degree())
+		e.shift = rowShift(graph.Degree())
 		e.gshards = make([]graphShard, workers)
 		for w := range e.gshards {
 			e.gshards[w].view = graph.NewView()
-		}
-		if e.d*m <= maxRoundJumpSteps {
-			e.ladder = p.jumpLadder(e.d*m, c.MaxRounds)
-			e.deficit = make([]uint32, n)
 		}
 	}
 	e.shards = newShardPool(c.Sources, n, workers, e.stepShard)
@@ -244,7 +218,6 @@ func (e *trendExecutor) populate(cfg Config) error {
 	e.debt = 0
 	e.pinned = -1
 	e.round = 0
-	clear(e.deficit)
 	return rebuildGraph(e.graph, c, len(e.gshards))
 }
 
@@ -340,10 +313,8 @@ func (e *trendExecutor) kernel(lo, hi int) int {
 
 // graphWords advances the agents [lo, hi) one graph round through shard
 // sh's scratch, and returns the change in 1-opinions. Per opinion word
-// it gathers every row; a homogeneous row adds one unit of debt and
-// fixes the agent's counts at 0 or m, a mixed row settles the agent's
-// debt and marks its stream live; rng.Streams.CountRows counts the live
-// streams; and the counts decide the trend rule against prev exactly as
+// it gathers every agent's row, rng.Streams.CountRows counts them all in
+// place, and the counts decide the trend rule against prev exactly as
 // the agents' Step would, the new word going to e.next.
 //
 //fet:hotpath
@@ -357,27 +328,13 @@ func (e *trendExecutor) graphWords(sh, lo, hi int) int {
 	for lo < hi {
 		wi := lo >> 6
 		whi := min(hi, (wi+1)<<6)
-		var live uint64
-		for i := lo; i < whi; i++ {
-			v.Bind(i)
-			row, _ := v.RowBits(cur)
-			k := i - lo
-			if e.ladder != nil {
-				if row == 0 || row == e.fullRow {
-					e.deficit[i]++
-					c := int32(e.m) * int32(row&1) // 0 or m
-					w.counts[0][k], w.counts[last][k] = c, c
-					continue
-				}
-				if e.deficit[i] != 0 {
-					e.settleDebt(i)
-				}
-			}
-			w.rows[k] = row
-			live |= 1 << uint(k)
+		rows := w.rows[:whi-lo]
+		for k := range rows {
+			v.Bind(lo + k)
+			rows[k], _ = v.RowBits(cur)
 		}
-		//fet:allow rngmirror: exactly d·m outputs per live (mixed-row) agent stream in [lo, whi) — the generic graph path's d CountOnes calls of m one-output draws; a homogeneous row's outputs are deferred as one unit of the agent's debt instead
-		e.srcs.CountRows(lo, whi, live, w.rows[:], e.shift, e.m, w.counts[:e.d])
+		//fet:allow rngmirror: exactly d·m outputs per agent stream in [lo, whi) — the generic graph path's d CountOnes calls of m one-output draws
+		e.srcs.CountRows(lo, whi, rows, e.shift, e.m, w.counts[:e.d])
 		var up, down uint64
 		prev := e.prev[lo:whi]
 		for k, p := range prev {
@@ -408,15 +365,4 @@ func applyWord(dst, src []uint64, lo int, up, down uint64) int {
 	w := (old | up<<shift) &^ (down << shift)
 	dst[wi] = w
 	return bits.OnesCount64(w) - bits.OnesCount64(old)
-}
-
-// settleDebt advances agent i's stream past its deferred rounds before
-// the stream is next read, keeping it byte-identical to the
-// never-deferred schedule.
-func (e *trendExecutor) settleDebt(i int) {
-	var src rng.Source
-	e.srcs.Load(i, &src)
-	e.ladder.Flush(&src, uint64(e.deficit[i]))
-	e.srcs.Store(i, &src)
-	e.deficit[i] = 0
 }

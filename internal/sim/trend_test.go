@@ -252,7 +252,7 @@ func TestTrendExecutorPooledReuseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := newTrendExecutor(&c, nil)
+		fresh, err := newTrendExecutor(&c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +536,7 @@ func TestTrendRejectsOutOfRangeCount(t *testing.T) {
 	if !trendSupported(&c) {
 		t.Fatal("config not eligible for the trend executor")
 	}
-	if _, err := newTrendExecutor(&c, nil); err == nil {
+	if _, err := newTrendExecutor(&c); err == nil {
 		t.Fatal("stored count 7 with m = 6 accepted")
 	}
 }
@@ -548,7 +548,7 @@ func TestTrendRejectsOutOfRangeCount(t *testing.T) {
 // ns per agent-round. The graph rows time whole FET rounds (d = 2) on
 // random-regular:8 and small-world:4:0.1 from a random half-and-half
 // start, re-populated every 16 rounds (untimed) so the rows stay mixed:
-// gather, debt, CountRows and decision through the executor's Step.
+// gather, CountRows and decision through the executor's Step.
 func BenchmarkTrendKernel(b *testing.B) {
 	const n = 4096
 	for _, spec := range []string{"random-regular:8", "small-world:4:0.1"} {
@@ -571,7 +571,7 @@ func BenchmarkTrendKernel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := newPooledExecutor(&c, nil)
+			e, err := newPooledExecutor(&c)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -611,7 +611,7 @@ func BenchmarkTrendKernel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e, err := newTrendExecutor(&c, nil)
+				e, err := newTrendExecutor(&c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -655,7 +655,7 @@ func BenchmarkTrendPopulate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := newTrendExecutor(&c, nil)
+			e, err := newTrendExecutor(&c)
 			if err != nil {
 				b.Fatal(err)
 			}
