@@ -219,9 +219,8 @@ func BenchmarkReplicateAlloc(b *testing.B) {
 	}{
 		{"fast", EngineAgentFast, 0, nil},
 		{"parallel", EngineAgentFast, 4, nil},
-		// The frozen-graph fused path: per-agent packed rows, bind-time
-		// whole-round popcounts and deferred homogeneous-round jumps must
-		// all stay allocation-free in the steady state.
+		// The graph round: rows packed per opinion word and counted in
+		// place must stay allocation-free in the steady state.
 		{"fast-random-regular", EngineAgentFast, 0, RandomRegular(8)},
 	}
 	n := 16384

@@ -377,14 +377,27 @@ func (s *Source) Intn(n int) int {
 // while the low word lies below (2^64 − bound) mod bound. It draws
 // nothing more unless that low word is below bound (never for a
 // power-of-two bound). Source.Intn and Streams.Seed share it, so their
-// rejection behavior cannot drift apart.
+// rejection behavior cannot drift apart. The common no-rejection check
+// inlines into its callers; the redraw loop stays out of line. (It calls
+// bits.Mul64 directly: the mul64 wrapper's inlining cost would push
+// lemire past the compiler's budget.)
 func (s *Source) lemire(x, bound uint64) uint64 {
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
-		threshold := (-bound) % bound
-		for lo < threshold {
-			hi, lo = mul64(s.Uint64(), bound)
-		}
+		return s.lemireRedraw(hi, lo, bound)
+	}
+	return hi
+}
+
+// lemireRedraw is lemire's rejection path for a first product (hi, lo)
+// whose low word fell below bound: it redraws while the low word lies
+// below the rejection threshold and returns the accepted high word.
+//
+//go:noinline
+func (s *Source) lemireRedraw(hi, lo, bound uint64) uint64 {
+	threshold := (-bound) % bound
+	for lo < threshold {
+		hi, lo = mul64(s.Uint64(), bound)
 	}
 	return hi
 }

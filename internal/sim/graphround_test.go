@@ -67,19 +67,18 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 	return runLoop(context.Background(), &c, e)
 }
 
-// TestGraphPrepassMatchesLiteral: on every packed power-of-two
+// TestGraphRoundMatchesLiteral: on every packed power-of-two
 // topology, for both trend rules, every start (all-wrong, half,
 // corrupted memories, a mid-run source flip) and the fast engine at
 // P ∈ {0, 1, 3} shards (Parallelism), the executor must
 // equal the literal per-draw reference in its Result and in every
 // RoundEvent, across pooled replicates. Any reordered, dropped or extra
 // stream consumption diverges a later draw. The trend rules run on the
-// trend executor's graph round — rows gathered per opinion word and
-// counted in place by rng.Streams.CountRows — and the nine-draw
-// wideDrawsProto runs on the
-// generic executor, counting each call in the generator kernel; both
-// must match.
-func TestGraphPrepassMatchesLiteral(t *testing.T) {
+// trend executor's graph round — rows packed per opinion word by
+// topo.View.PackRows and counted in place by rng.Streams.CountRows — and
+// the nine-draw wideDrawsProto runs on the generic executor, counting
+// each call in the generator kernel; both must match.
+func TestGraphRoundMatchesLiteral(t *testing.T) {
 	specs := []string{"random-regular:8", "small-world:4:0.1", "ring", "torus", "dynamic:8:0.2"}
 	protocols := []Protocol{
 		lsTrend(13, 2), // FET-shaped

@@ -101,11 +101,11 @@ func (o *fastObserver) Sample() byte {
 // bit-identical to the sequential one.
 //
 // At bind, the agent's whole out-row packs into one uint64 of opinion
-// bits (a CSR gather over the opinion bitset, frozen at graph
-// Build/Rebuild time — see topo.View.RowBits), so each observation is
-// one src.Intn(deg) draw, a shift and a mask instead of a scattered
-// bitset read. A power-of-two degree rejects nothing, so with no noise
-// whole counts run inside the generator kernel. Trend rules on
+// bits (topo.View.RowBits, a sweep of the row over the opinion bitset),
+// so each observation is one src.Intn(deg) draw, a shift and a mask
+// instead of a scattered bitset read. A power-of-two degree rejects
+// nothing, so with no noise whole counts run inside the generator
+// kernel. Trend rules on
 // power-of-two graphs do not come here: the trend executor runs their
 // whole graph round itself (trend.go); this observer serves the other
 // protocols, noisy rounds, the exact engine and StateInit runs.

@@ -38,8 +38,9 @@ import (
 //
 // On a graph a count is m uniform draws over the agent's packed out-row,
 // one output each (x >> shift for a power-of-two degree). Per word, the
-// graph round gathers every agent's row from the current opinions
-// (topo.View.RowBits) and counts all of them in place in
+// graph round packs every agent's row from the adjacency and the current
+// opinions in one topo.View.PackRows call (an AVX2 gather kernel on
+// degrees 4…64) and counts all of them in place in
 // rng.Streams.CountRows, d blocks of m outputs per agent stream. A
 // homogeneous row is counted like any other: it reads 0 or m. The
 // counts are compared with the stored ones into up and down masks, as
@@ -313,9 +314,10 @@ func (e *trendExecutor) kernel(lo, hi int) int {
 
 // graphWords advances the agents [lo, hi) one graph round through shard
 // sh's scratch, and returns the change in 1-opinions. Per opinion word
-// it gathers every agent's row, rng.Streams.CountRows counts them all in
-// place, and the counts decide the trend rule against prev exactly as
-// the agents' Step would, the new word going to e.next.
+// topo.View.PackRows gathers every agent's row, rng.Streams.CountRows
+// counts them all in place, and the counts decide the trend rule
+// against prev exactly as the agents' Step would, the new word going to
+// e.next.
 //
 //fet:hotpath
 func (e *trendExecutor) graphWords(sh, lo, hi int) int {
@@ -329,10 +331,7 @@ func (e *trendExecutor) graphWords(sh, lo, hi int) int {
 		wi := lo >> 6
 		whi := min(hi, (wi+1)<<6)
 		rows := w.rows[:whi-lo]
-		for k := range rows {
-			v.Bind(lo + k)
-			rows[k], _ = v.RowBits(cur)
-		}
+		v.PackRows(lo, cur, rows)
 		//fet:allow rngmirror: exactly d·m outputs per agent stream in [lo, whi) — the generic graph path's d CountOnes calls of m one-output draws
 		e.srcs.CountRows(lo, whi, rows, e.shift, e.m, w.counts[:e.d])
 		var up, down uint64

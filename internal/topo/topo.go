@@ -398,14 +398,6 @@ type Graph struct {
 	adj    []int32
 	seed   uint64
 	dyn    *dynamicRewire // nil for static topologies
-	// plan is the frozen CSR gather plan over the opinion-bitset word
-	// layout (see gather.go), rebuilt alongside adj; nil when the
-	// out-degree exceeds maxGatherDegree. planLive reports whether the
-	// plan actually beats a direct row gather (neighbors share words) —
-	// scattered graphs leave it dormant: never built, or holding a
-	// previous live plan's arrays for reuse, but never read.
-	plan     *gatherPlan
-	planLive bool
 	// rows is the single-worker row-construction scratch, used only by
 	// Build and Rebuild.
 	rows rowStream
@@ -451,17 +443,15 @@ func build(t rowTopology, n int, seed uint64, workers int) (*Graph, error) {
 		g.dyn = &d
 	}
 	g.fillRows(t, workers)
-	g.refreshPlan()
 	return g, nil
 }
 
 // Rebuild refills an existing graph's adjacency in place for a new seed,
-// reusing the O(n·deg) backing array and the gather plan's arrays. t
-// must be the topology g was built from (same shape: population, degree,
-// rewire rule); Views over g stay valid and observe the new rows. This
-// is the executor-pooling fast path: per replicate the topology seed
-// changes but the shape never does. With one worker a Rebuild whose
-// plan fits the previous arrays allocates nothing.
+// reusing the O(n·deg) backing array. t must be the topology g was
+// built from (same shape: population, degree, rewire rule); Views over g
+// stay valid and observe the new rows. This is the executor-pooling fast
+// path: per replicate the topology seed changes but the shape never
+// does. With one worker a Rebuild allocates nothing.
 func Rebuild(g *Graph, t Topology, n int, seed uint64, workers int) error {
 	rt, ok := t.(rowTopology)
 	if !ok {
@@ -480,10 +470,6 @@ func Rebuild(g *Graph, t Topology, n int, seed uint64, workers int) error {
 	}
 	g.seed = seed
 	g.fillRows(rt, workers)
-	// The gather plan indexes the rows just refilled; refresh it in the
-	// same pass so Views (which read the plan through the graph pointer)
-	// observe a consistent adjacency/plan pair.
-	g.refreshPlan()
 	return nil
 }
 
@@ -559,11 +545,6 @@ type View struct {
 	// rewireThresh is rng.UnitThreshold(p) for the dynamic rewire
 	// probability: the coin compares the raw first output in integers.
 	rewireThresh uint64
-	// agent is the bound agent and onBase whether its current row is the
-	// built (static) one — the pair RowBits needs to route a gather
-	// through the frozen plan.
-	agent  int
-	onBase bool
 }
 
 // NewView returns a fresh read handle over the graph.
@@ -585,8 +566,6 @@ func (v *View) NewRound(round int) { v.round = round }
 // derived from (graph seed, round, agent) alone.
 func (v *View) Bind(agent int) {
 	base := v.g.Base(agent)
-	v.agent = agent
-	v.onBase = true
 	d := v.g.dyn
 	if d == nil {
 		v.row = base
@@ -607,7 +586,6 @@ func (v *View) Bind(agent int) {
 		v.row = base
 		return
 	}
-	v.onBase = false
 	// Rewired: construct the stream for real and replay the coin draw, so
 	// the resampling below consumes exactly the values the single-stream
 	// per-draw path would. The row draws come straight off the source —

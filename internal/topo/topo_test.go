@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -271,9 +272,14 @@ func TestValidateRejectsOverflowDegrees(t *testing.T) {
 
 // TestValidateRejectsOverInt32Populations: the adjacency stores int32
 // indices, so a graph topology over a larger population must fail
-// Validate instead of wrapping inside Build.
+// Validate instead of wrapping inside Build. With a 32-bit int no
+// population exceeds the int32 adjacency, so there is nothing to reject.
 func TestValidateRejectsOverInt32Populations(t *testing.T) {
-	huge := MaxGraphN + 1
+	if bits.UintSize == 32 {
+		t.Skip("32-bit int: every population fits the int32 adjacency")
+	}
+	huge := MaxGraphN
+	huge++
 	for _, tp := range []Topology{Ring(2), Torus(), RandomRegular(8), SmallWorld(4, 0.1), DynamicRewire(8, 0.1)} {
 		if err := tp.Validate(huge); err == nil {
 			t.Errorf("%s accepted n = %d", tp.Name(), huge)
@@ -319,10 +325,10 @@ func TestRebuildShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestRebuildMatchesFreshBuild: after a reseed, both the adjacency and
-// the frozen gather plan (exercised through View.RowBits) must be
-// indistinguishable from a graph freshly built at the new seed — a stale
-// plan would silently gather the previous replicate's neighbors.
+// TestRebuildMatchesFreshBuild: after a reseed the adjacency, and so
+// every packed row read through View.RowBits, must be indistinguishable
+// from a graph freshly built at the new seed, and a same-seed Rebuild on
+// one worker allocates nothing.
 func TestRebuildMatchesFreshBuild(t *testing.T) {
 	const n = 512
 	words := make([]uint64, (n+63)/64)
@@ -330,7 +336,7 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 	for i := range words {
 		words[i] = wsrc.Uint64()
 	}
-	for _, tp := range []Topology{RandomRegular(8), SmallWorld(4, 0.3), DynamicRewire(6, 0.4)} {
+	for _, tp := range []Topology{RandomRegular(8), SmallWorld(4, 0.3), DynamicRewire(6, 0.4), Ring(2)} {
 		g, err := tp.Build(n, 1, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -345,9 +351,6 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 		if !reflect.DeepEqual(g.adj, fresh.adj) {
 			t.Fatalf("%s: rebuilt adjacency differs from a fresh build at the same seed", tp.Name())
 		}
-		if g.planLive != fresh.planLive {
-			t.Fatalf("%s: rebuilt planLive = %v, fresh = %v", tp.Name(), g.planLive, fresh.planLive)
-		}
 		vg, vf := g.NewView(), fresh.NewView()
 		for a := 0; a < n; a++ {
 			vg.Bind(a)
@@ -359,75 +362,19 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 					tp.Name(), a, rg, okg, rf, okf)
 			}
 		}
-	}
-}
-
-// TestGatherPlanExactSize: the gather plan's arrays are sized by a
-// counting pass, not grown by append — after Build every array's length
-// equals its capacity — and a Rebuild reuses them: a same-seed Rebuild
-// on one worker allocates nothing and keeps the exact sizes, and a
-// reseed keeps the offsets consistent with the arrays. Scattered graphs,
-// whose plan would stay dormant, never build one.
-func TestGatherPlanExactSize(t *testing.T) {
-	// 64², so the torus is admissible and random rows spread over 64
-	// bitset words, too many to merge.
-	const n = 4096
-	check := func(t *testing.T, what string, g *Graph, live bool) {
-		t.Helper()
-		if g.planLive != live {
-			t.Fatalf("%s: planLive = %v, want %v", what, g.planLive, live)
-		}
-		p := g.plan
-		if !live {
-			if p != nil {
-				t.Fatalf("%s: dormant plan was built", what)
-			}
-			return
-		}
-		if len(p.segs) != cap(p.segs) || len(p.ents) != cap(p.ents) ||
-			len(p.segPtr) != cap(p.segPtr) || len(p.entPtr) != cap(p.entPtr) {
-			t.Fatalf("%s: plan len/cap segs %d/%d ents %d/%d segPtr %d/%d entPtr %d/%d", what,
-				len(p.segs), cap(p.segs), len(p.ents), cap(p.ents),
-				len(p.segPtr), cap(p.segPtr), len(p.entPtr), cap(p.entPtr))
-		}
-		if int(p.segPtr[n]) != len(p.segs) || int(p.entPtr[n]) != len(p.ents) {
-			t.Fatalf("%s: plan offsets end at (%d, %d), arrays hold (%d, %d)",
-				what, p.segPtr[n], p.entPtr[n], len(p.segs), len(p.ents))
-		}
-	}
-	for _, tc := range []struct {
-		tp   Topology
-		live bool
-	}{
-		{Ring(2), true}, {Torus(), true}, {SmallWorld(4, 0.3), true},
-		{RandomRegular(8), false}, {DynamicRewire(6, 0.4), false},
-	} {
-		g, err := tc.tp.Build(n, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, tc.tp.Name()+" Build", g, tc.live)
 		if allocs := testing.AllocsPerRun(5, func() {
-			if err := Rebuild(g, tc.tp, n, 1, 1); err != nil {
+			if err := Rebuild(g, tp, n, 2, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Fatalf("%s: same-seed Rebuild allocated %v times", tc.tp.Name(), allocs)
-		}
-		check(t, tc.tp.Name()+" same-seed Rebuild", g, tc.live)
-		if err := Rebuild(g, tc.tp, n, 2, 1); err != nil {
-			t.Fatal(err)
-		}
-		if p := g.plan; tc.live && (int(p.segPtr[n]) != len(p.segs) || int(p.entPtr[n]) != len(p.ents)) {
-			t.Fatalf("%s: reseeded plan offsets end at (%d, %d), arrays hold (%d, %d)",
-				tc.tp.Name(), p.segPtr[n], p.entPtr[n], len(p.segs), len(p.ents))
+			t.Fatalf("%s: same-seed single-worker Rebuild allocated %v times", tp.Name(), allocs)
 		}
 	}
 }
 
 // TestViewValidAcrossRebuild: Views created before a Rebuild stay valid,
-// observe the new rows, and support concurrent per-worker reads of the
-// refreshed plan (run under -race in CI).
+// observe the new rows, and support concurrent per-worker reads of them
+// (run under -race in CI).
 func TestViewValidAcrossRebuild(t *testing.T) {
 	const n = 256
 	tp := SmallWorld(4, 0.3)
