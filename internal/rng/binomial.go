@@ -280,19 +280,22 @@ func (b *BinomialCDF) CDF(k int) float64 {
 type BinomialThresholds struct {
 	cdf BinomialCDF
 	t   []uint64 // t[k] = UnitThreshold(cdf[k]); t[n] = 2^53
-	// guide[b] is the smallest k with t[k] > b·2^45 — a starting index
-	// for the upward scan bucketed by the top guideBits bits of the
-	// 53-bit mantissa. Because "smallest k with t[k] > X" is
+	// guide[b] is the smallest k with t[k] > b·2^GuideShift — a
+	// starting index for the upward scan bucketed by the top guideBits
+	// bits of the 53-bit mantissa. Because "smallest k with t[k] > X" is
 	// nondecreasing in X, guide[b] never overshoots the answer for any
-	// mantissa in bucket b, and the remaining scan takes an expected
-	// n/2^guideBits extra compares — below one for every ℓ = O(log
-	// population) table.
+	// mantissa in bucket b; the scan steps past it only when a threshold
+	// falls inside the bucket, at most n of the 2^guideBits buckets.
 	guide [1 << guideBits]uint32
 }
 
 // guideBits is the number of top mantissa bits indexing the scan guide
-// table.
-const guideBits = 8
+// table. With 1024 buckets an ℓ ≈ 36 table sends 3–4% of the vector
+// kernel's 4-lane groups past their first compare, against 8–14% at 256
+// buckets; each such group costs a branch mispredict that resolves only
+// after the guide and threshold gathers. A 2048-bucket guide ran no
+// faster end to end while doubling the table every live round rebuilds.
+const guideBits = 10
 
 // GuideTable is the bucketed scan-start table exposed by Guide.
 type GuideTable = [1 << guideBits]uint32
@@ -318,14 +321,16 @@ func (b *BinomialThresholds) Reset(n int, p float64) {
 		t[k] = UnitThreshold(b.cdf.cdf[k])
 	}
 	b.t = t
-	k := 0
-	for g := range b.guide {
-		// t[n] = 2^53 strictly exceeds every bucket base, so k stays in
-		// range without an explicit bound.
-		for t[k] <= uint64(g)<<(53-guideBits) {
-			k++
+	// One pass over the thresholds: bucket g's base g·2^GuideShift lies
+	// below t[k] exactly for g < ⌈t[k]/2^GuideShift⌉, so the first k to
+	// raise that bound past the buckets filled so far owns the new ones.
+	// t[n] = 2^53 reaches the last bucket, so every entry is written.
+	g := 0
+	for k, tk := range t {
+		end := int(min((tk+1<<GuideShift-1)>>GuideShift, uint64(len(b.guide))))
+		for ; g < end; g++ {
+			b.guide[g] = uint32(k)
 		}
-		b.guide[g] = uint32(k)
 	}
 }
 
@@ -346,11 +351,11 @@ func (b *BinomialThresholds) Thresholds() []uint64 { return b.t }
 func (b *BinomialThresholds) ScanUp() bool { return b.cdf.p <= 0.5 }
 
 // Guide exposes the bucketed scan-start table: for a 53-bit mantissa,
-// guide[mant >> (53−guideBits)] is a lower bound on the inversion
-// answer, so an upward scan from it returns SampleRaw's exact result in
-// an expected ~1 compare. The array is owned by the sampler and valid
-// until the next Reset; consumers inlining the scan pair it with
-// Thresholds.
+// guide[mant >> GuideShift] is a lower bound on the inversion answer, so
+// an upward scan from it returns SampleRaw's exact result, in one
+// compare unless a threshold falls inside the mantissa's bucket. The
+// array is owned by the sampler and valid until the next Reset;
+// consumers inlining the scan pair it with Thresholds.
 func (b *BinomialThresholds) Guide() *GuideTable { return &b.guide }
 
 // GuideShift is the right-shift mapping a 53-bit mantissa to its Guide

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -332,41 +333,124 @@ func TestBinomialThresholdsMonotone(t *testing.T) {
 	}
 }
 
+// guideCases are the tables TestBinomialThresholdsGuide checks and
+// FuzzBinomialThresholdsGuide starts from: ℓ = 36 across the trend
+// fractions, both degenerate laws, a subnormal p, p one ulp below 1, the
+// largest n a stored count holds, and (appended by guideTestCases) a
+// table with t[n−1] > t[n].
+var guideCases = []guideCase{
+	{36, 0.000244}, {36, 0.0093}, {36, 0.288}, {36, 0.5}, {36, 0.97},
+	{1, 0.3}, {48, 0.001}, {2000, 1e-8}, {300, 0.9999},
+	{36, 0}, {36, 1}, {36, 5e-324}, {36, 1 - 0x1p-53},
+	{65535, 1e-4}, {65535, 1 - 0x1p-53}, {0, 0.5},
+}
+
+type guideCase struct {
+	n int
+	p float64
+}
+
+// guideTestCases is guideCases plus an overshooting ℓ = 36 table.
+func guideTestCases(tb testing.TB) []guideCase {
+	x, ok := overshootFraction(36)
+	if !ok {
+		tb.Fatal("m = 36: no fraction overshoots the CDF; the guide check lost its edge case")
+	}
+	return append(guideCases[:len(guideCases):len(guideCases)], guideCase{36, x})
+}
+
+// checkGuide pins thr's guide table: every entry is its definition, the
+// inversion of its bucket's base; entries are nondecreasing and at most
+// n; and the guide-started upward scan — the trend kernels' inlined
+// inversion — returns SampleRaw's exact answer at every edge raw, at
+// both sides of every bucket base and of the first thresholds, and at
+// draws from src.
+func checkGuide(t *testing.T, thr *BinomialThresholds, src *Source) {
+	t.Helper()
+	n, p := thr.N(), thr.P()
+	ts := thr.Thresholds()
+	g := thr.Guide()
+	prev := uint32(0)
+	mants := []uint64{0, 1, 1<<53 - 1}
+	for b, k0 := range g {
+		base := uint64(b) << GuideShift
+		if want := thr.SampleRaw(base << 11); int(k0) != want {
+			t.Fatalf("n=%d p=%v: guide[%d]=%d, bucket base inverts to %d", n, p, b, k0, want)
+		}
+		if k0 < prev || int(k0) > n {
+			t.Fatalf("n=%d p=%v: guide[%d]=%d after %d (n=%d)", n, p, b, k0, prev, n)
+		}
+		prev = k0
+		mants = append(mants, base, base|(1<<GuideShift-1))
+	}
+	for _, tk := range ts[:min(len(ts), 64)] {
+		if tk > 0 && tk <= 1<<53 {
+			mants = append(mants, tk-1)
+		}
+		if tk < 1<<53 {
+			mants = append(mants, tk)
+		}
+	}
+	raws := []uint64{^uint64(0), 1 << 63}
+	for _, mant := range mants {
+		raws = append(raws, mant<<11|src.Uint64()>>53)
+	}
+	for i := 0; i < 4000; i++ {
+		raws = append(raws, src.Uint64())
+	}
+	for _, raw := range raws {
+		mant := raw >> 11
+		k := int(g[mant>>GuideShift])
+		for mant >= ts[k] {
+			k++
+		}
+		if want := thr.SampleRaw(raw); k != want {
+			t.Fatalf("n=%d p=%v raw=%#x: guided scan %d, SampleRaw %d", n, p, raw, k, want)
+		}
+	}
+}
+
 func TestBinomialThresholdsGuide(t *testing.T) {
-	// The guide-started upward scan — the trend kernel's inlined
-	// inversion — must return SampleRaw's exact answer for every raw
-	// output, and every guide entry must lower-bound its bucket.
 	src := New(97)
-	for _, c := range []struct {
-		n int
-		p float64
-	}{
-		{36, 0.000244}, {36, 0.0093}, {36, 0.288}, {36, 0.5}, {36, 0.97},
-		{1, 0.3}, {48, 0.001}, {2000, 1e-8}, {300, 0.9999},
-	} {
-		thr := NewBinomialThresholds(c.n, c.p)
-		ts := thr.Thresholds()
-		g := thr.Guide()
-		for b, k0 := range g {
-			base := uint64(b) << GuideShift
-			if want := thr.SampleRaw(base << 11); int(k0) != want {
-				t.Fatalf("n=%d p=%v: guide[%d]=%d, bucket base inverts to %d", c.n, c.p, b, k0, want)
-			}
+	var thr BinomialThresholds
+	for _, c := range guideTestCases(t) {
+		thr.Reset(c.n, c.p)
+		checkGuide(t, &thr, src)
+	}
+}
+
+// FuzzBinomialThresholdsGuide: for any sample size up to 65535 and any
+// success probability, the one-pass guide build meets checkGuide —
+// entries equal to their definition, nondecreasing and at most n, and a
+// guided scan equal to SampleRaw.
+func FuzzBinomialThresholdsGuide(f *testing.F) {
+	for i, c := range guideTestCases(f) {
+		f.Add(uint64(i), uint16(c.n), c.p)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, p float64) {
+		switch {
+		case math.IsNaN(p) || math.IsInf(p, 0):
+			p = 0.5
+		case p < 0 || p > 1:
+			p = math.Abs(p - math.Trunc(p)) // into [0, 1)
 		}
-		raws := []uint64{0, 1, ^uint64(0), 1 << 63, 1<<53 - 1}
-		for i := 0; i < 4000; i++ {
-			raws = append(raws, src.Uint64())
-		}
-		for _, raw := range raws {
-			mant := raw >> 11
-			k := int(g[mant>>GuideShift])
-			for mant >= ts[k] {
-				k++
+		var thr BinomialThresholds
+		thr.Reset(int(n16), p)
+		checkGuide(t, &thr, New(seed))
+	})
+}
+
+// BenchmarkBinomialThresholdsReset times the per-round table build — the
+// CDF, its thresholds and the guide — at the ℓ = ⌈3·log₂ n⌉ of n = 2⁶,
+// 2¹² and 2¹⁴.
+func BenchmarkBinomialThresholdsReset(b *testing.B) {
+	for _, m := range []int{18, 36, 42} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			var thr BinomialThresholds
+			for i := 0; i < b.N; i++ {
+				thr.Reset(m, 0.3)
 			}
-			if want := thr.SampleRaw(raw); k != want {
-				t.Fatalf("n=%d p=%v raw=%#x: guided scan %d, SampleRaw %d", c.n, c.p, raw, k, want)
-			}
-		}
+		})
 	}
 }
 

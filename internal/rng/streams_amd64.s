@@ -1,3 +1,4 @@
+#include "go_asm.h"
 #include "textflag.h"
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -88,11 +89,12 @@ GLOBL trendLowDwords<>(SB), RODATA|NOPTR, $32
 	VMOVDQU Y3, (R9)
 
 // INVERT sets Y11 to the smallest k with mant < t[k] for the mantissas
-// in Y10: the guide entry guide[mant >> 45] (a VPGATHERQD of uint32s), then
-// gathers of t[k] until no lane advances — each lane stops at the same
-// k the scalar scan does. Clobbers Y5 and Y7; Y15 holds all ones.
+// in Y10: the guide entry guide[mant >> GuideShift] (a VPGATHERQD of
+// uint32s), then gathers of t[k] until no lane advances — each lane
+// stops at the same k the scalar scan does. Clobbers Y5 and Y7; Y15
+// holds all ones.
 #define INVERT(scan, done) \
-	VPSRLQ     $45, Y10, Y5; \
+	VPSRLQ     $const_GuideShift, Y10, Y5; \
 	VPCMPEQQ   Y7, Y7, Y7; \
 	VPGATHERQD X7, (R13)(Y5*4), X11; \
 	VPMOVZXDQ  X11, Y11; \
