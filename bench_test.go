@@ -161,21 +161,25 @@ func BenchmarkEngineRound(b *testing.B) {
 // across observation topologies at n = 10⁴: complete keeps the
 // tabulated-binomial fast path (the pre-topology cost), the graph
 // topologies pay literal neighbor reads, and dynamic rewiring adds the
-// per-agent row-resampling stream. Recorded results live in
-// BENCH_topology.json and are gated by the benchgate CI job.
+// per-agent row-resampling stream. The complete row observes through 1%
+// noise, as BenchmarkEngineRound's fast rows do, so every timed round is
+// live rather than a skipped absorbed one; noise would move the graph
+// rows off the graph round, so they stay noiseless. Recorded results
+// live in BENCH_topology.json and are gated by the benchgate CI job.
 func BenchmarkTopologyStep(b *testing.B) {
 	topologies := []struct {
 		name   string
 		tp     Topology
 		engine EngineKind
+		noise  float64
 	}{
-		{"complete", nil, EngineAgentFast},
-		{"random-regular", RandomRegular(8), EngineAgentFast},
-		{"small-world", SmallWorld(4, 0.1), EngineAgentFast},
-		{"dynamic", DynamicRewire(8, 0.2), EngineAgentFast},
+		{"complete", nil, EngineAgentFast, 0.01},
+		{"random-regular", RandomRegular(8), EngineAgentFast, 0},
+		{"small-world", SmallWorld(4, 0.1), EngineAgentFast, 0},
+		{"dynamic", DynamicRewire(8, 0.2), EngineAgentFast, 0},
 		// The occupancy-level sparse engine on the same random k-out
 		// graph: per-round cost is O(k·ℓ²), independent of n.
-		{"aggregate-sparse", RandomRegular(8), EngineAggregateSparse},
+		{"aggregate-sparse", RandomRegular(8), EngineAggregateSparse, 0},
 	}
 	n := 10_000 // 100²: admissible for every built-in topology
 	for _, tc := range topologies {
@@ -188,6 +192,7 @@ func BenchmarkTopologyStep(b *testing.B) {
 				Correct:   OpinionOne,
 				Engine:    tc.engine,
 				Topology:  tc.tp,
+				NoiseEps:  tc.noise,
 				Seed:      1,
 				MaxRounds: b.N,
 				RunToEnd:  true,
@@ -214,19 +219,22 @@ func BenchmarkTopologyStep(b *testing.B) {
 // overhaul the loop runs at 0 allocs/round (packed opinions, in-place
 // binomial retabulation, executor-owned parallel scratch, persistent
 // shard workers), which the CI allocation gate enforces on this
-// benchmark's allocs/op. Timing baselines live in BENCH_hotpath.json.
+// benchmark's allocs/op. The complete-graph rows observe through 1%
+// noise so every timed round is live, not a skipped absorbed one.
+// Timing baselines live in BENCH_hotpath.json.
 func BenchmarkReplicateAlloc(b *testing.B) {
 	engines := []struct {
-		name string
-		kind EngineKind
-		par  int
-		tp   Topology
+		name  string
+		kind  EngineKind
+		par   int
+		tp    Topology
+		noise float64
 	}{
-		{"fast", EngineAgentFast, 0, nil},
-		{"parallel", EngineAgentFast, 4, nil},
+		{"fast", EngineAgentFast, 0, nil, 0.01},
+		{"parallel", EngineAgentFast, 4, nil, 0.01},
 		// The graph round: rows packed per opinion word and counted in
 		// place must stay allocation-free in the steady state.
-		{"fast-random-regular", EngineAgentFast, 0, RandomRegular(8)},
+		{"fast-random-regular", EngineAgentFast, 0, RandomRegular(8), 0},
 	}
 	n := 16384
 	for _, eng := range engines {
@@ -241,6 +249,7 @@ func BenchmarkReplicateAlloc(b *testing.B) {
 				Engine:      eng.kind,
 				Parallelism: eng.par,
 				Topology:    eng.tp,
+				NoiseEps:    eng.noise,
 				Seed:        1,
 				MaxRounds:   b.N,
 				RunToEnd:    true,

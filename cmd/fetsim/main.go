@@ -151,7 +151,7 @@ func main() {
 			Engine:           engineKind,
 			Parallelism:      *shards,
 			Topology:         topoKind,
-			CorruptStates:    true,
+			Memory:           passivespread.Memory{Law: passivespread.MemoryUniform},
 			RecordTrajectory: *traj,
 		}
 		if cfg.MaxRounds == 0 {

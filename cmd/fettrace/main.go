@@ -7,8 +7,9 @@
 //
 //	fettrace -n 4096 [-x0 0] [-x1 0] [-seed 1] [-csv]
 //
-// x0 and x1 place the chain at a chosen grid point (x0 is emulated via
-// seeded agent memories); the default (0, 0) is the all-wrong start.
+// x0 and x1 place the chain at a chosen grid point (x0 is emulated by
+// stored counts drawn Binomial(ℓ, x0), the binomial memory law); the
+// default (0, 0) is the all-wrong start.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	ell := passivespread.SampleSize(*n)
-	gs := passivespread.GridStart{X0: *x0, X1: *x1, Ell: ell}
+	gs := passivespread.GridStart{X0: *x0, X1: *x1}
 	res, err := passivespread.Run(passivespread.Config{
 		N:                *n,
 		Protocol:         passivespread.NewFET(ell),
@@ -44,7 +45,7 @@ func main() {
 		Correct:          passivespread.OpinionOne,
 		Seed:             *seed,
 		MaxRounds:        *rounds,
-		StateInit:        gs.StateInit(),
+		Memory:           gs.Memory(),
 		RecordTrajectory: true,
 	})
 	if err != nil {

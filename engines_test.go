@@ -35,7 +35,7 @@ func TestShardedRoundsBitIdentical(t *testing.T) {
 				NoiseEps:         cell.noise,
 				Seed:             9,
 				MaxRounds:        200,
-				CorruptStates:    true,
+				Memory:           Memory{Law: MemoryUniform},
 				RecordTrajectory: true,
 			}
 			var ref Result
@@ -127,15 +127,15 @@ func TestAggregateEngineHugePopulation(t *testing.T) {
 func TestAggregateEngineMillionNearAbsorption(t *testing.T) {
 	const n = 1_000_000
 	cfg := Config{
-		N:             n,
-		Sources:       1,
-		Correct:       OpinionOne,
-		Protocol:      NewFET(SampleSize(n)),
-		Init:          AllWrong(OpinionOne),
-		Seed:          2,
-		MaxRounds:     DefaultMaxRounds(n),
-		Engine:        EngineAggregate,
-		CorruptStates: true,
+		N:         n,
+		Sources:   1,
+		Correct:   OpinionOne,
+		Protocol:  NewFET(SampleSize(n)),
+		Init:      AllWrong(OpinionOne),
+		Seed:      2,
+		MaxRounds: DefaultMaxRounds(n),
+		Engine:    EngineAggregate,
+		Memory:    Memory{Law: MemoryUniform},
 	}
 	study, err := NewStudy(StudySpec{Replicates: 40, Config: &cfg})
 	if err != nil {

@@ -38,13 +38,13 @@ func main() {
 	}
 	for i, p := range protocols {
 		res, err := passivespread.Run(passivespread.Config{
-			N:             n,
-			Protocol:      p.proto,
-			Init:          passivespread.FractionInit(0.1),
-			Correct:       passivespread.OpinionOne,
-			Seed:          uint64(10 + i),
-			MaxRounds:     horizon,
-			CorruptStates: true,
+			N:         n,
+			Protocol:  p.proto,
+			Init:      passivespread.FractionInit(0.1),
+			Correct:   passivespread.OpinionOne,
+			Seed:      uint64(10 + i),
+			MaxRounds: horizon,
+			Memory:    passivespread.Memory{Law: passivespread.MemoryUniform},
 		})
 		if err != nil {
 			log.Fatal(err)

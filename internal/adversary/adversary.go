@@ -1,7 +1,8 @@
 // Package adversary provides the adversarial initial configurations of the
 // self-stabilizing setting: the adversary chooses every non-source agent's
-// starting opinion and (via sim.Config.CorruptStates / StateInit) its
-// internal memory. Convergence must hold from all of them.
+// starting opinion and, through the sim.Config.Memory law (GridStart
+// composes both), its internal memory. Convergence must hold from all
+// of them.
 package adversary
 
 import (
@@ -172,35 +173,21 @@ func (f Fraction) AggregateOnes(n, nonSources, sourceOnes int, _ *rng.Source) in
 	return need
 }
 
-// SeedTrendState returns a sim.Config.StateInit hook that seeds every
-// trend-following agent's stored count with an independent
-// Binomial(ell, x0) draw. Combined with Fraction{X: x1} opinions, this
-// places the FET Markov chain exactly at the grid point
-// (x_t, x_{t+1}) = (x0, x1): conditioned on the previous round having had
-// a 1-fraction of x0, the stored counts are i.i.d. Binomial(ℓ, x0).
-func SeedTrendState(ell int, x0 float64) func(i int, agent sim.Agent, src *rng.Source) {
-	return func(_ int, agent sim.Agent, src *rng.Source) {
-		if seeder, ok := agent.(sim.TrendSeeder); ok {
-			seeder.SeedPrevCount(src.Binomial(ell, x0))
-		}
-	}
-}
-
-// GridStart bundles the initial opinions and internal-state seeding that
-// place the FET chain at (x_t, x_{t+1}) = (X0, X1).
+// GridStart bundles the initial opinions and stored counts that place
+// the FET chain at the grid point (x_t, x_{t+1}) = (X0, X1):
+// conditioned on the previous round having had a 1-fraction of X0, the
+// stored counts are i.i.d. Binomial(ℓ, X0).
 type GridStart struct {
 	// X0 is the emulated previous-round fraction x_t.
 	X0 float64
 	// X1 is the starting fraction x_{t+1} (the actual initial opinions).
 	X1 float64
-	// Ell is the protocol's per-half sample size.
-	Ell int
 }
 
 // Init returns the opinion initializer part (fraction X1).
 func (g GridStart) Init() sim.Initializer { return Fraction{X: g.X1} }
 
-// StateInit returns the internal-state seeding part (counts ~ B(ℓ, X0)).
-func (g GridStart) StateInit() func(int, sim.Agent, *rng.Source) {
-	return SeedTrendState(g.Ell, g.X0)
+// Memory returns the stored-count part (counts ~ B(ℓ, X0)).
+func (g GridStart) Memory() sim.Memory {
+	return sim.Memory{Law: sim.MemoryBinomial, X0: g.X0}
 }

@@ -105,13 +105,13 @@ func TestPooledHalfSplitReplicateAllocs(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
 	cfg := sim.Config{
-		N:             4096,
-		Protocol:      core.NewFET(36),
-		Init:          HalfSplit(),
-		Correct:       sim.OpinionOne,
-		MaxRounds:     200,
-		CorruptStates: true,
-		Seed:          7,
+		N:         4096,
+		Protocol:  core.NewFET(36),
+		Init:      HalfSplit(),
+		Correct:   sim.OpinionOne,
+		MaxRounds: 200,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
+		Seed:      7,
 	}
 	p := sim.NewPool()
 	defer p.Release()
@@ -164,52 +164,13 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// seedRecorder records the count passed via SeedPrevCount.
-type seedRecorder struct{ got int }
-
-func (s *seedRecorder) Step(cur byte, _ sim.Observation) byte { return cur }
-func (s *seedRecorder) SeedPrevCount(c int)                   { s.got = c }
-
-func TestSeedTrendStateBinomialLaw(t *testing.T) {
-	const (
-		ell    = 20
-		x0     = 0.3
-		trials = 50000
-	)
-	hook := SeedTrendState(ell, x0)
-	src := rng.New(6)
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		rec := &seedRecorder{}
-		hook(i, rec, src)
-		if rec.got < 0 || rec.got > ell {
-			t.Fatalf("seeded count %d out of range", rec.got)
-		}
-		sum += float64(rec.got)
-	}
-	mean := sum / trials
-	if want := float64(ell) * x0; math.Abs(mean-want) > 0.1 {
-		t.Fatalf("seeded mean = %v, want ≈%v", mean, want)
-	}
-}
-
-// plainAgent does not implement TrendSeeder.
-type plainAgent struct{}
-
-func (plainAgent) Step(cur byte, _ sim.Observation) byte { return cur }
-
-func TestSeedTrendStateIgnoresNonSeeders(t *testing.T) {
-	// Must not panic on agents without SeedPrevCount.
-	SeedTrendState(8, 0.5)(0, plainAgent{}, rng.New(7))
-}
-
 func TestGridStartParts(t *testing.T) {
-	gs := GridStart{X0: 0.2, X1: 0.6, Ell: 16}
+	gs := GridStart{X0: 0.2, X1: 0.6}
 	init := gs.Init()
 	if f, ok := init.(Fraction); !ok || f.X != 0.6 {
 		t.Fatalf("GridStart.Init = %#v", init)
 	}
-	if gs.StateInit() == nil {
-		t.Fatal("GridStart.StateInit returned nil")
+	if mem := gs.Memory(); mem != (sim.Memory{Law: sim.MemoryBinomial, X0: 0.2}) {
+		t.Fatalf("GridStart.Memory = %#v", mem)
 	}
 }

@@ -52,14 +52,14 @@ func TestStepOccupancyDegenerateFractions(t *testing.T) {
 
 func TestSimpleTrendAggregateConverges(t *testing.T) {
 	res, err := sim.Run(sim.Config{
-		N:             2048,
-		Protocol:      NewSimpleTrend(SampleSize(2048, DefaultC)),
-		Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-		Correct:       sim.OpinionOne,
-		Engine:        sim.EngineAggregate,
-		Seed:          7,
-		MaxRounds:     8000,
-		CorruptStates: true,
+		N:         2048,
+		Protocol:  NewSimpleTrend(SampleSize(2048, DefaultC)),
+		Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+		Correct:   sim.OpinionOne,
+		Engine:    sim.EngineAggregate,
+		Seed:      7,
+		MaxRounds: 8000,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +78,14 @@ func TestFETAggregateMatchesAgentMean(t *testing.T) {
 		sum := 0.0
 		for trial := 0; trial < trials; trial++ {
 			res, err := sim.Run(sim.Config{
-				N:             n,
-				Protocol:      NewFET(SampleSize(n, DefaultC)),
-				Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-				Correct:       sim.OpinionOne,
-				Engine:        engine,
-				Seed:          seedBase + uint64(trial),
-				MaxRounds:     4000,
-				CorruptStates: true,
+				N:         n,
+				Protocol:  NewFET(SampleSize(n, DefaultC)),
+				Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+				Correct:   sim.OpinionOne,
+				Engine:    engine,
+				Seed:      seedBase + uint64(trial),
+				MaxRounds: 4000,
+				Memory:    sim.Memory{Law: sim.MemoryUniform},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -113,15 +113,47 @@ func (f *FET) LockstepRule() {}
 
 // NewAgent implements sim.Protocol.
 func (f *FET) NewAgent(*rng.Source) sim.Agent {
-	return &FETAgent{ell: f.ell}
+	return &FETAgent{storedCount{ell: f.ell}}
 }
 
-// FETAgent is the per-agent state of FET: just the previous round's
-// count′′ — O(log ℓ) bits.
-type FETAgent struct {
+// storedCount is the whole memory of a trend agent: the previous
+// round's stored count in {0, …, ℓ} — O(log ℓ) bits. Its methods are
+// the hooks through which the simulator resets the count and draws it
+// from a sim.Memory law.
+type storedCount struct {
 	ell       int
-	prevCount int // count′′_{t−1}
+	prevCount int
 }
+
+// ResetAgent implements sim.AgentResetter: a fresh agent stores 0, so
+// pooled executors reset the field instead of reallocating the agent.
+func (a *storedCount) ResetAgent() { a.prevCount = 0 }
+
+// CorruptState implements sim.StateCorruptible: the adversary may place
+// any value in the agent's memory, so pick a uniform count in {0, …, ℓ}.
+func (a *storedCount) CorruptState(src *rng.Source) { a.prevCount = src.Intn(a.ell + 1) }
+
+// SeedPrevCount implements sim.TrendSeeder, clamping count to
+// {0, …, ℓ}. The binomial memory law passes an independent
+// Binomial(ℓ, x0) count, which conditions the induced chain on
+// x_{t−1} = x0.
+func (a *storedCount) SeedPrevCount(count int) {
+	if count < 0 {
+		count = 0
+	}
+	if count > a.ell {
+		count = a.ell
+	}
+	a.prevCount = count
+}
+
+// PrevCount returns the stored count (exposed for tests, the trend
+// executor and the resource-accounting experiment).
+func (a *storedCount) PrevCount() int { return a.prevCount }
+
+// FETAgent is the per-agent state of FET: just the previous round's
+// count′′.
+type FETAgent struct{ storedCount }
 
 var (
 	_ sim.Agent            = (*FETAgent)(nil)
@@ -131,11 +163,6 @@ var (
 	_ sim.PrevCounter      = (*FETAgent)(nil)
 	_ sim.TrendLockstep    = (*FET)(nil)
 )
-
-// ResetAgent implements sim.AgentResetter: a fresh FET agent stores
-// count″ = 0, so pooled executors reset the field instead of
-// reallocating the agent.
-func (a *FETAgent) ResetAgent() { a.prevCount = 0 }
 
 // Step implements sim.Agent.
 func (a *FETAgent) Step(cur byte, obs sim.Observation) byte {
@@ -152,29 +179,6 @@ func (a *FETAgent) Step(cur byte, obs sim.Observation) byte {
 	a.prevCount = countDoublePrime
 	return next
 }
-
-// CorruptState implements sim.StateCorruptible: the adversary may place
-// any value in the agent's memory, so pick a uniform count in {0, …, ℓ}.
-func (a *FETAgent) CorruptState(src *rng.Source) {
-	a.prevCount = src.Intn(a.ell + 1)
-}
-
-// SeedPrevCount implements sim.TrendSeeder. Seeding with an independent
-// Binomial(ℓ, x0) draw per agent conditions the induced chain on
-// x_{t−1} = x0.
-func (a *FETAgent) SeedPrevCount(count int) {
-	if count < 0 {
-		count = 0
-	}
-	if count > a.ell {
-		count = a.ell
-	}
-	a.prevCount = count
-}
-
-// PrevCount returns the stored count′′ (exposed for tests and the
-// resource-accounting experiment).
-func (a *FETAgent) PrevCount() int { return a.prevCount }
 
 // SimpleTrend is the unpartitioned precursor of FET described at the start
 // of Section 1.3: a single ℓ-sample count per round is both compared with
@@ -226,14 +230,12 @@ func (s *SimpleTrend) LockstepRule() {}
 
 // NewAgent implements sim.Protocol.
 func (s *SimpleTrend) NewAgent(*rng.Source) sim.Agent {
-	return &SimpleTrendAgent{ell: s.ell}
+	return &SimpleTrendAgent{storedCount{ell: s.ell}}
 }
 
-// SimpleTrendAgent is the per-agent state of SimpleTrend.
-type SimpleTrendAgent struct {
-	ell       int
-	prevCount int // count_{t−1}
-}
+// SimpleTrendAgent is the per-agent state of SimpleTrend: the previous
+// round's count.
+type SimpleTrendAgent struct{ storedCount }
 
 var (
 	_ sim.Agent            = (*SimpleTrendAgent)(nil)
@@ -243,9 +245,6 @@ var (
 	_ sim.PrevCounter      = (*SimpleTrendAgent)(nil)
 	_ sim.TrendLockstep    = (*SimpleTrend)(nil)
 )
-
-// ResetAgent implements sim.AgentResetter.
-func (a *SimpleTrendAgent) ResetAgent() { a.prevCount = 0 }
 
 // Step implements sim.Agent.
 func (a *SimpleTrendAgent) Step(cur byte, obs sim.Observation) byte {
@@ -260,22 +259,3 @@ func (a *SimpleTrendAgent) Step(cur byte, obs sim.Observation) byte {
 	a.prevCount = count
 	return next
 }
-
-// CorruptState implements sim.StateCorruptible.
-func (a *SimpleTrendAgent) CorruptState(src *rng.Source) {
-	a.prevCount = src.Intn(a.ell + 1)
-}
-
-// SeedPrevCount implements sim.TrendSeeder.
-func (a *SimpleTrendAgent) SeedPrevCount(count int) {
-	if count < 0 {
-		count = 0
-	}
-	if count > a.ell {
-		count = a.ell
-	}
-	a.prevCount = count
-}
-
-// PrevCount returns the stored count.
-func (a *SimpleTrendAgent) PrevCount() int { return a.prevCount }

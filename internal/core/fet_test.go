@@ -106,7 +106,7 @@ func TestFETAgentRule(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			a := &FETAgent{ell: 8, prevCount: tc.prev}
+			a := &FETAgent{storedCount{ell: 8, prevCount: tc.prev}}
 			// First CountOnes call is count′_t, second is count′′_t.
 			obs := &fixedObs{counts: []int{tc.countPrime, 6}}
 			if got := a.Step(tc.cur, obs); got != tc.want {
@@ -121,7 +121,7 @@ func TestFETAgentRule(t *testing.T) {
 
 func TestFETAgentUsesIndependentHalves(t *testing.T) {
 	// The decision must use count′ (first draw), not count′′ (second).
-	a := &FETAgent{ell: 8, prevCount: 4}
+	a := &FETAgent{storedCount{ell: 8, prevCount: 4}}
 	obs := &fixedObs{counts: []int{7, 1}} // count′ = 7 > 4 → adopt 1
 	if got := a.Step(0, obs); got != 1 {
 		t.Fatalf("Step = %d, want 1 (decision must use the first draw)", got)
@@ -132,7 +132,7 @@ func TestFETAgentUsesIndependentHalves(t *testing.T) {
 }
 
 func TestSimpleTrendAgentReusesSingleCount(t *testing.T) {
-	a := &SimpleTrendAgent{ell: 8, prevCount: 4}
+	a := &SimpleTrendAgent{storedCount{ell: 8, prevCount: 4}}
 	obs := &fixedObs{counts: []int{7}}
 	if got := a.Step(0, obs); got != 1 {
 		t.Fatalf("Step = %d, want 1", got)
@@ -146,7 +146,7 @@ func TestSimpleTrendAgentReusesSingleCount(t *testing.T) {
 }
 
 func TestSeedPrevCountClamps(t *testing.T) {
-	a := &FETAgent{ell: 8}
+	a := &FETAgent{storedCount{ell: 8}}
 	a.SeedPrevCount(-3)
 	if a.PrevCount() != 0 {
 		t.Fatalf("clamp low: %d", a.PrevCount())
@@ -155,7 +155,7 @@ func TestSeedPrevCountClamps(t *testing.T) {
 	if a.PrevCount() != 8 {
 		t.Fatalf("clamp high: %d", a.PrevCount())
 	}
-	b := &SimpleTrendAgent{ell: 8}
+	b := &SimpleTrendAgent{storedCount{ell: 8}}
 	b.SeedPrevCount(-1)
 	if b.PrevCount() != 0 {
 		t.Fatalf("clamp low: %d", b.PrevCount())
@@ -168,14 +168,14 @@ func TestSeedPrevCountClamps(t *testing.T) {
 
 func TestCorruptStateStaysInRange(t *testing.T) {
 	src := rng.New(9)
-	a := &FETAgent{ell: 5}
+	a := &FETAgent{storedCount{ell: 5}}
 	for i := 0; i < 1000; i++ {
 		a.CorruptState(src)
 		if a.PrevCount() < 0 || a.PrevCount() > 5 {
 			t.Fatalf("corrupted count %d out of range", a.PrevCount())
 		}
 	}
-	b := &SimpleTrendAgent{ell: 5}
+	b := &SimpleTrendAgent{storedCount{ell: 5}}
 	for i := 0; i < 1000; i++ {
 		b.CorruptState(src)
 		if b.PrevCount() < 0 || b.PrevCount() > 5 {
@@ -221,13 +221,13 @@ func runFET(t *testing.T, n int, init sim.Initializer, seed uint64, correct byte
 	t.Helper()
 	ell := SampleSize(n, DefaultC)
 	res, err := sim.Run(sim.Config{
-		N:             n,
-		Protocol:      NewFET(ell),
-		Init:          init,
-		Correct:       correct,
-		Seed:          seed,
-		MaxRounds:     4000,
-		CorruptStates: true,
+		N:         n,
+		Protocol:  NewFET(ell),
+		Init:      init,
+		Correct:   correct,
+		Seed:      seed,
+		MaxRounds: 4000,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,14 +278,14 @@ func TestFETStaysAbsorbedLongHorizon(t *testing.T) {
 	// convergence and confirm the final state is still all-correct.
 	ell := SampleSize(512, DefaultC)
 	res, err := sim.Run(sim.Config{
-		N:             512,
-		Protocol:      NewFET(ell),
-		Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-		Correct:       sim.OpinionOne,
-		Seed:          17,
-		MaxRounds:     2000,
-		CorruptStates: true,
-		RunToEnd:      true,
+		N:         512,
+		Protocol:  NewFET(ell),
+		Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+		Correct:   sim.OpinionOne,
+		Seed:      17,
+		MaxRounds: 2000,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
+		RunToEnd:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,14 +304,14 @@ func TestFETStaysAbsorbedLongHorizon(t *testing.T) {
 func TestFETMultipleAgreeingSources(t *testing.T) {
 	ell := SampleSize(512, DefaultC)
 	res, err := sim.Run(sim.Config{
-		N:             512,
-		Sources:       4,
-		Protocol:      NewFET(ell),
-		Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-		Correct:       sim.OpinionOne,
-		Seed:          23,
-		MaxRounds:     4000,
-		CorruptStates: true,
+		N:         512,
+		Sources:   4,
+		Protocol:  NewFET(ell),
+		Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+		Correct:   sim.OpinionOne,
+		Seed:      23,
+		MaxRounds: 4000,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestFETGridStartConditioning(t *testing.T) {
 		trials = 40
 	)
 	ell := SampleSize(n, DefaultC)
-	gs := adversary.GridStart{X0: x0, X1: x1, Ell: ell}
+	gs := adversary.GridStart{X0: x0, X1: x1}
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
 		var first float64
@@ -341,7 +341,7 @@ func TestFETGridStartConditioning(t *testing.T) {
 			Correct:   sim.OpinionOne,
 			Seed:      uint64(100 + trial),
 			MaxRounds: 1,
-			StateInit: gs.StateInit(),
+			Memory:    gs.Memory(),
 			Observers: []sim.Observer{sim.StopWhen(func(ev sim.RoundEvent) bool {
 				first = ev.X
 				return true
@@ -381,13 +381,13 @@ func TestSimpleTrendAlsoConverges(t *testing.T) {
 	n := 512
 	ell := SampleSize(n, DefaultC)
 	res, err := sim.Run(sim.Config{
-		N:             n,
-		Protocol:      NewSimpleTrend(ell),
-		Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-		Correct:       sim.OpinionOne,
-		Seed:          31,
-		MaxRounds:     8000,
-		CorruptStates: true,
+		N:         n,
+		Protocol:  NewSimpleTrend(ell),
+		Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+		Correct:   sim.OpinionOne,
+		Seed:      31,
+		MaxRounds: 8000,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,13 +405,13 @@ func TestFETThroughGraphTopology(t *testing.T) {
 	n := 1024
 	run := func(seed uint64) sim.Result {
 		res, err := sim.Run(sim.Config{
-			N:             n,
-			Protocol:      NewFET(SampleSize(n, DefaultC)),
-			Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-			Topology:      topo.RandomRegular(16),
-			CorruptStates: true,
-			Seed:          seed,
-			MaxRounds:     400 * 10,
+			N:         n,
+			Protocol:  NewFET(SampleSize(n, DefaultC)),
+			Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+			Topology:  topo.RandomRegular(16),
+			Memory:    sim.Memory{Law: sim.MemoryUniform},
+			Seed:      seed,
+			MaxRounds: 400 * 10,
 		})
 		if err != nil {
 			t.Fatal(err)

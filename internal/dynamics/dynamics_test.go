@@ -11,13 +11,13 @@ import (
 func run(t *testing.T, p sim.Protocol, init sim.Initializer, n, maxRounds int, seed uint64) sim.Result {
 	t.Helper()
 	res, err := sim.Run(sim.Config{
-		N:             n,
-		Protocol:      p,
-		Init:          init,
-		Correct:       sim.OpinionOne,
-		Seed:          seed,
-		MaxRounds:     maxRounds,
-		CorruptStates: true,
+		N:         n,
+		Protocol:  p,
+		Init:      init,
+		Correct:   sim.OpinionOne,
+		Seed:      seed,
+		MaxRounds: maxRounds,
+		Memory:    sim.Memory{Law: sim.MemoryUniform},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -244,13 +244,13 @@ func runE18(cfg Config) (*Report, error) {
 			proto, init := proto, init
 			times := parallelTimes(cfg, trials, func(trial int) float64 {
 				res, err := sim.Run(sim.Config{
-					N:             n,
-					Protocol:      proto,
-					Init:          init,
-					Correct:       sim.OpinionOne,
-					Seed:          cfg.Seed ^ uint64(trial)<<8,
-					MaxRounds:     horizon,
-					CorruptStates: true,
+					N:         n,
+					Protocol:  proto,
+					Init:      init,
+					Correct:   sim.OpinionOne,
+					Seed:      cfg.Seed ^ uint64(trial)<<8,
+					MaxRounds: horizon,
+					Memory:    sim.Memory{Law: sim.MemoryUniform},
 				})
 				if err != nil {
 					panic(err)

@@ -67,14 +67,14 @@ func runE19(cfg Config) (*Report, error) {
 		converged := make([]bool, trials)
 		times := parallelTimes(cfg, trials, func(trial int) float64 {
 			res, err := sim.Run(sim.Config{
-				N:             n,
-				Protocol:      core.NewFET(ell),
-				Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-				Correct:       sim.OpinionOne,
-				Seed:          cfg.Seed ^ uint64(eps*1000)<<22 ^ uint64(trial),
-				MaxRounds:     cap,
-				CorruptStates: true,
-				NoiseEps:      eps,
+				N:         n,
+				Protocol:  core.NewFET(ell),
+				Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+				Correct:   sim.OpinionOne,
+				Seed:      cfg.Seed ^ uint64(eps*1000)<<22 ^ uint64(trial),
+				MaxRounds: cap,
+				Memory:    sim.Memory{Law: sim.MemoryUniform},
+				NoiseEps:  eps,
 			})
 			if err != nil {
 				panic(err)
@@ -119,7 +119,7 @@ func runE20(cfg Config) (*Report, error) {
 			Correct:       sim.OpinionOne,
 			Seed:          cfg.Seed ^ 0xf11b<<16 ^ uint64(trial),
 			MaxRounds:     cap,
-			CorruptStates: true,
+			Memory:        sim.Memory{Law: sim.MemoryUniform},
 			FlipCorrectAt: flipAt,
 		})
 		if err != nil {

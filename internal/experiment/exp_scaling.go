@@ -47,15 +47,15 @@ func init() {
 // did not converge.
 func fetTrial(n, ell int, init sim.Initializer, engine sim.EngineKind, shards int, seed uint64, cap int) float64 {
 	res, err := sim.Run(sim.Config{
-		N:             n,
-		Protocol:      core.NewFET(ell),
-		Init:          init,
-		Correct:       sim.OpinionOne,
-		Seed:          seed,
-		MaxRounds:     cap,
-		Engine:        engine,
-		Parallelism:   shards,
-		CorruptStates: true,
+		N:           n,
+		Protocol:    core.NewFET(ell),
+		Init:        init,
+		Correct:     sim.OpinionOne,
+		Seed:        seed,
+		MaxRounds:   cap,
+		Engine:      engine,
+		Parallelism: shards,
+		Memory:      sim.Memory{Law: sim.MemoryUniform},
 	})
 	if err != nil {
 		panic(err) // static config bug, not a runtime condition
@@ -92,13 +92,13 @@ func runE14(cfg Config) (*Report, error) {
 			proto := proto
 			times := parallelTimes(cfg, trials, func(trial int) float64 {
 				res, err := sim.Run(sim.Config{
-					N:             n,
-					Protocol:      proto,
-					Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-					Correct:       sim.OpinionOne,
-					Seed:          cfg.Seed ^ uint64(n)<<18 ^ uint64(trial),
-					MaxRounds:     cap,
-					CorruptStates: true,
+					N:         n,
+					Protocol:  proto,
+					Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+					Correct:   sim.OpinionOne,
+					Seed:      cfg.Seed ^ uint64(n)<<18 ^ uint64(trial),
+					MaxRounds: cap,
+					Memory:    sim.Memory{Law: sim.MemoryUniform},
 				})
 				if err != nil {
 					panic(err)
@@ -131,14 +131,14 @@ func runE15(cfg Config) (*Report, error) {
 		k := k
 		times := parallelTimes(cfg, trials, func(trial int) float64 {
 			res, err := sim.Run(sim.Config{
-				N:             n,
-				Sources:       k,
-				Protocol:      core.NewFET(ell),
-				Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-				Correct:       sim.OpinionOne,
-				Seed:          cfg.Seed ^ uint64(k)<<28 ^ uint64(trial),
-				MaxRounds:     cap,
-				CorruptStates: true,
+				N:         n,
+				Sources:   k,
+				Protocol:  core.NewFET(ell),
+				Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+				Correct:   sim.OpinionOne,
+				Seed:      cfg.Seed ^ uint64(k)<<28 ^ uint64(trial),
+				MaxRounds: cap,
+				Memory:    sim.Memory{Law: sim.MemoryUniform},
 			})
 			if err != nil {
 				panic(err)

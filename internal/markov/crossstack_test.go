@@ -31,7 +31,7 @@ func TestExactHittingTimeMatchesAgentEngine(t *testing.T) {
 	// FET memories seeded with Binomial(ℓ, 0) = 0 — i.e. conditioned on
 	// the previous round also having been all-wrong, exactly (K0, K1) =
 	// (0, 1).
-	gs := adversary.GridStart{X0: 0, X1: 1.0 / n, Ell: ell}
+	gs := adversary.GridStart{X0: 0, X1: 1.0 / n}
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
 		res, err := sim.Run(sim.Config{
@@ -41,7 +41,7 @@ func TestExactHittingTimeMatchesAgentEngine(t *testing.T) {
 			Correct:   sim.OpinionOne,
 			Seed:      uint64(9000 + trial),
 			MaxRounds: 100000,
-			StateInit: gs.StateInit(),
+			Memory:    gs.Memory(),
 		})
 		if err != nil {
 			t.Fatal(err)

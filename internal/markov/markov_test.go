@@ -171,9 +171,10 @@ func TestHittingTime(t *testing.T) {
 	}
 }
 
-// TestChainMatchesAgentEngine cross-validates the aggregate chain against
-// the agent-level simulator: the mean one-step image of x_{t+2} from a
-// fixed (x0, x1) must agree, and so must the convergence-time scale.
+// TestChainMatchesAgentEngineOneStep cross-validates the chain against
+// every simulator engine started from the same grid point: the mean
+// one-step image x_{t+2} from (x0, x1), placed on the fast, exact and
+// aggregate engines by one GridStart, must agree with the chain's.
 func TestChainMatchesAgentEngineOneStep(t *testing.T) {
 	const (
 		n      = 2048
@@ -191,33 +192,35 @@ func TestChainMatchesAgentEngineOneStep(t *testing.T) {
 	}
 	meanChain := sumChain / trials
 
-	// Agent engine mean via grid start.
-	gs := adversary.GridStart{X0: x0, X1: x1, Ell: ell}
-	sumAgent := 0.0
-	for trial := 0; trial < trials; trial++ {
-		var first float64
-		_, err := sim.Run(sim.Config{
-			N:         n,
-			Protocol:  core.NewFET(ell),
-			Init:      gs.Init(),
-			Correct:   sim.OpinionOne,
-			Seed:      uint64(3000 + trial),
-			MaxRounds: 1,
-			StateInit: gs.StateInit(),
-			Observers: []sim.Observer{sim.StopWhen(func(ev sim.RoundEvent) bool {
-				first = ev.X
-				return true
-			})},
+	gs := adversary.GridStart{X0: x0, X1: x1}
+	for _, engine := range []sim.EngineKind{sim.EngineAgentFast, sim.EngineAgentExact, sim.EngineAggregate} {
+		t.Run(engine.String(), func(t *testing.T) {
+			sum := 0.0
+			for trial := 0; trial < trials; trial++ {
+				var first float64
+				_, err := sim.Run(sim.Config{
+					N:         n,
+					Protocol:  core.NewFET(ell),
+					Init:      gs.Init(),
+					Correct:   sim.OpinionOne,
+					Engine:    engine,
+					Seed:      uint64(3000 + trial),
+					MaxRounds: 1,
+					Memory:    gs.Memory(),
+					Observers: []sim.Observer{sim.StopWhen(func(ev sim.RoundEvent) bool {
+						first = ev.X
+						return true
+					})},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += first
+			}
+			if mean := sum / trials; math.Abs(meanChain-mean) > 0.01 {
+				t.Fatalf("one-step means diverge: chain %v vs %v %v", meanChain, engine, mean)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumAgent += first
-	}
-	meanAgent := sumAgent / trials
-
-	if math.Abs(meanChain-meanAgent) > 0.01 {
-		t.Fatalf("one-step means diverge: chain %v vs agents %v", meanChain, meanAgent)
 	}
 }
 
@@ -242,13 +245,13 @@ func TestChainMatchesAgentEngineHittingTime(t *testing.T) {
 	agentSum := 0.0
 	for trial := 0; trial < trials; trial++ {
 		res, err := sim.Run(sim.Config{
-			N:             n,
-			Protocol:      core.NewFET(ell),
-			Init:          adversary.AllWrong{Correct: sim.OpinionOne},
-			Correct:       sim.OpinionOne,
-			Seed:          uint64(5000 + trial),
-			MaxRounds:     10000,
-			CorruptStates: true,
+			N:         n,
+			Protocol:  core.NewFET(ell),
+			Init:      adversary.AllWrong{Correct: sim.OpinionOne},
+			Correct:   sim.OpinionOne,
+			Seed:      uint64(5000 + trial),
+			MaxRounds: 10000,
+			Memory:    sim.Memory{Law: sim.MemoryUniform},
 		})
 		if err != nil {
 			t.Fatal(err)

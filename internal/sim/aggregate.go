@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"passivespread/internal/dist"
 	"passivespread/internal/rng"
 	"passivespread/internal/topo"
 )
@@ -55,12 +56,25 @@ func newAggregateExecutor(c *Config) (*aggregateExecutor, error) {
 		}
 		annealedK = k
 	}
-	if c.StateInit != nil {
-		return nil, fmt.Errorf("sim: engine %v does not support StateInit (no per-agent objects)", c.Engine)
-	}
 	states := proto.AggregateStates()
 	if states < 1 {
 		return nil, fmt.Errorf("sim: protocol %q reports %d aggregate states", proto.Name(), states)
+	}
+	// The state law over {0, …, states−1}. X0 is 0 unless the law is
+	// binomial, so a fresh start puts every agent at state 0 (the zero
+	// value of the agent structs), which the split below draws nothing
+	// for.
+	law := dist.PMFVector(states-1, c.Memory.X0)
+	switch c.Memory.Law {
+	case MemoryUniform:
+		for s := range law {
+			law[s] = 1 / float64(states)
+		}
+	case MemoryBinomial:
+		if m, _ := singleSampleSize(proto.SampleSizes()); states != m+1 {
+			return nil, MemoryError(fmt.Sprintf("engine %v needs the m+1 = %d stored counts as states; protocol %q has %d",
+				c.Engine, m+1, proto.Name(), states))
+		}
 	}
 
 	e := &aggregateExecutor{
@@ -83,22 +97,11 @@ func newAggregateExecutor(c *Config) (*aggregateExecutor, error) {
 		return nil, err
 	}
 
-	// Opinions are set; distribute internal states. CorruptStates means
-	// the adversary placed arbitrary memories — modeled, as in the agent
-	// engines, by a uniform draw per agent, i.e. a uniform multinomial
-	// split per opinion class. Otherwise all agents start at state 0
-	// (the zero value of the agent structs).
-	if c.CorruptStates {
-		uniform := make([]float64, states)
-		for s := range uniform {
-			uniform[s] = 1 / float64(states)
-		}
-		e.src.Multinomial(initOnes, uniform, e.occ.Counts[1])
-		e.src.Multinomial(nonSources-initOnes, uniform, e.occ.Counts[0])
-	} else {
-		e.occ.Counts[1][0] = initOnes
-		e.occ.Counts[0][0] = nonSources - initOnes
-	}
+	// Opinions are set; distribute internal states. Every agent draws
+	// its state independently from the memory law, as in the agent
+	// engines, i.e. one multinomial split per opinion class.
+	e.src.Multinomial(initOnes, law, e.occ.Counts[1])
+	e.src.Multinomial(nonSources-initOnes, law, e.occ.Counts[0])
 	e.ones = e.sourceOnes + initOnes
 	return e, nil
 }

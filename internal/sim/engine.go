@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"passivespread/internal/rng"
 	"passivespread/internal/topo"
 )
 
@@ -45,17 +44,9 @@ type Config struct {
 	RunToEnd bool
 	// RecordTrajectory stores x_t for every executed round in the result.
 	RecordTrajectory bool
-	// CorruptStates, when set, calls CorruptState on every agent that
-	// implements StateCorruptible before round 0 (worst-case memory). The
-	// aggregate engine honors it by drawing every agent's internal state
-	// uniformly.
-	CorruptStates bool
-	// StateInit, when non-nil, is invoked on every non-source agent after
-	// construction (and after CorruptStates). It allows experiments to
-	// place protocol-specific internal state, e.g. seeding FET counts to
-	// start the chain at a chosen grid point. Not supported by
-	// EngineAggregate (which has no per-agent objects).
-	StateInit func(i int, agent Agent, src *rng.Source)
+	// Memory is the law every non-source agent's stored memory is drawn
+	// from before round 0 (default MemoryFresh).
+	Memory Memory
 	// Observers receive a typed RoundEvent after every executed round, in
 	// order. An observer returning ErrStopRun stops the run early
 	// (reported as StoppedEarly, not converged unless already absorbed);
@@ -81,6 +72,45 @@ type Config struct {
 	// set a different opinion to the source, but then the value of the
 	// correct bit would change").
 	FlipCorrectAt int
+}
+
+// MemoryLaw names how the agents' stored memories are drawn before
+// round 0. Self-stabilization demands convergence from every initial
+// configuration, and a trend agent's stored count is part of it.
+type MemoryLaw uint8
+
+// Memory laws.
+const (
+	// MemoryFresh leaves every agent as its protocol constructs it.
+	MemoryFresh MemoryLaw = iota
+	// MemoryUniform calls CorruptState on every agent implementing
+	// StateCorruptible: the worst-case, arbitrary memory. The trend
+	// protocols draw their count uniformly from {0, …, m}.
+	MemoryUniform
+	// MemoryBinomial seeds every agent's stored count with an
+	// independent Binomial(m, X0) draw from its own stream, m the
+	// protocol's single declared sample size; agents that are not
+	// TrendSeeders fail the run with a MemoryError. With opinions at fraction x1 it places the chain of
+	// Observation 1 at the grid point (x_t, x_{t+1}) = (X0, x1).
+	MemoryBinomial
+)
+
+// Memory is the initial-memory part of a configuration: a law and, for
+// MemoryBinomial, its success probability X0 (zero otherwise).
+type Memory struct {
+	Law MemoryLaw
+	X0  float64
+}
+
+// MemoryError reports a Config.Memory that the run cannot realise.
+type MemoryError string
+
+func (e MemoryError) Error() string { return "sim: Memory: " + string(e) }
+
+// errNotSeeder rejects MemoryBinomial for a protocol whose agents cannot
+// take a seeded count, which would otherwise silently start fresh.
+func errNotSeeder(p Protocol) error {
+	return MemoryError(fmt.Sprintf("MemoryBinomial needs TrendSeeder agents, protocol %q has none", p.Name()))
 }
 
 // Result reports the outcome of a run.
@@ -146,6 +176,18 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.FlipCorrectAt < 0 {
 		return cfg, fmt.Errorf("sim: FlipCorrectAt = %d, want ≥ 0", cfg.FlipCorrectAt)
+	}
+	switch mem := cfg.Memory; {
+	case mem.Law > MemoryBinomial:
+		return cfg, MemoryError(fmt.Sprintf("unknown law %d", mem.Law))
+	case !(mem.X0 >= 0 && mem.X0 <= 1):
+		return cfg, MemoryError(fmt.Sprintf("X0 = %v, want in [0, 1]", mem.X0))
+	case mem.Law != MemoryBinomial && mem.X0 != 0:
+		return cfg, MemoryError(fmt.Sprintf("X0 = %v is read only by MemoryBinomial", mem.X0))
+	case mem.Law == MemoryBinomial:
+		if _, ok := singleSampleSize(cfg.Protocol.SampleSizes()); !ok {
+			return cfg, MemoryError(fmt.Sprintf("MemoryBinomial needs one declared sample size, protocol %q has %v", cfg.Protocol.Name(), cfg.Protocol.SampleSizes()))
+		}
 	}
 	return cfg, nil
 }

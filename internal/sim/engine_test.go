@@ -100,26 +100,73 @@ func baseConfig() Config {
 	}
 }
 
+// twoSizesProtocol is majorityProtocol declaring a second sample size.
+type twoSizesProtocol struct{ majorityProtocol }
+
+func (twoSizesProtocol) SampleSizes() []int { return []int{3, 5} }
+
+// unseededTrendProto is lsTrendProto with agents that cannot take a
+// seeded count: still trend-executor eligible, but not a TrendSeeder.
+type unseededTrendProto struct{ lsTrendProto }
+
+func (p unseededTrendProto) NewAgent(src *rng.Source) Agent {
+	return unseededTrendAgent{p.lsTrendProto.NewAgent(src).(*lsTrendAgent)}
+}
+
+type unseededTrendAgent struct{ a *lsTrendAgent }
+
+func (u unseededTrendAgent) Step(cur byte, obs Observation) byte { return u.a.Step(cur, obs) }
+func (u unseededTrendAgent) PrevCount() int                      { return u.a.PrevCount() }
+func (u unseededTrendAgent) ResetAgent()                         { u.a.ResetAgent() }
+
 func TestRunValidation(t *testing.T) {
+	binomial := func(x0 float64) func(*Config) {
+		return func(c *Config) {
+			c.Protocol = majorityProtocol{m: 5}
+			c.Memory = Memory{Law: MemoryBinomial, X0: x0}
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		memory bool // the error is a *MemoryError
 	}{
-		{"tiny N", func(c *Config) { c.N = 1 }},
-		{"no protocol", func(c *Config) { c.Protocol = nil }},
-		{"no init", func(c *Config) { c.Init = nil }},
-		{"no rounds", func(c *Config) { c.MaxRounds = 0 }},
-		{"bad correct", func(c *Config) { c.Correct = 2 }},
-		{"too many sources", func(c *Config) { c.Sources = 200 }},
-		{"negative sources", func(c *Config) { c.Sources = -1 }},
-		{"bad absorb window", func(c *Config) { c.AbsorbWindow = -3 }},
+		{"tiny N", func(c *Config) { c.N = 1 }, false},
+		{"no protocol", func(c *Config) { c.Protocol = nil }, false},
+		{"no init", func(c *Config) { c.Init = nil }, false},
+		{"no rounds", func(c *Config) { c.MaxRounds = 0 }, false},
+		{"bad correct", func(c *Config) { c.Correct = 2 }, false},
+		{"too many sources", func(c *Config) { c.Sources = 200 }, false},
+		{"negative sources", func(c *Config) { c.Sources = -1 }, false},
+		{"bad absorb window", func(c *Config) { c.AbsorbWindow = -3 }, false},
+		{"unknown memory law", func(c *Config) { c.Memory.Law = MemoryBinomial + 1 }, true},
+		{"memory X0 NaN", binomial(math.NaN()), true},
+		{"memory X0 below 0", binomial(-0.1), true},
+		{"memory X0 above 1", binomial(1.5), true},
+		{"memory X0 under uniform", func(c *Config) { c.Memory = Memory{Law: MemoryUniform, X0: 0.5} }, true},
+		{"memory X0 under fresh", func(c *Config) { c.Memory.X0 = 0.5 }, true},
+		{"binomial memory, two sample sizes", func(c *Config) {
+			binomial(0.5)(c)
+			c.Protocol = twoSizesProtocol{}
+		}, true},
+		{"binomial memory, no sample size", func(c *Config) { c.Memory = Memory{Law: MemoryBinomial} }, true},
+		{"binomial memory, agents not TrendSeeders", binomial(0.5), true},
+		{"binomial memory, trend agents not TrendSeeders", func(c *Config) {
+			binomial(0.5)(c)
+			c.Protocol = unseededTrendProto{lsTrend(5, 2)}
+		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig()
 			tc.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
+			_, err := Run(cfg)
+			if err == nil {
 				t.Fatal("expected a config error")
+			}
+			var me MemoryError
+			if errors.As(err, &me) != tc.memory {
+				t.Fatalf("error %v (%T): *MemoryError %v, want %v", err, err, !tc.memory, tc.memory)
 			}
 		})
 	}

@@ -400,6 +400,10 @@ func (e *agentExecutor) populate(cfg Config) error {
 	}
 	e.next.zero()
 
+	m := 0
+	if c.Memory.Law == MemoryBinomial {
+		m, _ = singleSampleSize(c.Protocol.SampleSizes()) // validated by withDefaults
+	}
 	reuse := e.agentsReusable
 	for i := c.Sources; i < n; i++ {
 		e.srcs[i].Reseed(rng.StreamSeed(c.Seed, uint64(i)+1))
@@ -408,13 +412,17 @@ func (e *agentExecutor) populate(cfg Config) error {
 		} else {
 			e.agents[i] = c.Protocol.NewAgent(&e.srcs[i])
 		}
-		if c.CorruptStates {
-			if sc, ok := e.agents[i].(StateCorruptible); ok {
-				sc.CorruptState(&e.srcs[i])
+		switch c.Memory.Law {
+		case MemoryUniform:
+			if a, ok := e.agents[i].(StateCorruptible); ok {
+				a.CorruptState(&e.srcs[i])
 			}
-		}
-		if c.StateInit != nil {
-			c.StateInit(i, e.agents[i], &e.srcs[i])
+		case MemoryBinomial:
+			a, ok := e.agents[i].(TrendSeeder)
+			if !ok {
+				return errNotSeeder(c.Protocol)
+			}
+			a.SeedPrevCount(e.srcs[i].Binomial(m, c.Memory.X0))
 		}
 	}
 	if !reuse && n > c.Sources {

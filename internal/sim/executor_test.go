@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -148,23 +149,53 @@ func TestAggregateRequiresAggregateProtocol(t *testing.T) {
 	}
 }
 
-func TestAggregateRejectsStateInit(t *testing.T) {
+func TestAggregateUniformMemory(t *testing.T) {
 	cfg := aggregateConfig()
-	cfg.StateInit = func(int, Agent, *rng.Source) {}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected an error for StateInit under the aggregate engine")
-	}
-}
-
-func TestAggregateCorruptStates(t *testing.T) {
-	cfg := aggregateConfig()
-	cfg.CorruptStates = true
+	cfg.Memory.Law = MemoryUniform
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatalf("aggregate run with corrupted states did not converge: %+v", res)
+	}
+}
+
+// statesFixture is trendFixture reporting a state count other than its
+// ell+1 stored counts.
+type statesFixture struct{ trendFixture }
+
+func (statesFixture) AggregateStates() int { return 4 }
+
+// TestAggregateBinomialMemory: the aggregate engine starts from a
+// binomial memory law when its states are the m+1 stored counts — the
+// law's draws land on the state occupancy — and refuses it with a
+// MemoryError otherwise.
+func TestAggregateBinomialMemory(t *testing.T) {
+	cfg := aggregateConfig()
+	cfg.Memory = Memory{Law: MemoryBinomial, X0: 0.4}
+	c, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newAggregateExecutor(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.occ.Total(), c.N-c.Sources; got != want {
+		t.Fatalf("occupancy holds %d agents, want %d", got, want)
+	}
+	if e.occ.Counts[0][0] == c.N-c.Sources {
+		t.Fatal("binomial law left every agent at state 0")
+	}
+	res, err := Run(cfg)
+	if err != nil || !res.Converged {
+		t.Fatalf("binomial start: %+v, %v", res, err)
+	}
+	cfg.Protocol = statesFixture{trendFixture{ell: 8}}
+	var me MemoryError
+	if _, err := Run(cfg); !errors.As(err, &me) {
+		t.Fatalf("4 states for m = 8: got %v, want a MemoryError", err)
 	}
 }
 

@@ -69,7 +69,7 @@ func runLiteralGraph(t *testing.T, cfg Config) (Result, error) {
 
 // TestGraphRoundMatchesLiteral: on every packed power-of-two
 // topology, for both trend rules, every start (all-wrong, half,
-// corrupted memories, a mid-run source flip) and the fast engine at
+// uniform and binomial memories, a mid-run source flip) and the fast engine at
 // P ∈ {0, 1, 3} shards (Parallelism), the executor must
 // equal the literal per-draw reference in its Result and in every
 // RoundEvent, across pooled replicates. Any reordered, dropped or extra
@@ -91,7 +91,8 @@ func TestGraphRoundMatchesLiteral(t *testing.T) {
 	}{
 		{"all-wrong", func(c *Config) { c.Init = allWrongInit{} }},
 		{"half", func(c *Config) { c.Init = halfInit{} }},
-		{"corrupt", func(c *Config) { c.Init = allWrongInit{}; c.CorruptStates = true }},
+		{"corrupt", func(c *Config) { c.Init = allWrongInit{}; c.Memory.Law = MemoryUniform }},
+		{"binomial", func(c *Config) { c.Init = halfInit{}; c.Memory = Memory{Law: MemoryBinomial, X0: 0.3} }},
 		{"flip", func(c *Config) { c.Init = halfInit{}; c.FlipCorrectAt = 30 }},
 	}
 	engines := []struct {
@@ -136,7 +137,7 @@ func TestGraphRoundMatchesLiteral(t *testing.T) {
 
 // TestGraphGenericCellsStayGeneric: graph cells outside the trend
 // executor's envelope — a non-trend round shape, noise, a degree that
-// is not a power of two, a StateInit hook — run on the generic
+// is not a power of two — run on the generic
 // agentExecutor, and every one still equals the literal reference.
 func TestGraphGenericCellsStayGeneric(t *testing.T) {
 	base := Config{
@@ -155,9 +156,6 @@ func TestGraphGenericCellsStayGeneric(t *testing.T) {
 		{"noise", func(c *Config) { c.NoiseEps = 0.05 }},
 		{"noise+random-regular:6", func(c *Config) { c.NoiseEps = 0.05; c.Topology = topo.RandomRegular(6) }},
 		{"random-regular:6", func(c *Config) { c.Topology = topo.RandomRegular(6) }},
-		{"state-init", func(c *Config) {
-			c.StateInit = func(i int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = i % 14 }
-		}},
 	}
 	for _, tc := range cases {
 		for _, eng := range []struct {
@@ -208,6 +206,8 @@ func (a *wideDrawsAgent) Step(cur byte, obs Observation) byte {
 	a.prev = sum
 	return next
 }
+
+func (a *wideDrawsAgent) SeedPrevCount(count int) { a.prev = count }
 
 // checkMatchesLiteral runs two pooled replicates of cfg and fails
 // unless each equals the literal reference in its Result and in every
@@ -267,7 +267,7 @@ func TestGraphRoundSourceWords(t *testing.T) {
 					Topology:      topo.RandomRegular(8),
 					MaxRounds:     60,
 					FlipCorrectAt: 20,
-					CorruptStates: true,
+					Memory:        Memory{Law: MemoryUniform},
 					Parallelism:   par,
 				}
 				checkExecutorKind(t, cfg, true)
@@ -294,15 +294,15 @@ func TestGraphRoundEdgeShapesMatchLiteral(t *testing.T) {
 					for _, d := range []int{1, 2} {
 						t.Run(fmt.Sprintf("%s/n=%d/sources=%d/p=%d/d=%d", spec, n, sources, par, d), func(t *testing.T) {
 							cfg := Config{
-								N:             n,
-								Protocol:      lsTrend(13, d),
-								Init:          halfInit{},
-								Correct:       OpinionOne,
-								Sources:       sources,
-								Parallelism:   par,
-								Topology:      tp,
-								MaxRounds:     80,
-								CorruptStates: true,
+								N:           n,
+								Protocol:    lsTrend(13, d),
+								Init:        halfInit{},
+								Correct:     OpinionOne,
+								Sources:     sources,
+								Parallelism: par,
+								Topology:    tp,
+								MaxRounds:   80,
+								Memory:      Memory{Law: MemoryUniform},
 							}
 							checkExecutorKind(t, cfg, true)
 							checkMatchesLiteral(t, cfg)

@@ -156,7 +156,7 @@ func TestPoolReplicatesBitIdentical(t *testing.T) {
 				cfg.MaxRounds = 60
 				cfg.RunToEnd = true
 				cfg.RecordTrajectory = true
-				cfg.CorruptStates = true
+				cfg.Memory.Law = MemoryUniform
 				want, err := RunContext(ctx, cfg)
 				if err != nil {
 					t.Fatal(err)

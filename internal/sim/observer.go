@@ -108,7 +108,7 @@ func (o *fastObserver) Sample() byte {
 // kernel. Trend rules on
 // power-of-two graphs do not come here: the trend executor runs their
 // whole graph round itself (trend.go); this observer serves the other
-// protocols, noisy rounds, the exact engine and StateInit runs.
+// protocols, noisy rounds and the exact engine.
 //
 // Out-degrees beyond 64 (no packed row) keep the literal per-draw path.
 type graphObserver struct {

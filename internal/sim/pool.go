@@ -9,19 +9,17 @@ import (
 
 // poolKey is an executor's reuse shape: two configs with equal keys can
 // share an executor via populate. Everything else a replicate varies —
-// seed, correct opinion, initializer, noise, corruption hooks, round
+// seed, correct opinion, initializer, noise, memory law, round
 // caps, observers — is (re)applied per lease by populate and the
-// orchestrator. stateInit separates configs with a StateInit hook,
-// which needs live agent objects, and noisyGraph graph configs with
-// NoiseEps > 0, whose draws the graph round cannot replay; neither runs
-// on the trend executor, so within one key the choice between the trend
-// executor and the generic agentExecutor is fixed.
+// orchestrator. noisyGraph separates graph configs with NoiseEps > 0,
+// whose draws the graph round cannot replay, so within one key the
+// choice between the trend executor and the generic agentExecutor is
+// fixed.
 type poolKey struct {
 	engine             EngineKind
 	n, sources, shards int
 	protocol           string
 	topology           string
-	stateInit          bool
 	noisyGraph         bool
 }
 
@@ -80,7 +78,6 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 		protocol:   c.Protocol.Name(),
 		topology:   topo.DisplayName(c.Topology),
 		shards:     engineShards(&c),
-		stateInit:  c.StateInit != nil,
 		noisyGraph: c.NoiseEps > 0 && !topo.IsComplete(c.Topology),
 	}
 

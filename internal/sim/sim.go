@@ -108,15 +108,16 @@ type Initializer interface {
 // with d ∈ {1, 2} (FET compares c_0 and stores c_1; SimpleTrend uses
 // one count for both) and no Sample calls. The marker also promises the
 // agents' start: ResetAgent leaves every agent with the same stored
-// count, and a StateCorruptible agent's CorruptState is exactly
+// count, a StateCorruptible agent's CorruptState is exactly
 // prevCount = src.Intn(m+1) for the declared sample size m, drawing
-// nothing else. The trend executor replays all of this itself — it reads
-// one scratch agent's reset count per replicate, seeds and corrupts the
-// agent streams in one rng.Streams.Seed pass, and never invokes agents'
-// Step methods — so the marker is a promise, cross-checked by the
-// bit-identity test battery, not a derived fact. Eligible protocols'
-// agents must additionally implement PrevCounter and AgentResetter
-// (TrendSeeder composes as usual).
+// nothing else, and a TrendSeeder agent's SeedPrevCount(c) stores c for
+// every c in [0, m]. The trend executor replays all of this itself — it
+// reads one scratch agent's reset count per replicate, seeds the agent
+// streams and draws the Memory law's counts from them, and never
+// invokes agents' Step methods — so the marker is a promise,
+// cross-checked by the bit-identity test battery, not a derived fact.
+// Eligible protocols' agents must additionally implement PrevCounter
+// and AgentResetter.
 type TrendLockstep interface {
 	Protocol
 	// DrawsPerRound returns d, the number of CountOnes calls every Step
@@ -137,8 +138,8 @@ type PrevCounter interface {
 // protocol's fresh (post-NewAgent) state in place. Pooled executors
 // reset such agents across replicates instead of reallocating n of
 // them; agents without it are rebuilt via Protocol.NewAgent each
-// replicate. Adversarial state corruption and StateInit hooks run after
-// the reset, exactly as they run after construction.
+// replicate. The Memory law's draws run after the reset, exactly as
+// they run after construction.
 type AgentResetter interface {
 	ResetAgent()
 }
@@ -153,10 +154,11 @@ type StateCorruptible interface {
 
 // TrendSeeder is implemented by trend-following agents (FET and its
 // unpartitioned variant) whose stored previous-round count can be seeded.
-// Seeding every agent's count with an independent Binomial(ℓ, x0) draw
-// places the induced Markov chain exactly at (x_t, x_{t+1}) = (x0, ·),
-// which the domain experiments use to start the chain anywhere on the
-// grid G.
+// MemoryBinomial seeds every agent's count with an independent
+// Binomial(ℓ, x0) draw, which places the induced Markov chain exactly at
+// (x_t, x_{t+1}) = (x0, ·): the domain experiments use it to start the
+// chain anywhere on the grid G. An agent engine given MemoryBinomial for
+// agents without it fails with a MemoryError.
 type TrendSeeder interface {
 	SeedPrevCount(count int)
 }
@@ -176,8 +178,8 @@ const (
 	// (opinion, internal state) instead of per-agent objects: one round
 	// costs O(ℓ²) multinomial updates independent of n, reaching
 	// populations of 10⁸ and beyond with agent-level-exact statistics.
-	// Requires a Protocol implementing AggregateProtocol; supports
-	// CorruptStates but not StateInit.
+	// Requires a Protocol implementing AggregateProtocol; supports every
+	// Memory law, MemoryBinomial when the states are the m+1 counts.
 	EngineAggregate
 	// EngineAggregateSparse is the occupancy engine for degree-annealed
 	// sparse topologies (random k-out and its dynamic rewiring): each
@@ -274,7 +276,8 @@ func (o *Occupancy) Zero() {
 // be advanced as occupancy counts: the agent state is a small integer and
 // the update law depends only on (opinion, state) and the round's
 // observation distribution. FET and SimpleTrend qualify — their state is
-// the stored count ∈ {0, …, ℓ}.
+// the stored count ∈ {0, …, ℓ}. Under Config.Memory the engine draws
+// every agent's initial state from the law over {0, …, AggregateStates()−1}.
 type AggregateProtocol interface {
 	Protocol
 	// AggregateStates returns the number of distinct internal states.

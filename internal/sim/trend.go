@@ -58,14 +58,14 @@ const maxTrendCount = 1<<16 - 1
 // trendSupported reports whether the defaulted config c runs on the
 // trend executor: the agent engine that draws from the protocol's law
 // (EngineAgentFast), a TrendLockstep protocol with d ∈ {1, 2} draws of
-// one declared sample size, agents exposing PrevCount/ResetAgent, no
-// StateInit hook (which would need live per-agent objects), and either
-// uniform mixing or a graph whose packed rows have a power-of-two degree
-// with no noise — the graph round's one-output draws. CorruptStates,
-// FlipCorrectAt, AbsorbWindow, RunToEnd, RecordTrajectory and Observers
-// are all supported, and so is NoiseEps under uniform mixing.
+// one declared sample size, agents exposing PrevCount/ResetAgent, and
+// either uniform mixing or a graph whose packed rows have a power-of-two
+// degree with no noise — the graph round's one-output draws. Every
+// Memory law, FlipCorrectAt, AbsorbWindow, RunToEnd, RecordTrajectory
+// and Observers are all supported, and so is NoiseEps under uniform
+// mixing.
 func trendSupported(c *Config) bool {
-	if c.Engine != EngineAgentFast || c.StateInit != nil {
+	if c.Engine != EngineAgentFast {
 		return false
 	}
 	if !topo.IsComplete(c.Topology) {
@@ -102,11 +102,10 @@ type trendExecutor struct {
 	d   int    // protocol draws per round (1 or 2)
 	m   int    // the single declared sample size
 
-	// scratch reads the protocol's reset count once per replicate in
-	// populate; the kernels never invoke agent Steps.
-	scratchReset AgentResetter
-	scratchPrev  PrevCounter
-	corruptible  bool // the protocol's agents implement StateCorruptible
+	// scratch is one of the protocol's agents: populate reads its reset
+	// count and memory hooks once per replicate; the kernels never
+	// invoke agent Steps.
+	scratch Agent
 
 	// population holds the opinions. Under uniform mixing they are
 	// updated in place (observations never read them); graph rounds
@@ -158,10 +157,7 @@ func newTrendExecutor(c *Config) (*trendExecutor, error) {
 	}
 	e.srcs.Resize(n)
 	var s rng.Source
-	agent := proto.NewAgent(&s)
-	e.scratchReset = agent.(AgentResetter)
-	e.scratchPrev = agent.(PrevCounter)
-	_, e.corruptible = agent.(StateCorruptible)
+	e.scratch = proto.NewAgent(&s)
 
 	workers := engineShards(c)
 	graph, err := buildGraph(c, workers)
@@ -187,11 +183,13 @@ func newTrendExecutor(c *Config) (*trendExecutor, error) {
 
 // populate initializes the executor for one replicate of c, replaying
 // exactly the RNG consumption of the generic populate — initializer
-// stream 0, agent streams 1..n with CorruptState draws. It leans on the
-// TrendLockstep promise: every agent resets to one count, and
-// CorruptState is exactly prevCount = src.Intn(m+1), so one scratch
-// agent's reset count and one rng.Streams.Seed pass replace n per-agent
-// interface calls.
+// stream 0, agent streams 1..n with their memory-law draws. It leans on
+// the TrendLockstep promise: every agent resets to one count,
+// CorruptState is exactly prevCount = src.Intn(m+1) and SeedPrevCount
+// stores its count, so one scratch agent's reset count and one
+// rng.Streams.Seed pass — plus, under MemoryBinomial, one
+// Binomial(m, X0) per agent stream — replace n per-agent interface
+// calls.
 func (e *trendExecutor) populate(cfg Config) error {
 	e.cfg = cfg
 	c := &e.cfg
@@ -199,12 +197,16 @@ func (e *trendExecutor) populate(cfg Config) error {
 	if err := e.assign(c); err != nil {
 		return err
 	}
+	if _, ok := e.scratch.(TrendSeeder); c.Memory.Law == MemoryBinomial && !ok {
+		return errNotSeeder(c.Protocol)
+	}
+	_, corruptible := e.scratch.(StateCorruptible)
 	bound := 0 // no draws: every agent keeps the reset count
-	if c.CorruptStates && e.corruptible {
+	if c.Memory.Law == MemoryUniform && corruptible {
 		bound = e.m + 1
 	} else if s0 < n {
-		e.scratchReset.ResetAgent()
-		p := e.scratchPrev.PrevCount()
+		e.scratch.(AgentResetter).ResetAgent()
+		p := e.scratch.(PrevCounter).PrevCount()
 		if p < 0 || p > e.m {
 			// The kernel indexes the round's threshold table with it.
 			return fmt.Errorf("sim: agent %d stores count %d outside [0, %d]", s0, p, e.m)
@@ -214,8 +216,16 @@ func (e *trendExecutor) populate(cfg Config) error {
 			prev[j] = uint16(p)
 		}
 	}
-	//fet:allow rngmirror: exactly one Intn(m+1) per agent stream when corrupting, none otherwise — the generic populate's CorruptState draw, which the TrendLockstep promise pins to prevCount = Intn(m+1)
+	//fet:allow rngmirror: exactly one Intn(m+1) per agent stream under MemoryUniform, none otherwise — the generic populate's CorruptState draw, which the TrendLockstep promise pins to prevCount = Intn(m+1)
 	e.srcs.Seed(c.Seed, s0, n, bound, e.prev)
+	if c.Memory.Law == MemoryBinomial {
+		var src rng.Source
+		for j := s0; j < n; j++ {
+			e.srcs.Load(j, &src)
+			e.prev[j] = uint16(src.Binomial(e.m, c.Memory.X0))
+			e.srcs.Store(j, &src)
+		}
+	}
 	e.debt = 0
 	e.pinned = -1
 	e.round = 0

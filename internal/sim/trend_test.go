@@ -61,12 +61,14 @@ func (a *lsTrendAgent) Step(cur byte, obs Observation) byte {
 func (a *lsTrendAgent) PrevCount() int               { return a.prev }
 func (a *lsTrendAgent) ResetAgent()                  { a.prev = 0 }
 func (a *lsTrendAgent) CorruptState(src *rng.Source) { a.prev = src.Intn(a.ell + 1) }
+func (a *lsTrendAgent) SeedPrevCount(count int)      { a.prev = count }
 
 var (
 	_ TrendLockstep    = lsTrendProto{}
 	_ PrevCounter      = (*lsTrendAgent)(nil)
 	_ AgentResetter    = (*lsTrendAgent)(nil)
 	_ StateCorruptible = (*lsTrendAgent)(nil)
+	_ TrendSeeder      = (*lsTrendAgent)(nil)
 )
 
 // randomBernoulliInit draws each non-source opinion independently,
@@ -138,12 +140,12 @@ const trendKind = "*sim.trendExecutor"
 // and in every RoundEvent their observers receive.
 func TestLockstepBitIdenticalMatrix(t *testing.T) {
 	base := Config{
-		N:             300,
-		Protocol:      lsTrend(12, 2),
-		Init:          allWrongInit{},
-		Correct:       OpinionOne,
-		MaxRounds:     400,
-		CorruptStates: true,
+		N:         300,
+		Protocol:  lsTrend(12, 2),
+		Init:      allWrongInit{},
+		Correct:   OpinionOne,
+		MaxRounds: 400,
+		Memory:    Memory{Law: MemoryUniform},
 	}
 	scenarios := []struct {
 		name   string
@@ -181,6 +183,14 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 		// Parallelism splits the trend executor's word loop into shards
 		// and stays bit-identical to the one-shard reference.
 		{"parallel-engine", func(c *Config) { c.Parallelism = 4 }, true},
+		// Grid starts: stored counts ~ Binomial(m, X0), at both corners
+		// (no draw consumed) and inside.
+		{"binomial-0", func(c *Config) { c.Memory = Memory{Law: MemoryBinomial} }, true},
+		{"binomial-0.3", func(c *Config) {
+			c.Init = randomBernoulliInit{p: 0.4}
+			c.Memory = Memory{Law: MemoryBinomial, X0: 0.3}
+		}, true},
+		{"binomial-1", func(c *Config) { c.Memory = Memory{Law: MemoryBinomial, X0: 1} }, true},
 	}
 	widths := []int{2, 5, 32, 64}
 
@@ -218,9 +228,9 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 }
 
 // TestTrendExecutorPooledReuseBitIdentical: one pooled trend executor
-// re-leased across seeds, initializers, noise, corruption and correct
+// re-leased across seeds, initializers, noise, memory laws and correct
 // opinions of one shape reproduces a freshly built executor's run bit
-// for bit, and the pool really reuses it.
+// for bit, and the pool really reuses it: one key serves every law.
 func TestTrendExecutorPooledReuseBitIdentical(t *testing.T) {
 	base := Config{
 		N:         257,
@@ -230,10 +240,11 @@ func TestTrendExecutorPooledReuseBitIdentical(t *testing.T) {
 		MaxRounds: 300,
 	}
 	variants := []func(*Config){
-		func(c *Config) { c.CorruptStates = true },
+		func(c *Config) { c.Memory.Law = MemoryUniform },
 		func(c *Config) { c.Init = allWrongInit{} },
+		func(c *Config) { c.Memory = Memory{Law: MemoryBinomial, X0: 0.6} },
 		func(c *Config) { c.NoiseEps = 0.01 },
-		func(c *Config) { c.Correct = OpinionZero; c.Init = allCorrectInit{}; c.CorruptStates = true },
+		func(c *Config) { c.Correct = OpinionZero; c.Init = allCorrectInit{}; c.Memory.Law = MemoryUniform },
 		func(c *Config) { c.FlipCorrectAt = 60; c.RecordTrajectory = true },
 		func(*Config) {},
 	}
@@ -308,9 +319,6 @@ func TestLockstepFallbackIneligible(t *testing.T) {
 		// A degree that is not a power of two: Lemire draws can reject.
 		{"graph-topology", func(c *Config) { c.Topology = topo.RandomRegular(6) }},
 		{"non-trend-protocol", func(c *Config) { c.Protocol = majorityProtocol{m: 5} }},
-		{"state-init", func(c *Config) {
-			c.StateInit = func(_ int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = 3 }
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -381,13 +389,13 @@ func TestLockstepNilPoolDegrades(t *testing.T) {
 // for bit.
 func TestLockstepCancellation(t *testing.T) {
 	cfg := Config{
-		N:             300,
-		Protocol:      lsTrend(12, 2),
-		Init:          allWrongInit{},
-		Correct:       OpinionOne,
-		MaxRounds:     400,
-		CorruptStates: true,
-		Seed:          99,
+		N:         300,
+		Protocol:  lsTrend(12, 2),
+		Init:      allWrongInit{},
+		Correct:   OpinionOne,
+		MaxRounds: 400,
+		Memory:    Memory{Law: MemoryUniform},
+		Seed:      99,
 	}
 	want, err := runGeneric(t, context.Background(), cfg)
 	if err != nil {
@@ -430,14 +438,14 @@ func TestLockstepCancellation(t *testing.T) {
 // included — allocates nothing.
 func TestLockstepSteadyStateAllocs(t *testing.T) {
 	cfg := Config{
-		N:             512,
-		Protocol:      lsTrend(10, 2),
-		Init:          allWrongInit{},
-		Correct:       OpinionOne,
-		MaxRounds:     200,
-		RunToEnd:      true,
-		CorruptStates: true,
-		Seed:          11,
+		N:         512,
+		Protocol:  lsTrend(10, 2),
+		Init:      allWrongInit{},
+		Correct:   OpinionOne,
+		MaxRounds: 200,
+		RunToEnd:  true,
+		Memory:    Memory{Law: MemoryUniform},
+		Seed:      11,
 	}
 	p := NewPool()
 	defer p.Release()
@@ -473,7 +481,7 @@ func TestTrendEdgeShapesBitIdentical(t *testing.T) {
 						Correct:       OpinionOne,
 						Sources:       sources,
 						MaxRounds:     900,
-						CorruptStates: true,
+						Memory:        Memory{Law: MemoryUniform},
 						FlipCorrectAt: 300,
 					}
 					if kind := executorKind(t, cfg); kind != trendKind {
@@ -508,6 +516,49 @@ func TestTrendEdgeShapesBitIdentical(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestTrendBinomialMemoryIsOneBinomial: under MemoryBinomial the trend
+// executor's populate leaves every agent stream exactly one
+// Binomial(m, X0) past its seed, with that draw as the stored count —
+// the generic populate's SeedPrevCount draw, consumed from the same
+// stream — at X0 ∈ {0, 0.3, 1} and sample sizes on every Binomial
+// branch.
+func TestTrendBinomialMemoryIsOneBinomial(t *testing.T) {
+	for _, x0 := range []float64{0, 0.3, 1} {
+		for _, ell := range []int{1, 12, 40, 200} {
+			cfg := Config{
+				N:         200,
+				Sources:   3,
+				Protocol:  lsTrend(ell, 2),
+				Init:      allWrongInit{},
+				MaxRounds: 1,
+				Seed:      uint64(ell),
+				Memory:    Memory{Law: MemoryBinomial, X0: x0},
+			}
+			c, err := cfg.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := newTrendExecutor(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got rng.Source
+			for j := c.Sources; j < c.N; j++ {
+				ref := rng.NewFrom(c.Seed, uint64(j)+1)
+				want := ref.Binomial(ell, x0)
+				if int(e.prev[j]) != want {
+					t.Fatalf("x0=%v ell=%d agent %d: stored %d, Binomial = %d", x0, ell, j, e.prev[j], want)
+				}
+				e.srcs.Load(j, &got)
+				if got != *ref {
+					t.Fatalf("x0=%v ell=%d agent %d: stream consumed other outputs than one Binomial(%d, %v)", x0, ell, j, ell, x0)
+				}
+			}
+			e.close()
 		}
 	}
 }
@@ -558,14 +609,14 @@ func BenchmarkTrendKernel(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := Config{
-				N:             n,
-				Protocol:      lsTrend(18, 2),
-				Init:          randomBernoulliInit{p: 0.5},
-				Correct:       OpinionOne,
-				Topology:      tp,
-				CorruptStates: true,
-				Seed:          5,
-				MaxRounds:     1 << 20,
+				N:         n,
+				Protocol:  lsTrend(18, 2),
+				Init:      randomBernoulliInit{p: 0.5},
+				Correct:   OpinionOne,
+				Topology:  tp,
+				Memory:    Memory{Law: MemoryUniform},
+				Seed:      5,
+				MaxRounds: 1 << 20,
 			}
 			c, err := cfg.withDefaults()
 			if err != nil {
@@ -636,20 +687,28 @@ func BenchmarkTrendKernel(b *testing.B) {
 }
 
 // BenchmarkTrendPopulate times the trend executor's per-replicate
-// populate at n = 4096 — initializer, opinion packing and one
-// rng.Streams.Seed pass over the agent streams — with and without
-// CorruptStates, and reports ns per agent.
+// populate at n = 4096 — initializer, opinion packing, one
+// rng.Streams.Seed pass over the agent streams and, under the binomial
+// law, one Binomial draw per stream — under each memory law, and
+// reports ns per agent.
 func BenchmarkTrendPopulate(b *testing.B) {
 	const n = 4096
-	for _, corrupt := range []bool{true, false} {
-		b.Run(fmt.Sprintf("corrupt=%v", corrupt), func(b *testing.B) {
+	for _, mem := range []struct {
+		name string
+		mem  Memory
+	}{
+		{"uniform", Memory{Law: MemoryUniform}},
+		{"fresh", Memory{}},
+		{"binomial", Memory{Law: MemoryBinomial, X0: 0.3}},
+	} {
+		b.Run("memory="+mem.name, func(b *testing.B) {
 			cfg := Config{
-				N:             n,
-				Protocol:      lsTrend(36, 2),
-				Init:          allWrongInit{},
-				Correct:       OpinionOne,
-				CorruptStates: corrupt,
-				MaxRounds:     1,
+				N:         n,
+				Protocol:  lsTrend(36, 2),
+				Init:      allWrongInit{},
+				Correct:   OpinionOne,
+				Memory:    mem.mem,
+				MaxRounds: 1,
 			}
 			c, err := cfg.withDefaults()
 			if err != nil {

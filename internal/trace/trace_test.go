@@ -21,7 +21,7 @@ func sampleTrace(t *testing.T) *Trace {
 		Correct:          sim.OpinionOne,
 		Seed:             3,
 		MaxRounds:        2000,
-		CorruptStates:    true,
+		Memory:           sim.Memory{Law: sim.MemoryUniform},
 		RecordTrajectory: true,
 	})
 	if err != nil {

@@ -108,12 +108,22 @@ type (
 	ObserverFunc = sim.ObserverFunc
 	// TrajectoryRecorder is an Observer collecting x_t per round.
 	TrajectoryRecorder = sim.TrajectoryRecorder
+	// Memory is Config.Memory, the law of the agents' initial stored
+	// memories.
+	Memory = sim.Memory
 )
 
 // Opinion constants and engine kinds.
 const (
 	OpinionZero = sim.OpinionZero
 	OpinionOne  = sim.OpinionOne
+
+	// MemoryFresh, MemoryUniform and MemoryBinomial are the Memory laws:
+	// memories as constructed, uniform worst-case memories, and stored
+	// counts drawn Binomial(ℓ, X0) (the GridStart law).
+	MemoryFresh    = sim.MemoryFresh
+	MemoryUniform  = sim.MemoryUniform
+	MemoryBinomial = sim.MemoryBinomial
 
 	// EngineAgentFast draws observations from tabulated binomial laws
 	// (default, statistically identical to exact).
@@ -368,7 +378,7 @@ func (o Options) config() (Config, error) {
 		Topology:         o.Topology,
 		Seed:             o.Seed,
 		MaxRounds:        maxRounds,
-		CorruptStates:    true,
+		Memory:           Memory{Law: MemoryUniform},
 		RecordTrajectory: o.RecordTrajectory,
 	}, nil
 }

@@ -151,6 +151,10 @@ func (sc Scenario) config(n, ell, maxRounds int, engine EngineKind, topology Top
 			flipAt = 1
 		}
 	}
+	mem := Memory{Law: MemoryUniform}
+	if sc.KeepMemories {
+		mem = Memory{}
+	}
 	return Config{
 		N:             n,
 		Sources:       sources,
@@ -161,7 +165,7 @@ func (sc Scenario) config(n, ell, maxRounds int, engine EngineKind, topology Top
 		Topology:      topology,
 		Seed:          cellSeed,
 		MaxRounds:     maxRounds,
-		CorruptStates: !sc.KeepMemories,
+		Memory:        mem,
 		NoiseEps:      sc.NoiseEps,
 		FlipCorrectAt: flipAt,
 	}

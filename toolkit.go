@@ -53,7 +53,8 @@ func TraceFromTrajectory(p DomainParams, x0 float64, xs []float64) *Trace {
 }
 
 // GridStart places a simulation at a chosen grid point (x_t, x_{t+1}) by
-// combining a fraction initializer with seeded agent memories.
+// combining a fraction initializer (Init) with a binomial memory law
+// (Memory).
 type GridStart = adversary.GridStart
 
 // Baseline protocols from the paper's related-work comparisons.

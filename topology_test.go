@@ -220,15 +220,15 @@ func TestSparseScenarioPresetsRunEndToEnd(t *testing.T) {
 	}
 }
 
-// buildCLITools compiles fetsim and fetsweep into a temp dir once per
-// golden test run.
+// buildCLITools compiles fetsim, fetsweep, fetlab and fettrace into a
+// temp dir once per golden test run.
 func buildCLITools(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("golden CLI tests build binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir, "./cmd/fetsim", "./cmd/fetsweep", "./cmd/fetlab")
+	cmd := exec.Command("go", "build", "-o", dir, "./cmd/fetsim", "./cmd/fetsweep", "./cmd/fetlab", "./cmd/fettrace")
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building CLI tools: %v\n%s", err, out)
@@ -288,6 +288,31 @@ func TestGoldenFetsimByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(out, goldenTraj) {
 		t.Fatalf("fetsim trajectory diverged from the pre-topology golden (full x_t stream reshuffled)")
+	}
+}
+
+// TestGoldenFettraceByteIdentical: the grid-start guard. fettrace places
+// the chain at (x_t, x_{t+1}) through a binomial memory law, so its bytes
+// pin that law's draws on every executor that runs it.
+// testdata/golden_fettrace.csv holds two runs: an interior start
+// (0.35, 0.45) and the corner start (0, 0.001).
+func TestGoldenFettraceByteIdentical(t *testing.T) {
+	bin := buildCLITools(t)
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_fettrace.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, start := range [][]string{{"-x0", "0.35", "-x1", "0.45"}, {"-x0", "0", "-x1", "0.001"}} {
+		args := append([]string{"-n", "1024", "-seed", "5", "-csv"}, start...)
+		out, err := exec.Command(filepath.Join(bin, "fettrace"), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("fettrace %v: %v\n%s", start, err, out)
+		}
+		got = append(got, out...)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("fettrace output diverged from the golden:\n--- want\n%s\n--- got\n%s", golden, got)
 	}
 }
 
