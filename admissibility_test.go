@@ -27,7 +27,7 @@ func TestCellAdmissibilityAgreesAcrossLayers(t *testing.T) {
 	for _, scName := range []string{"worst-case", "noisy", "async", "sparse-regular"} {
 		sc, ok := passivespread.ScenarioByName(scName)
 		if !ok {
-			t.Fatalf("%s not registered", scName)
+			t.Fatalf("%s is not a preset", scName)
 		}
 		engs, tops := engines, topologies
 		if sc.Run != nil {
@@ -133,7 +133,7 @@ func TestPinnedSweepCellIsServedCell(t *testing.T) {
 	for _, name := range []string{"sparse-regular", "sparse-dynamic"} {
 		sc, ok := passivespread.ScenarioByName(name)
 		if !ok {
-			t.Fatalf("%s not registered", name)
+			t.Fatalf("%s is not a preset", name)
 		}
 		scs = append(scs, sc)
 	}

@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-// scenarioSpec builds a Config-form StudySpec from a registered scenario
+// scenarioSpec builds a Config-form StudySpec from a scenario preset
 // preset, resolving the grid values the way a sweep cell would.
 func scenarioSpec(t *testing.T, name string, n int, seed uint64) StudySpec {
 	t.Helper()
 	sc, ok := ScenarioByName(name)
 	if !ok {
-		t.Fatalf("scenario %q is not registered", name)
+		t.Fatalf("scenario %q is not a preset", name)
 	}
 	cfg := sc.config(n, SampleSize(n), DefaultMaxRounds(n), EngineAgentFast, sc.Topology, seed)
 	return StudySpec{Config: &cfg}

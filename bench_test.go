@@ -9,21 +9,20 @@ import (
 	"passivespread/internal/checkpoint"
 	"passivespread/internal/core"
 	"passivespread/internal/dist"
-	"passivespread/internal/experiment"
 )
 
-// benchExperiment runs one registered experiment per iteration in Quick
+// benchExperiment runs one experiment per iteration in Quick
 // mode. Each experiment reproduces one table/figure/lemma of the paper
 // (see DESIGN.md §4); the full-size outputs recorded in EXPERIMENTS.md
 // come from `fetlab -full`.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, ok := experiment.Lookup(id)
+	e, ok := LookupExperiment(id)
 	if !ok {
-		b.Fatalf("experiment %s not registered", id)
+		b.Fatalf("no experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(experiment.Config{Seed: uint64(i) + 1, Quick: true})
+		rep, err := e.Run(ExperimentConfig{Seed: uint64(i) + 1, Quick: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,51 +368,29 @@ func BenchmarkCompete(b *testing.B) {
 
 // BenchmarkStudyReplicates measures the batch throughput of the Study
 // API — replicates per second per engine at fixed n = 4096, worst-case
-// start, default worker pool — plus the lockstep rows: the same agent
-// study on a single worker, isolating the per-replicate cost from
-// worker-pool parallelism. The rows keep their historical names (the
-// "parallel" row is the fast engine sharded across GOMAXPROCS workers)
-// and their Batch widths 8 and 32, which have no effect. Recorded
-// results live in BENCH_study.json.
+// start, default worker pool — plus fast-w1: the fast study on a single
+// worker, isolating the per-replicate cost from worker-pool parallelism.
+// The "parallel" row keeps its historical name: the fast engine sharded
+// across GOMAXPROCS workers. Recorded results live in BENCH_study.json.
 func BenchmarkStudyReplicates(b *testing.B) {
-	engines := []struct {
-		name string
-		kind EngineKind
-		par  int
+	rows := []struct {
+		name    string
+		kind    EngineKind
+		par     int
+		workers int
 	}{
-		{"fast", EngineAgentFast, 0},
-		{"parallel", EngineAgentFast, runtime.GOMAXPROCS(0)},
-		{"aggregate", EngineAggregate, 0},
-		{"chain", EngineMarkovChain, 0},
+		{"fast", EngineAgentFast, 0, 0},
+		{"parallel", EngineAgentFast, runtime.GOMAXPROCS(0), 0},
+		{"aggregate", EngineAggregate, 0, 0},
+		{"chain", EngineMarkovChain, 0, 0},
+		{"fast-w1", EngineAgentFast, 0, 1},
 	}
-	for _, eng := range engines {
-		b.Run(eng.name, func(b *testing.B) {
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
 			study, err := NewStudy(StudySpec{
 				Replicates: b.N,
-				Options:    Options{N: 4096, Seed: 1, Engine: eng.kind, Parallelism: eng.par},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			report, err := study.Run(context.Background())
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if report.Convergence.Converged == 0 {
-				b.Fatal("no replicate converged")
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "replicates/sec")
-		})
-	}
-	for _, w := range []int{8, 32} {
-		b.Run(fmt.Sprintf("lockstep-w%d", w), func(b *testing.B) {
-			study, err := NewStudy(StudySpec{
-				Replicates: b.N,
-				Workers:    1,
-				Batch:      w,
-				Options:    Options{N: 4096, Seed: 1},
+				Workers:    row.workers,
+				Options:    Options{N: 4096, Seed: 1, Engine: row.kind, Parallelism: row.par},
 			})
 			if err != nil {
 				b.Fatal(err)

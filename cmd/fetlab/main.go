@@ -12,9 +12,9 @@
 //	fetlab -all [-quick]
 //	fetlab -run E16 -quick -cpuprofile cpu.pprof
 //
-// The grid-shaped experiments (E01, E13) run through the root Sweep
-// layer; -scenarios lists the scenario registry that Sweep (and the
-// fetsweep tool) draw presets from.
+// The grid-shaped experiments (E01, E13, E23) run through the root
+// Sweep layer; -scenarios lists the scenario presets that Sweep (and
+// the fetsweep tool) draw from.
 //
 // -cpuprofile, -memprofile and -trace write runtime/pprof CPU and heap
 // profiles and a runtime/trace execution trace of the run; their
@@ -33,8 +33,8 @@ import (
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list registered experiments and exit")
-		scenarios  = flag.Bool("scenarios", false, "list registered sweep scenarios and exit")
+		list       = flag.Bool("list", false, "list the experiments and exit")
+		scenarios  = flag.Bool("scenarios", false, "list the sweep scenario presets and exit")
 		topologies = flag.Bool("topologies", false, "list the observation-topology specs and exit")
 		runIDs     = flag.String("run", "", "comma-separated experiment IDs to run (e.g. E01,E03)")
 		all        = flag.Bool("all", false, "run every experiment")

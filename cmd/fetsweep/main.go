@@ -30,8 +30,8 @@
 // judged on the topology it runs on — a scenario's pinned topology,
 // else the -topologies entry — so -scenarios sparse-regular -engines
 // aggregate-sparse runs. aggregate, aggregate-sparse and chain scale
-// to populations of hundreds of millions. -scenarios names presets
-// from the scenario registry (list them with `fetlab -scenarios`).
+// to populations of hundreds of millions. -scenarios names scenario
+// presets (list them with `fetlab -scenarios`).
 //
 // The default table output appends a polylog fit of the median
 // convergence times per (scenario, engine) group spanning ≥ 2

@@ -104,7 +104,7 @@ func ExampleNewChain() {
 	// absorbed: true
 }
 
-// Each registered experiment reproduces one artifact of the paper.
+// Each experiment reproduces one artifact of the paper.
 func ExampleExperiments() {
 	for _, e := range passivespread.Experiments()[:3] {
 		fmt.Printf("%s: %s\n", e.ID, e.PaperRef)

@@ -31,7 +31,7 @@ func main() {
 	for _, name := range []string{"worst-case", "noisy", "trend-flip"} {
 		sc, ok := passivespread.ScenarioByName(name)
 		if !ok {
-			log.Fatalf("scenario %q not registered", name)
+			log.Fatalf("no scenario preset %q", name)
 		}
 		scenarios = append(scenarios, sc)
 	}

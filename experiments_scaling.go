@@ -16,45 +16,14 @@ import (
 // — because they are consumers of the Sweep API, and they double as its
 // full-scale exercise.
 
-func init() {
-	experiment.Register(experiment.Experiment{
-		ID:       "E01",
-		Title:    "FET convergence-time scaling (agent engine + aggregate chain)",
-		PaperRef: "Theorem 1",
-		Run:      runE01,
-	})
-	experiment.Register(experiment.Experiment{
-		ID:       "E13",
-		Title:    "Sample-size ablation: constant ℓ vs ℓ = Θ(log n)",
-		PaperRef: "Section 5 (future work)",
-		Run:      runE13,
-	})
-}
-
-// pickInts returns quick when the config asks for a reduced scale.
-func pickInts(cfg experiment.Config, full, quick []int) []int {
-	if cfg.Quick || cfg.Smoke {
-		return quick
-	}
-	return full
-}
-
-// pickInt is pickInts for a single value.
-func pickInt(cfg experiment.Config, full, quick int) int {
-	if cfg.Quick || cfg.Smoke {
-		return quick
-	}
-	return full
-}
-
-// namedScenarios resolves registry presets; a missing name is a
-// programming error (the built-ins register in this package's init).
+// namedScenarios resolves built-in presets; a missing name is a
+// programming error.
 func namedScenarios(names ...string) []Scenario {
 	out := make([]Scenario, len(names))
 	for i, name := range names {
 		sc, ok := ScenarioByName(name)
 		if !ok {
-			panic(fmt.Sprintf("experiment: scenario %q is not registered", name))
+			panic(fmt.Sprintf("experiment: no scenario preset %q", name))
 		}
 		out[i] = sc
 	}
@@ -62,14 +31,10 @@ func namedScenarios(names ...string) []Scenario {
 }
 
 func runE01(cfg experiment.Config) (*experiment.Report, error) {
-	rep := &experiment.Report{
-		ID:       "E01",
-		Title:    "FET convergence-time scaling (agent engine + aggregate chain)",
-		PaperRef: "Theorem 1",
-	}
+	rep := experiment.NewReport(sweepExperiments(), "E01")
 
-	ns := pickInts(cfg, []int{256, 1024, 4096, 16384, 65536}, []int{256, 1024, 4096})
-	trials := pickInt(cfg, 40, 8)
+	ns := experiment.Pick(cfg, []int{256, 1024, 4096, 16384, 65536}, []int{256, 1024, 4096})
+	trials := experiment.Pick(cfg, 40, 8)
 	scenarios := namedScenarios(DefaultScenario, "half-split", "uniform")
 
 	sweep, err := NewSweep(SweepSpec{
@@ -113,10 +78,10 @@ func runE01(cfg experiment.Config) (*experiment.Report, error) {
 
 	// The Markov-chain engine extends the same sweep far past
 	// agent-engine reach on the same seed-derivation contract.
-	chainNs := pickInts(cfg,
+	chainNs := experiment.Pick(cfg,
 		[]int{1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26},
 		[]int{1 << 10, 1 << 14})
-	chainTrials := pickInt(cfg, 30, 6)
+	chainTrials := experiment.Pick(cfg, 30, 6)
 	chainSweep, err := NewSweep(SweepSpec{
 		Ns:         chainNs,
 		Engines:    []EngineKind{EngineMarkovChain},
@@ -145,14 +110,10 @@ func runE01(cfg experiment.Config) (*experiment.Report, error) {
 }
 
 func runE13(cfg experiment.Config) (*experiment.Report, error) {
-	rep := &experiment.Report{
-		ID:       "E13",
-		Title:    "Sample-size ablation: constant ℓ vs ℓ = Θ(log n)",
-		PaperRef: "Section 5 (future work)",
-	}
+	rep := experiment.NewReport(sweepExperiments(), "E13")
 
-	n := pickInt(cfg, 4096, 1024)
-	trials := pickInt(cfg, 30, 6)
+	n := experiment.Pick(cfg, 4096, 1024)
+	trials := experiment.Pick(cfg, 30, 6)
 	cap := 3000 * int(math.Log2(float64(n)))
 	ells := []int{1, 2, 4, 8, 16, 24, 0} // 0 = the default ℓ = ⌈3·log₂ n⌉
 	if cfg.Smoke {

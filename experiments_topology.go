@@ -14,28 +14,15 @@ import (
 // E01/E13, because it is a consumer of the public Sweep API (the
 // Topologies axis it exercises is the topology layer's full-scale test).
 
-func init() {
-	experiment.Register(experiment.Experiment{
-		ID:       "E23",
-		Title:    "Cross-topology convergence: FET beyond uniform mixing",
-		PaperRef: "Section 5 (future work: structured interaction)",
-		Run:      runE23,
-	})
-}
-
 func runE23(cfg experiment.Config) (*experiment.Report, error) {
-	rep := &experiment.Report{
-		ID:       "E23",
-		Title:    "Cross-topology convergence: FET beyond uniform mixing",
-		PaperRef: "Section 5 (future work: structured interaction)",
-	}
+	rep := experiment.NewReport(sweepExperiments(), "E23")
 
 	// The population is a perfect square so the torus is admissible.
-	n := pickInt(cfg, 4096, 1024)
-	trials := pickInt(cfg, 40, 6)
+	n := experiment.Pick(cfg, 4096, 1024)
+	trials := experiment.Pick(cfg, 40, 6)
 	// The diameter-bound rows (ring, torus) run to the cap when they do
 	// not converge, so the quick scale tightens it explicitly.
-	maxRounds := pickInt(cfg, 0, 1500) // 0 = default 400·log₂ n
+	maxRounds := experiment.Pick(cfg, 0, 1500) // 0 = default 400·log₂ n
 	topologies := []Topology{
 		nil, // complete: the paper's model, the baseline row
 		RandomRegular(8),

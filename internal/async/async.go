@@ -49,8 +49,6 @@ type Config struct {
 	Correct byte
 	// Init chooses starting opinions (required).
 	Init sim.Initializer
-	// CorruptStates randomizes the stored counts adversarially.
-	CorruptStates bool
 	// Seed is the root randomness seed.
 	Seed uint64
 	// MaxParallelRounds caps the run in parallel-time units (each unit is
@@ -120,10 +118,9 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("async: initializer %q overwrote a source opinion", c.Init.Name())
 		}
 	}
-	if c.CorruptStates {
-		for i := c.Sources; i < n; i++ {
-			counts[i] = src.Intn(c.Ell + 1)
-		}
+	// Stored counts start adversarially corrupted, uniform on [0, ℓ].
+	for i := c.Sources; i < n; i++ {
+		counts[i] = src.Intn(c.Ell + 1)
 	}
 
 	ones := 0

@@ -15,7 +15,6 @@ func baseConfig() Config {
 		Ell:               core.SampleSize(n, core.DefaultC),
 		Correct:           sim.OpinionOne,
 		Init:              adversary.AllWrong{Correct: sim.OpinionOne},
-		CorruptStates:     true,
 		Seed:              1,
 		MaxParallelRounds: 5000,
 	}
@@ -100,7 +99,6 @@ func TestAsyncAbsorptionHolds(t *testing.T) {
 	// adversarially stale counts — the worst case for absorption.
 	cfg := baseConfig()
 	cfg.Init = adversary.AllCorrect{Correct: sim.OpinionOne}
-	cfg.CorruptStates = true
 	// Force execution past the immediate-convergence check by running the
 	// dynamics manually for a few parallel rounds via a non-absorbing
 	// start that converges, then verifying FinalX stays 1.

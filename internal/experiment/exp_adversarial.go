@@ -14,27 +14,6 @@ import (
 	"passivespread/internal/tablefmt"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "E11",
-		Title:    "Majority bit-dissemination impossibility construction",
-		PaperRef: "Section 1.2 (impossibility argument)",
-		Run:      runE11,
-	})
-	register(Experiment{
-		ID:       "E12",
-		Title:    "Clocked phase-protocol baseline",
-		PaperRef: "Section 1.4",
-		Run:      runE12,
-	})
-	register(Experiment{
-		ID:       "E18",
-		Title:    "Consensus dynamics do not solve source-driven dissemination",
-		PaperRef: "Section 1.4 related work (Voter, 3-Majority, Undecided-State)",
-		Run:      runE18,
-	})
-}
-
 // stubbornSim is a minimal bespoke simulator for the §1.2 impossibility
 // construction: it supports arbitrary sets of stubborn agents (agents that
 // never change their displayed opinion — the "sources" of the majority
@@ -98,12 +77,11 @@ func (s *stubbornSim) step() {
 }
 
 func runE11(cfg Config) (*Report, error) {
-	e, _ := Lookup("E11")
-	rep := newReport(e)
+	rep := NewReport(All(), "E11")
 
-	n := pick(cfg, 4096, 512)
+	n := Pick(cfg, 4096, 512)
 	ell := core.SampleSize(n, core.DefaultC)
-	horizon := pick(cfg, 200000, 5000)
+	horizon := Pick(cfg, 200000, 5000)
 	polylog := math.Pow(math.Log(float64(n)), 2.5)
 
 	// The paper's argument posits a hypothetical algorithm that solves
@@ -157,11 +135,10 @@ func runE11(cfg Config) (*Report, error) {
 }
 
 func runE12(cfg Config) (*Report, error) {
-	e, _ := Lookup("E12")
-	rep := newReport(e)
+	rep := NewReport(All(), "E12")
 
-	ns := pick(cfg, []int{256, 1024, 4096, 16384}, []int{256, 1024})
-	trials := pick(cfg, 30, 6)
+	ns := Pick(cfg, []int{256, 1024, 4096, 16384}, []int{256, 1024})
+	trials := Pick(cfg, 30, 6)
 
 	tab := tablefmt.New("n", "mode", "message bits", "median t_con", "bound 4·log₂n", "FET median (passive)")
 	for _, n := range ns {
@@ -218,11 +195,10 @@ func runE12(cfg Config) (*Report, error) {
 }
 
 func runE18(cfg Config) (*Report, error) {
-	e, _ := Lookup("E18")
-	rep := newReport(e)
+	rep := NewReport(All(), "E18")
 
-	n := pick(cfg, 1024, 256)
-	trials := pick(cfg, 20, 5)
+	n := Pick(cfg, 1024, 256)
+	trials := Pick(cfg, 20, 5)
 	ell := core.SampleSize(n, core.DefaultC)
 	horizon := 40 * int(math.Pow(math.Log2(float64(n)), 2)) // generous polylog
 

@@ -8,18 +8,8 @@ import (
 	"passivespread/internal/tablefmt"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "E10",
-		Title:    "Coin-competition probabilities vs the paper's bounds",
-		PaperRef: "Lemmas 12–15, Observation 1",
-		Run:      runE10,
-	})
-}
-
 func runE10(cfg Config) (*Report, error) {
-	e, _ := Lookup("E10")
-	rep := newReport(e)
+	rep := NewReport(All(), "E10")
 
 	// Part 1: the four competition bounds over a (k, p, q) grid.
 	type gridCase struct {
@@ -65,7 +55,7 @@ func runE10(cfg Config) (*Report, error) {
 	// Part 2: Observation 1 — exact drift g(x, y) vs Monte-Carlo.
 	n := 4096
 	ell := 36
-	mcTrials := pick(cfg, 200000, 20000)
+	mcTrials := Pick(cfg, 200000, 20000)
 	driftTab := tablefmt.New("x_t", "x_{t+1}", "g(x,y) exact", "Monte-Carlo", "abs diff")
 	//fet:allow seedflow: legacy pre-StreamSeed derivation; the E-series Monte-Carlo tables recorded in EXPERIMENTS.md pin this stream
 	src := rng.New(cfg.Seed ^ 0xdead)

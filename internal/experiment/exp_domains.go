@@ -2,8 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"passivespread/internal/core"
@@ -13,30 +14,8 @@ import (
 	"passivespread/internal/tablefmt"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "E02",
-		Title:    "Domain partition map of the grid G",
-		PaperRef: "Figure 1a",
-		Run:      runE02,
-	})
-	register(Experiment{
-		ID:       "E03",
-		Title:    "Empirical domain-transition diagram",
-		PaperRef: "Figure 1b",
-		Run:      runE03,
-	})
-	register(Experiment{
-		ID:       "E04",
-		Title:    "Yellow′ partition map and per-area escape behavior",
-		PaperRef: "Figure 2",
-		Run:      runE04,
-	})
-}
-
 func runE02(cfg Config) (*Report, error) {
-	e, _ := Lookup("E02")
-	rep := newReport(e)
+	rep := NewReport(All(), "E02")
 
 	n := 1 << 20
 	p := domain.NewParams(n)
@@ -44,9 +23,9 @@ func runE02(cfg Config) (*Report, error) {
 		n, p.Delta, 1/p.LogN(), p.Lambda())
 
 	rep.AddText("Figure 1a (G = glyph legend: G/g Green, P/p Purple, R/r Red, C/c Cyan, Y Yellow; upper case = 1-side)",
-		p.RenderMap(pick(cfg, 64, 32)))
+		p.RenderMap(Pick(cfg, 64, 32)))
 
-	m := pick(cfg, 600, 200)
+	m := Pick(cfg, 600, 200)
 	counts := p.CountCells(m)
 	total := (m + 1) * (m + 1)
 	tab := tablefmt.New("domain", "cells", "share")
@@ -95,14 +74,13 @@ type transitionStats struct {
 }
 
 func runE03(cfg Config) (*Report, error) {
-	e, _ := Lookup("E03")
-	rep := newReport(e)
+	rep := NewReport(All(), "E03")
 
-	n := pick(cfg, 1<<16, 1<<12)
+	n := Pick(cfg, 1<<16, 1<<12)
 	ell := core.SampleSize(n, core.DefaultC)
 	p := domain.NewParams(n)
-	trialsPerPoint := pick(cfg, 40, 8)
-	pointsPerKind := pick(cfg, 5, 3)
+	trialsPerPoint := Pick(cfg, 40, 8)
+	pointsPerKind := Pick(cfg, 5, 3)
 	maxRounds := 4000
 
 	kinds := []domain.Kind{
@@ -155,47 +133,33 @@ func runE03(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// formatExits renders an exit histogram as "dest 97%, other 3%".
+// formatExits renders an exit histogram as "dest 97%, other 3%": most
+// frequent first, ties by name.
 func formatExits(exits map[string]int) string {
+	dests := slices.Sorted(maps.Keys(exits))
 	total := 0
-	//fet:allow detrand: order-insensitive sum over the histogram
-	for _, c := range exits {
-		total += c
+	for _, d := range dests {
+		total += exits[d]
 	}
-	type kv struct {
-		k string
-		v int
-	}
-	list := make([]kv, 0, len(exits))
-	//fet:allow detrand: keys are collected then sorted before rendering
-	for k, v := range exits {
-		list = append(list, kv{k, v})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].v != list[j].v {
-			return list[i].v > list[j].v
-		}
-		return list[i].k < list[j].k
-	})
-	parts := make([]string, 0, len(list))
-	for _, item := range list {
-		parts = append(parts, fmt.Sprintf("%s %.0f%%", item.k, 100*float64(item.v)/float64(total)))
+	slices.SortStableFunc(dests, func(a, b string) int { return exits[b] - exits[a] })
+	parts := make([]string, len(dests))
+	for i, d := range dests {
+		parts[i] = fmt.Sprintf("%s %.0f%%", d, 100*float64(exits[d])/float64(total))
 	}
 	return strings.Join(parts, ", ")
 }
 
 func runE04(cfg Config) (*Report, error) {
-	e, _ := Lookup("E04")
-	rep := newReport(e)
+	rep := NewReport(All(), "E04")
 
-	n := pick(cfg, 1<<16, 1<<12)
+	n := Pick(cfg, 1<<16, 1<<12)
 	ell := core.SampleSize(n, core.DefaultC)
 	p := domain.NewParams(n)
 
 	rep.AddText("Figure 2 (Yellow′ box; glyphs A/B/C, upper case = 1-side)",
-		p.RenderYellowMap(pick(cfg, 48, 24)))
+		p.RenderYellowMap(Pick(cfg, 48, 24)))
 
-	m := pick(cfg, 400, 150)
+	m := Pick(cfg, 400, 150)
 	counts := p.CountYellowCells(m)
 	total := (m + 1) * (m + 1)
 	censusTab := tablefmt.New("area", "cells", "share")
@@ -208,7 +172,7 @@ func runE04(cfg Config) (*Report, error) {
 	rep.AddTable("Yellow′ cell census", censusTab)
 
 	// Escape behavior per starting area.
-	trials := pick(cfg, 120, 20)
+	trials := Pick(cfg, 120, 20)
 	maxRounds := 20000
 	starts := []struct {
 		name string

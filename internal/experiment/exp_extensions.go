@@ -17,39 +17,11 @@ import (
 // E19–E22 extend the paper: robustness and model-variation studies that
 // the paper's discussion and related work motivate but do not evaluate.
 
-func init() {
-	register(Experiment{
-		ID:       "E19",
-		Title:    "FET under noisy observations",
-		PaperRef: "extension (noisy-communication models of the related work)",
-		Run:      runE19,
-	})
-	register(Experiment{
-		ID:       "E20",
-		Title:    "Re-stabilization after the correct bit flips mid-run",
-		PaperRef: "extension (§1.2: the correct value may change)",
-		Run:      runE20,
-	})
-	register(Experiment{
-		ID:       "E21",
-		Title:    "Mean-field skeleton vs stochastic dynamics",
-		PaperRef: "extension (the noise-driven escape behind Lemmas 7–10)",
-		Run:      runE21,
-	})
-	register(Experiment{
-		ID:       "E22",
-		Title:    "Sequential (population-protocol) scheduling breaks the trend signal",
-		PaperRef: "extension (negative result; cf. Angluin et al. 2006)",
-		Run:      runE22,
-	})
-}
-
 func runE19(cfg Config) (*Report, error) {
-	e, _ := Lookup("E19")
-	rep := newReport(e)
+	rep := NewReport(All(), "E19")
 
-	n := pick(cfg, 4096, 512)
-	trials := pick(cfg, 30, 6)
+	n := Pick(cfg, 4096, 512)
+	trials := Pick(cfg, 30, 6)
 	ell := core.SampleSize(n, core.DefaultC)
 	cap := 800 * int(math.Log2(float64(n)))
 	epsilons := []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3}
@@ -102,11 +74,10 @@ func runE19(cfg Config) (*Report, error) {
 }
 
 func runE20(cfg Config) (*Report, error) {
-	e, _ := Lookup("E20")
-	rep := newReport(e)
+	rep := NewReport(All(), "E20")
 
-	n := pick(cfg, 4096, 512)
-	trials := pick(cfg, 30, 6)
+	n := Pick(cfg, 4096, 512)
+	trials := Pick(cfg, 30, 6)
 	ell := core.SampleSize(n, core.DefaultC)
 	flipAt := 60
 	cap := flipAt + 800*int(math.Log2(float64(n)))
@@ -151,15 +122,14 @@ func runE20(cfg Config) (*Report, error) {
 }
 
 func runE21(cfg Config) (*Report, error) {
-	e, _ := Lookup("E21")
-	rep := newReport(e)
+	rep := NewReport(All(), "E21")
 
-	n := pick(cfg, 4096, 512)
+	n := Pick(cfg, 4096, 512)
 	ell := core.SampleSize(n, core.DefaultC)
 	m := meanfield.New(n, ell)
 
 	rep.AddText("expected-motion field (direction of x_{t+2} − x_{t+1}; axes as Figure 1a)",
-		m.RenderField(pick(cfg, 40, 24)))
+		m.RenderField(Pick(cfg, 40, 24)))
 
 	// Deterministic skeleton: rounds for the noiseless map to escape the
 	// central band, vs the stochastic chain's escape.
@@ -175,7 +145,7 @@ func runE21(cfg Config) (*Report, error) {
 		}
 	}
 
-	trials := pick(cfg, 60, 10)
+	trials := Pick(cfg, 60, 10)
 	stoch := parallelTimes(cfg, trials, func(trial int) float64 {
 		ch := markov.New(n, ell, cfg.Seed^uint64(trial)<<18)
 		s := ch.StateAt(0.5, 0.5)
@@ -209,13 +179,12 @@ func runE21(cfg Config) (*Report, error) {
 }
 
 func runE22(cfg Config) (*Report, error) {
-	e, _ := Lookup("E22")
-	rep := newReport(e)
+	rep := NewReport(All(), "E22")
 
-	n := pick(cfg, 1024, 256)
-	trials := pick(cfg, 20, 5)
+	n := Pick(cfg, 1024, 256)
+	trials := Pick(cfg, 20, 5)
 	ell := core.SampleSize(n, core.DefaultC)
-	horizon := pick(cfg, 2000, 300) // parallel rounds; ≫ the synchronous scale
+	horizon := Pick(cfg, 2000, 300) // parallel rounds; ≫ the synchronous scale
 
 	syncTimes := parallelTimes(cfg, trials, func(trial int) float64 {
 		return fetTrial(n, ell, adversary.AllWrong{Correct: sim.OpinionOne},
@@ -231,7 +200,6 @@ func runE22(cfg Config) (*Report, error) {
 			Ell:               ell,
 			Correct:           sim.OpinionOne,
 			Init:              adversary.AllWrong{Correct: sim.OpinionOne},
-			CorruptStates:     true,
 			Seed:              cfg.Seed ^ 0xa52c<<16 ^ uint64(trial),
 			MaxParallelRounds: horizon,
 		})

@@ -12,45 +12,11 @@ import (
 	"passivespread/internal/tablefmt"
 )
 
-func init() {
-	register(Experiment{
-		ID:       "E05",
-		Title:    "Green area: one-round consensus",
-		PaperRef: "Lemma 1",
-		Run:      runE05,
-	})
-	register(Experiment{
-		ID:       "E06",
-		Title:    "Purple area: one round to Green",
-		PaperRef: "Lemma 2",
-		Run:      runE06,
-	})
-	register(Experiment{
-		ID:       "E07",
-		Title:    "Red area: geometric contraction and exit",
-		PaperRef: "Lemma 3",
-		Run:      runE07,
-	})
-	register(Experiment{
-		ID:       "E08",
-		Title:    "Cyan area: logarithmic bounce-back",
-		PaperRef: "Lemma 4",
-		Run:      runE08,
-	})
-	register(Experiment{
-		ID:       "E09",
-		Title:    "Yellow area: escape time and speed build-up",
-		PaperRef: "Lemmas 5–11",
-		Run:      runE09,
-	})
-}
-
 func runE05(cfg Config) (*Report, error) {
-	e, _ := Lookup("E05")
-	rep := newReport(e)
+	rep := NewReport(All(), "E05")
 
-	n := pick(cfg, 1<<14, 1<<10)
-	trials := pick(cfg, 300, 40)
+	n := Pick(cfg, 1<<14, 1<<10)
+	trials := Pick(cfg, 300, 40)
 	points := []struct {
 		name   string
 		x0, x1 float64
@@ -100,15 +66,14 @@ func runE05(cfg Config) (*Report, error) {
 }
 
 func runE06(cfg Config) (*Report, error) {
-	e, _ := Lookup("E06")
-	rep := newReport(e)
+	rep := NewReport(All(), "E06")
 
-	n := pick(cfg, 1<<16, 1<<12)
+	n := Pick(cfg, 1<<16, 1<<12)
 	ell := core.SampleSize(n, core.DefaultC)
 	p := domain.NewParams(n)
-	trials := pick(cfg, 200, 30)
+	trials := Pick(cfg, 200, 30)
 
-	points := domainPoints(p, domain.KindPurple1, 300, pick(cfg, 6, 3))
+	points := domainPoints(p, domain.KindPurple1, 300, Pick(cfg, 6, 3))
 	tab := tablefmt.New("start (x_t, x_{t+1})", "trials", "→Green1", "→Green", "→elsewhere")
 	for pi, pt := range points {
 		toGreen1, toGreen, other := 0, 0, 0
@@ -138,15 +103,14 @@ func runE06(cfg Config) (*Report, error) {
 }
 
 func runE07(cfg Config) (*Report, error) {
-	e, _ := Lookup("E07")
-	rep := newReport(e)
+	rep := NewReport(All(), "E07")
 
-	n := pick(cfg, 1<<16, 1<<12)
+	n := Pick(cfg, 1<<16, 1<<12)
 	ell := core.SampleSize(n, core.DefaultC)
 	p := domain.NewParams(n)
-	trials := pick(cfg, 200, 30)
+	trials := Pick(cfg, 200, 30)
 
-	points := domainPoints(p, domain.KindRed1, 600, pick(cfg, 4, 2))
+	points := domainPoints(p, domain.KindRed1, 600, Pick(cfg, 4, 2))
 	bound := math.Pow(p.LogN(), 0.5+2*p.Delta)
 	tab := tablefmt.New("start", "trials", "res. median", "res. max",
 		"exits to Yellow∪Red", "bound log^{1/2+2δ}n")
@@ -187,13 +151,12 @@ func runE07(cfg Config) (*Report, error) {
 }
 
 func runE08(cfg Config) (*Report, error) {
-	e, _ := Lookup("E08")
-	rep := newReport(e)
+	rep := NewReport(All(), "E08")
 
-	n := pick(cfg, 1<<16, 1<<12)
+	n := Pick(cfg, 1<<16, 1<<12)
 	ell := core.SampleSize(n, core.DefaultC)
 	p := domain.NewParams(n)
-	trials := pick(cfg, 200, 30)
+	trials := Pick(cfg, 200, 30)
 
 	// The bounce: start from the deepest Cyan1 state, reached after a
 	// Green0 consensus — everyone wrong except the source.
@@ -241,12 +204,11 @@ func runE08(cfg Config) (*Report, error) {
 }
 
 func runE09(cfg Config) (*Report, error) {
-	e, _ := Lookup("E09")
-	rep := newReport(e)
+	rep := NewReport(All(), "E09")
 
 	// Part 1: Yellow′ escape time scaling (Lemma 6 / Lemma 5 bound).
-	ns := pick(cfg, []int{1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 22}, []int{1 << 10, 1 << 13})
-	trials := pick(cfg, 120, 15)
+	ns := Pick(cfg, []int{1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 22}, []int{1 << 10, 1 << 13})
+	trials := Pick(cfg, 120, 15)
 	tab := tablefmt.New("n", "ℓ", "trials", "median", "p95", "max", "bound ~log^{5/2}n")
 	medians := make([]float64, 0, len(ns))
 	for _, n := range ns {
@@ -278,10 +240,10 @@ func runE09(cfg Config) (*Report, error) {
 		fit.Coefficient, fit.Exponent, fit.R2)
 
 	// Part 2: Lemma 7 — speed doubling in area A.
-	n := pick(cfg, 1<<16, 1<<12)
+	n := Pick(cfg, 1<<16, 1<<12)
 	ell := core.SampleSize(n, core.DefaultC)
 	p := domain.NewParams(n)
-	dblTrials := pick(cfg, 400, 60)
+	dblTrials := Pick(cfg, 400, 60)
 	dblTab := tablefmt.New("start speed s", "trials",
 		"P(speed doubles ∧ stays A∪outside)", "Lemma 7 bound 1−exp(−3ns²)")
 	for si, speed := range []float64{0.01, 0.02, 0.05} {

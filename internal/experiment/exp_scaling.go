@@ -12,36 +12,9 @@ import (
 	"passivespread/internal/tablefmt"
 )
 
-// E01 and E13 — the grid-shaped scaling experiments — are registered by
-// the module root (experiments_scaling.go), where they run through the
+// E01 and E13 — the grid-shaped scaling experiments — live in the
+// module root (experiments_scaling.go), where they run through the
 // public Sweep layer instead of hand-rolled loops over internals.
-
-func init() {
-	register(Experiment{
-		ID:       "E14",
-		Title:    "FET vs unpartitioned SimpleTrend",
-		PaperRef: "Section 1.3 (design choice)",
-		Run:      runE14,
-	})
-	register(Experiment{
-		ID:       "E15",
-		Title:    "Multiple agreeing sources",
-		PaperRef: "Section 5 (extension)",
-		Run:      runE15,
-	})
-	register(Experiment{
-		ID:       "E16",
-		Title:    "Engine cross-validation (exact, fast, sharded fast, occupancy, chain)",
-		PaperRef: "DESIGN.md engine ablation",
-		Run:      runE16,
-	})
-	register(Experiment{
-		ID:       "E17",
-		Title:    "Per-agent resource accounting",
-		PaperRef: "Theorem 1 (memory and sample complexity)",
-		Run:      runE17,
-	})
-}
 
 // fetTrial runs one FET simulation and returns t_con, or cap when the run
 // did not converge.
@@ -78,11 +51,10 @@ func chainTrial(n, ell int, x0, x1 float64, seed uint64, cap int) float64 {
 }
 
 func runE14(cfg Config) (*Report, error) {
-	e, _ := Lookup("E14")
-	rep := newReport(e)
+	rep := NewReport(All(), "E14")
 
-	ns := pick(cfg, []int{256, 1024, 4096}, []int{256, 1024})
-	trials := pick(cfg, 30, 6)
+	ns := Pick(cfg, []int{256, 1024, 4096}, []int{256, 1024})
+	trials := Pick(cfg, 30, 6)
 	tab := tablefmt.New("n", "ℓ", "protocol", "median t_con", "p95", "max")
 	for _, n := range ns {
 		ell := core.SampleSize(n, core.DefaultC)
@@ -119,11 +91,10 @@ func runE14(cfg Config) (*Report, error) {
 }
 
 func runE15(cfg Config) (*Report, error) {
-	e, _ := Lookup("E15")
-	rep := newReport(e)
+	rep := NewReport(All(), "E15")
 
-	n := pick(cfg, 4096, 512)
-	trials := pick(cfg, 30, 6)
+	n := Pick(cfg, 4096, 512)
+	trials := Pick(cfg, 30, 6)
 	ell := core.SampleSize(n, core.DefaultC)
 	cap := 400 * int(math.Log2(float64(n)))
 	tab := tablefmt.New("sources k", "median t_con", "p95", "max")
@@ -158,11 +129,10 @@ func runE15(cfg Config) (*Report, error) {
 }
 
 func runE16(cfg Config) (*Report, error) {
-	e, _ := Lookup("E16")
-	rep := newReport(e)
+	rep := NewReport(All(), "E16")
 
-	n := pick(cfg, 1024, 256)
-	trials := pick(cfg, 40, 8)
+	n := Pick(cfg, 1024, 256)
+	trials := Pick(cfg, 40, 8)
 	ell := core.SampleSize(n, core.DefaultC)
 	cap := 800 * int(math.Log2(float64(n)))
 
@@ -220,8 +190,7 @@ func runE16(cfg Config) (*Report, error) {
 }
 
 func runE17(cfg Config) (*Report, error) {
-	e, _ := Lookup("E17")
-	rep := newReport(e)
+	rep := NewReport(All(), "E17")
 
 	tab := tablefmt.New("n", "ℓ = ⌈3·log₂n⌉", "samples/round (2ℓ)",
 		"memory bits (⌈log₂(ℓ+1)⌉)", "message bits")

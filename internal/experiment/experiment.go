@@ -1,4 +1,4 @@
-// Package experiment implements the reproduction harness: one registered
+// Package experiment implements the reproduction harness: one
 // experiment per figure, theorem, lemma, or design claim of the paper
 // (see DESIGN.md §4 for the index). Each experiment produces a Report of
 // named sections containing tables and/or text (ASCII maps), which the
@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 
 	"passivespread/internal/sched"
 	"passivespread/internal/tablefmt"
@@ -40,8 +38,8 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// pick returns quick when Quick (or Smoke) is set, else full.
-func pick[T any](c Config, full, quick T) T {
+// Pick returns quick when Quick (or Smoke) is set, else full.
+func Pick[T any](c Config, full, quick T) T {
 	if c.Quick || c.Smoke {
 		return quick
 	}
@@ -87,9 +85,9 @@ func (r *Report) AddNote(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// Experiment is a registered reproduction experiment.
+// Experiment is one reproduction experiment.
 type Experiment struct {
-	// ID is the stable identifier ("E01" … "E18").
+	// ID is the stable identifier ("E01" … "E23").
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -99,53 +97,44 @@ type Experiment struct {
 	Run func(cfg Config) (*Report, error)
 }
 
-var (
-	registryMu sync.Mutex
-	registry   = map[string]Experiment{}
-)
-
-// Register adds an experiment to the global registry; it panics on a
-// duplicate ID (a programming error). Most experiments self-register
-// from this package's init functions; the sweep-based experiments (E01,
-// E13) are registered by the module root, which owns the Sweep layer
-// they build on.
-func Register(e Experiment) { register(e) }
-
-// register adds an experiment to the global registry; it panics on
-// duplicate IDs (a programming error).
-func register(e Experiment) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[e.ID]; dup {
-		panic(fmt.Sprintf("experiment: duplicate ID %q", e.ID))
-	}
-	registry[e.ID] = e
-}
-
-// All returns every registered experiment, sorted by ID.
+// All returns this package's experiments sorted by ID. E01, E13 and
+// E23 run through the public Sweep layer, so the module root lists them
+// and merges the two tables. All is a function, not a variable, because
+// each Run starts its report from its own entry here (NewReport).
 func All() []Experiment {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	out := make([]Experiment, 0, len(registry))
-	//fet:allow detrand: entries are collected then sorted by ID below
-	for _, e := range registry {
-		out = append(out, e)
+	return []Experiment{
+		{ID: "E02", Title: "Domain partition map of the grid G", PaperRef: "Figure 1a", Run: runE02},
+		{ID: "E03", Title: "Empirical domain-transition diagram", PaperRef: "Figure 1b", Run: runE03},
+		{ID: "E04", Title: "Yellow′ partition map and per-area escape behavior", PaperRef: "Figure 2", Run: runE04},
+		{ID: "E05", Title: "Green area: one-round consensus", PaperRef: "Lemma 1", Run: runE05},
+		{ID: "E06", Title: "Purple area: one round to Green", PaperRef: "Lemma 2", Run: runE06},
+		{ID: "E07", Title: "Red area: geometric contraction and exit", PaperRef: "Lemma 3", Run: runE07},
+		{ID: "E08", Title: "Cyan area: logarithmic bounce-back", PaperRef: "Lemma 4", Run: runE08},
+		{ID: "E09", Title: "Yellow area: escape time and speed build-up", PaperRef: "Lemmas 5–11", Run: runE09},
+		{ID: "E10", Title: "Coin-competition probabilities vs the paper's bounds", PaperRef: "Lemmas 12–15, Observation 1", Run: runE10},
+		{ID: "E11", Title: "Majority bit-dissemination impossibility construction", PaperRef: "Section 1.2 (impossibility argument)", Run: runE11},
+		{ID: "E12", Title: "Clocked phase-protocol baseline", PaperRef: "Section 1.4", Run: runE12},
+		{ID: "E14", Title: "FET vs unpartitioned SimpleTrend", PaperRef: "Section 1.3 (design choice)", Run: runE14},
+		{ID: "E15", Title: "Multiple agreeing sources", PaperRef: "Section 5 (extension)", Run: runE15},
+		{ID: "E16", Title: "Engine cross-validation (exact, fast, sharded fast, occupancy, chain)", PaperRef: "DESIGN.md engine ablation", Run: runE16},
+		{ID: "E17", Title: "Per-agent resource accounting", PaperRef: "Theorem 1 (memory and sample complexity)", Run: runE17},
+		{ID: "E18", Title: "Consensus dynamics do not solve source-driven dissemination", PaperRef: "Section 1.4 related work (Voter, 3-Majority, Undecided-State)", Run: runE18},
+		{ID: "E19", Title: "FET under noisy observations", PaperRef: "extension (noisy-communication models of the related work)", Run: runE19},
+		{ID: "E20", Title: "Re-stabilization after the correct bit flips mid-run", PaperRef: "extension (§1.2: the correct value may change)", Run: runE20},
+		{ID: "E21", Title: "Mean-field skeleton vs stochastic dynamics", PaperRef: "extension (the noise-driven escape behind Lemmas 7–10)", Run: runE21},
+		{ID: "E22", Title: "Sequential (population-protocol) scheduling breaks the trend signal", PaperRef: "extension (negative result; cf. Angluin et al. 2006)", Run: runE22},
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
-// Lookup returns the experiment with the given ID.
-func Lookup(id string) (Experiment, bool) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	e, ok := registry[id]
-	return e, ok
-}
-
-// newReport seeds a Report from the experiment metadata.
-func newReport(e Experiment) *Report {
-	return &Report{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}
+// NewReport starts the Report of experiment id from its entry in table.
+// An id missing from table is a programming error.
+func NewReport(table []Experiment, id string) *Report {
+	for _, e := range table {
+		if e.ID == id {
+			return &Report{ID: e.ID, Title: e.Title, PaperRef: e.PaperRef}
+		}
+	}
+	panic(fmt.Sprintf("experiment: no experiment %q in the table", id))
 }
 
 // parallelTimes runs trial ∈ [0, trials) across workers and collects

@@ -8,13 +8,13 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	all := All()
 	if len(all) != 20 {
-		t.Fatalf("registry has %d experiments, want 20", len(all))
+		t.Fatalf("table has %d experiments, want 20", len(all))
 	}
 	// IDs must be sorted. E02–E18 reproduce paper artifacts and E19–E22
-	// are documented extensions; the sweep-based scaling experiments E01
-	// and E13 are registered by the module root (they build on the public
-	// Sweep layer), so they are absent from this package's own registry —
-	// the root package's experiment tests check the full set of 22.
+	// are documented extensions; the sweep-based experiments E01, E13 and
+	// E23 are listed by the module root (they build on the public Sweep
+	// layer), so they are absent from this package's own table — the
+	// root package's experiment tests check the full set of 23.
 	want := []string{
 		"E02", "E03", "E04", "E05", "E06", "E07", "E08", "E09",
 		"E10", "E11", "E12", "E14", "E15", "E16", "E17", "E18",
@@ -31,24 +31,18 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	if _, ok := Lookup("E02"); !ok {
-		t.Fatal("E02 not found")
+	if rep := NewReport(All(), "E02"); rep.ID != "E02" || rep.PaperRef != "Figure 1a" || rep.Title == "" {
+		t.Fatalf("E02 report header %+v", rep)
 	}
-	if _, ok := Lookup("E99"); ok {
-		t.Fatal("E99 should not exist")
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate register did not panic")
+			t.Fatal("NewReport accepted E99")
 		}
 	}()
-	Register(Experiment{ID: "E02", Title: "dup", PaperRef: "x", Run: nil})
+	NewReport(All(), "E99")
 }
 
-// TestAllExperimentsRunQuick executes every registered experiment at the
+// TestAllExperimentsRunQuick executes every experiment in the table at the
 // smoke scale (Quick sizes with the heavy-tail sweeps capped): the
 // harness's end-to-end integration test, fast enough for `go test ./...`.
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -124,13 +118,13 @@ func TestParallelTimesSerialPath(t *testing.T) {
 }
 
 func TestPickQuick(t *testing.T) {
-	if got := pick(Config{Quick: true}, 10, 2); got != 2 {
+	if got := Pick(Config{Quick: true}, 10, 2); got != 2 {
 		t.Fatalf("quick pick %d", got)
 	}
-	if got := pick(Config{Smoke: true}, 10, 2); got != 2 {
+	if got := Pick(Config{Smoke: true}, 10, 2); got != 2 {
 		t.Fatalf("smoke pick %d", got)
 	}
-	if got := pick(Config{}, 10, 2); got != 10 {
+	if got := Pick(Config{}, 10, 2); got != 10 {
 		t.Fatalf("full pick %d", got)
 	}
 }
@@ -139,6 +133,10 @@ func TestFormatExits(t *testing.T) {
 	out := formatExits(map[string]int{"Green1": 97, "Purple1": 3})
 	if out != "Green1 97%, Purple1 3%" {
 		t.Fatalf("formatExits: %q", out)
+	}
+	// Ties render in name order.
+	if out := formatExits(map[string]int{"timeout": 1, "Red1": 1, "Green1": 2}); out != "Green1 50%, Red1 25%, timeout 25%" {
+		t.Fatalf("formatExits ties: %q", out)
 	}
 }
 

@@ -29,7 +29,7 @@ func (t Tier) String() string {
 // default into the canonical CellKey, which is the response's (and the
 // cache's) sole identity.
 type Query struct {
-	// Scenario is a registered scenario preset name ("" = worst-case).
+	// Scenario is a scenario preset name ("" = worst-case).
 	Scenario string `json:"scenario,omitempty"`
 	// Engine is an engine name, parse form or canonical display form
 	// ("" = the fastest engine that answers the scenario exactly).
@@ -117,7 +117,7 @@ type Listings struct {
 
 // Backend is everything the server needs from the simulation layers.
 // The root passivespread package implements it over the Study API and
-// the scenario registry; tests substitute deterministic fakes.
+// the scenario presets; tests substitute deterministic fakes.
 //
 // Run's contract carries the subsystem's correctness story: the
 // returned body must be a pure function of the key — byte-identical
@@ -126,7 +126,7 @@ type Listings struct {
 type Backend interface {
 	// Resolve canonicalizes a query into its cell key, resolving every
 	// default and validating. Failures are *Error values
-	// (invalidArgument, or notFound for an unregistered scenario).
+	// (invalidArgument, or notFound for an unknown scenario).
 	Resolve(q Query) (CellKey, error)
 
 	// Tier classifies how an uncached key is executed.

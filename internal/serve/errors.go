@@ -17,7 +17,7 @@ const (
 	// (HTTP 400). The message carries the offending field in the
 	// repository's "field: reason" form, verbatim from validation.
 	CodeInvalidArgument ErrorCode = "invalidArgument"
-	// CodeNotFound reports a missing resource: an unregistered scenario
+	// CodeNotFound reports a missing resource: an unknown scenario
 	// or an uncached key on the cache-only fet.study.get path (404).
 	CodeNotFound ErrorCode = "notFound"
 	// CodeOverloaded reports that every fallback worker slot is busy;

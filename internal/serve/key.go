@@ -45,7 +45,7 @@ const KeyVersion = "fetcell/v1"
 // where zero means "the scenario preset's own value" and is omitted
 // from the canonical form.
 type CellKey struct {
-	// Scenario is the registered scenario preset name.
+	// Scenario is the scenario preset name.
 	Scenario string `json:"scenario"`
 	// Engine is the canonical engine display name (EngineName form,
 	// e.g. "agent-fast", "markov-chain") or a custom-runner scenario's

@@ -51,11 +51,11 @@
 // every cell's replicates from one shared worker pool, rendering
 // CSV/JSON artifacts (SweepReport). Cell c runs with seed StreamSeed(root, c), extending
 // the replicate rule one level up, so sweep outputs are byte-identical
-// at every worker count. Scenario presets (Scenarios, ScenarioByName,
-// RegisterScenario) name the qualitative conditions: adversarial
-// starts, observation noise, mid-run flips of the correct bit, source
-// counts, baseline protocols, sparse observation topologies, and
-// async/clocked scheduling variants. See DESIGN.md §3.
+// at every worker count. Scenario presets (Scenarios, ScenarioByName)
+// name the qualitative conditions: adversarial starts, observation
+// noise, mid-run flips of the correct bit, source counts, baseline
+// protocols, sparse observation topologies, and async/clocked
+// scheduling variants. See DESIGN.md §3.
 //
 // # Observation topologies
 //
@@ -73,6 +73,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"passivespread/internal/adversary"
 	"passivespread/internal/core"
@@ -412,7 +414,7 @@ func NewChain(n, ell int, seed uint64) *Chain { return markov.New(n, ell, seed) 
 
 // Experiment metadata and execution, re-exported from the harness.
 type (
-	// Experiment is a registered reproduction experiment (E01–E22).
+	// Experiment is one reproduction experiment (E01–E23).
 	Experiment = experiment.Experiment
 	// ExperimentConfig controls an experiment run.
 	ExperimentConfig = experiment.Config
@@ -420,11 +422,34 @@ type (
 	ExperimentReport = experiment.Report
 )
 
-// Experiments returns all registered experiments sorted by ID.
-func Experiments() []Experiment { return experiment.All() }
+// sweepExperiments lists the experiments that run through the public
+// Sweep layer and so live in this package (experiments_*.go). It is a
+// function for the reason experiment.All is: each Run starts its report
+// from its own entry here.
+func sweepExperiments() []Experiment {
+	return []Experiment{
+		{ID: "E01", Title: "FET convergence-time scaling (agent engine + aggregate chain)", PaperRef: "Theorem 1", Run: runE01},
+		{ID: "E13", Title: "Sample-size ablation: constant ℓ vs ℓ = Θ(log n)", PaperRef: "Section 5 (future work)", Run: runE13},
+		{ID: "E23", Title: "Cross-topology convergence: FET beyond uniform mixing", PaperRef: "Section 5 (future work: structured interaction)", Run: runE23},
+	}
+}
+
+// Experiments returns every experiment (E01–E23) sorted by ID.
+func Experiments() []Experiment {
+	all := append(experiment.All(), sweepExperiments()...)
+	slices.SortFunc(all, func(a, b Experiment) int { return strings.Compare(a.ID, b.ID) })
+	return all
+}
 
 // LookupExperiment returns the experiment with the given ID ("E01"…).
-func LookupExperiment(id string) (Experiment, bool) { return experiment.Lookup(id) }
+func LookupExperiment(id string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
 
 // RenderExperimentText renders a report as the fetlab text format.
 func RenderExperimentText(r *ExperimentReport) string { return experiment.RenderText(r) }

@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"passivespread/internal/adversary"
 	"passivespread/internal/async"
@@ -20,16 +19,17 @@ import (
 //
 // Scenarios are the qualitative axis of a Sweep: the grid axes (n, ℓ,
 // engine) say how big and how fast, the scenario says what world the
-// protocol is dropped into. The built-in registry (Scenarios,
-// ScenarioByName) covers the paper's configurations plus the
-// extensions; RegisterScenario adds custom ones.
+// protocol is dropped into. The built-in presets (Scenarios,
+// ScenarioByName) cover the paper's configurations plus the
+// extensions; a SweepSpec also runs any custom Scenario value it is
+// given.
 //
 // The zero value of every field selects the paper's worst case: all-wrong
 // start, corrupted memories, one source, FET, no noise, no flip,
 // synchronous rounds.
 type Scenario struct {
-	// Name identifies the scenario in registries, CLI flags, and sweep
-	// rows. Required for registration.
+	// Name identifies the scenario in listings, CLI flags, and sweep
+	// rows. Required.
 	Name string
 	// Description is a one-line summary for listings.
 	Description string
@@ -220,155 +220,117 @@ func (sc Scenario) engineLabel() string {
 	return sc.Name
 }
 
-// The scenario registry. Registration order is tracked internally, but
-// every listing surface sorts by name (Scenarios).
-
-var (
-	scenarioMu    sync.Mutex
-	scenarioOrder []string
-	scenarioByNm  = map[string]Scenario{}
-)
-
-// RegisterScenario adds a scenario to the global registry. It fails on a
-// duplicate or empty name and on malformed fields, so a bad preset is
-// rejected at registration rather than inside every sweep using it.
-func RegisterScenario(sc Scenario) error {
-	if err := sc.validate(); err != nil {
-		return err
-	}
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	if _, dup := scenarioByNm[sc.Name]; dup {
-		return fmt.Errorf("%w: scenario %q is already registered", ErrInvalidOptions, sc.Name)
-	}
-	scenarioOrder = append(scenarioOrder, sc.Name)
-	scenarioByNm[sc.Name] = sc
-	return nil
+// presets is the built-in scenario table, sorted by name: the paper's
+// configurations plus the extensions. Scenarios and ScenarioByName read
+// it; TestScenarioPresets checks that its names are unique and sorted
+// and that every entry validates.
+var presets = []Scenario{
+	{
+		Name:        "async",
+		Description: "sequential-activation (population-protocol) scheduling; documented negative result",
+		Run:         runAsyncScenario,
+		EngineLabel: "async",
+	},
+	{
+		Name:         "clean-start",
+		Description:  "all-wrong opinions but fresh (uncorrupted) memories",
+		KeepMemories: true,
+	},
+	{
+		Name:        "clocked-local",
+		Description: "clocked phase baseline with adversarially desynchronized local clocks (non-passive messages)",
+		Run:         clockedRunner(ModeLocalClocks, true),
+		EngineLabel: "clocked-local",
+	},
+	{
+		Name:        "clocked-shared",
+		Description: "Section 1.4 clocked phase baseline with a shared global clock",
+		Run:         clockedRunner(ModeSharedClock, false),
+		EngineLabel: "clocked-shared",
+	},
+	{
+		Name:        "half-split",
+		Description: "exact 50/50 opinion split, corrupted memories (maximally undecided start)",
+		Init:        adversary.HalfSplit(),
+	},
+	{
+		Name:        "multi-source",
+		Description: "eight agreeing sources from the all-wrong start (§5 extension)",
+		Sources:     8,
+	},
+	{
+		Name:        "noisy",
+		Description: "worst case under ε = 0.1 observation noise (Feinerman et al. model)",
+		NoiseEps:    0.1,
+	},
+	{
+		Name:        "simple-trend",
+		Description: "unpartitioned SimpleTrend variant (§1.3) from the worst case",
+		Protocol:    func(ell int) Protocol { return NewSimpleTrend(ell) },
+	},
+	// The sparse-* presets drop the paper's uniform-mixing assumption:
+	// the same worst-case start on structured observation topologies
+	// (internal/topo).
+	{
+		Name:        "sparse-dynamic",
+		Description: "worst case on a random 8-out digraph rewired per agent w.p. 0.2 each round",
+		Topology:    DynamicRewire(8, 0.2),
+	},
+	{
+		Name:        "sparse-regular",
+		Description: "worst case on a random 8-out observation digraph (uniform mixing removed)",
+		Topology:    RandomRegular(8),
+	},
+	{
+		Name:        "sparse-ring",
+		Description: "worst case on the 2-nearest-neighbor ring (maximal diameter; spread is local)",
+		Topology:    Ring(2),
+	},
+	{
+		Name:        "sparse-small-world",
+		Description: "worst case on a Watts–Strogatz small world (ring:4 base, β = 0.1 rewiring)",
+		Topology:    SmallWorld(4, 0.1),
+	},
+	{
+		Name:        "trend-flip",
+		Description: "correct bit flips halfway through the horizon; re-stabilization is required",
+		FlipFrac:    0.5,
+	},
+	{
+		Name:        "uniform",
+		Description: "independent fair-coin opinions, corrupted memories",
+		Init:        adversary.Uniform{},
+	},
+	{
+		Name:        "voter-control",
+		Description: "Voter baseline vs a stubborn source (§1.4 control; expected not to converge)",
+		Protocol:    func(int) Protocol { return Voter() },
+	},
+	{
+		Name:        DefaultScenario,
+		Description: "all-wrong start, corrupted memories (the paper's headline adversarial case)",
+	},
 }
 
-// mustRegisterScenario registers a built-in preset; a failure is a
-// programming error.
-func mustRegisterScenario(sc Scenario) {
-	if err := RegisterScenario(sc); err != nil {
-		panic(err)
-	}
-}
+// Scenarios returns a copy of the built-in presets sorted by name, so
+// every listing (fetlab -scenarios, fetserve's fet.scenarios.list, docs)
+// renders identically.
+func Scenarios() []Scenario { return slices.Clone(presets) }
 
-// Scenarios returns every registered scenario sorted by name, so every
-// user-facing listing (fetlab -scenarios, fetserve's fet.scenarios.list,
-// docs) renders identically regardless of registration order.
-func Scenarios() []Scenario {
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	names := append([]string(nil), scenarioOrder...)
-	sort.Strings(names)
-	out := make([]Scenario, 0, len(names))
-	for _, name := range names {
-		out = append(out, scenarioByNm[name])
-	}
-	return out
-}
-
-// ScenarioByName returns the registered scenario with the given name.
+// ScenarioByName returns the built-in preset with the given name.
 func ScenarioByName(name string) (Scenario, bool) {
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	sc, ok := scenarioByNm[name]
-	return sc, ok
+	for _, sc := range presets {
+		if sc.Name == name {
+			return sc, true
+		}
+	}
+	return Scenario{}, false
 }
 
 // DefaultScenario is the name of the paper's headline configuration
 // (all-wrong start with corrupted memories), used when a SweepSpec names
 // no scenarios.
 const DefaultScenario = "worst-case"
-
-func init() {
-	mustRegisterScenario(Scenario{
-		Name:        DefaultScenario,
-		Description: "all-wrong start, corrupted memories (the paper's headline adversarial case)",
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "half-split",
-		Description: "exact 50/50 opinion split, corrupted memories (maximally undecided start)",
-		Init:        adversary.HalfSplit(),
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "uniform",
-		Description: "independent fair-coin opinions, corrupted memories",
-		Init:        adversary.Uniform{},
-	})
-	mustRegisterScenario(Scenario{
-		Name:         "clean-start",
-		Description:  "all-wrong opinions but fresh (uncorrupted) memories",
-		KeepMemories: true,
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "noisy",
-		Description: "worst case under ε = 0.1 observation noise (Feinerman et al. model)",
-		NoiseEps:    0.1,
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "trend-flip",
-		Description: "correct bit flips halfway through the horizon; re-stabilization is required",
-		FlipFrac:    0.5,
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "multi-source",
-		Description: "eight agreeing sources from the all-wrong start (§5 extension)",
-		Sources:     8,
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "simple-trend",
-		Description: "unpartitioned SimpleTrend variant (§1.3) from the worst case",
-		Protocol:    func(ell int) Protocol { return NewSimpleTrend(ell) },
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "voter-control",
-		Description: "Voter baseline vs a stubborn source (§1.4 control; expected not to converge)",
-		Protocol:    func(int) Protocol { return Voter() },
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "async",
-		Description: "sequential-activation (population-protocol) scheduling; documented negative result",
-		Run:         runAsyncScenario,
-		EngineLabel: "async",
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "clocked-shared",
-		Description: "Section 1.4 clocked phase baseline with a shared global clock",
-		Run:         clockedRunner(ModeSharedClock, false),
-		EngineLabel: "clocked-shared",
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "clocked-local",
-		Description: "clocked phase baseline with adversarially desynchronized local clocks (non-passive messages)",
-		Run:         clockedRunner(ModeLocalClocks, true),
-		EngineLabel: "clocked-local",
-	})
-	// The sparse-* presets drop the paper's uniform-mixing assumption:
-	// the same worst-case start on structured observation topologies
-	// (internal/topo).
-	mustRegisterScenario(Scenario{
-		Name:        "sparse-regular",
-		Description: "worst case on a random 8-out observation digraph (uniform mixing removed)",
-		Topology:    RandomRegular(8),
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "sparse-ring",
-		Description: "worst case on the 2-nearest-neighbor ring (maximal diameter; spread is local)",
-		Topology:    Ring(2),
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "sparse-small-world",
-		Description: "worst case on a Watts–Strogatz small world (ring:4 base, β = 0.1 rewiring)",
-		Topology:    SmallWorld(4, 0.1),
-	})
-	mustRegisterScenario(Scenario{
-		Name:        "sparse-dynamic",
-		Description: "worst case on a random 8-out digraph rewired per agent w.p. 0.2 each round",
-		Topology:    DynamicRewire(8, 0.2),
-	})
-}
 
 // runAsyncScenario executes one replicate under sequential activation
 // (internal/async). Time is reported in parallel units: n activations =
@@ -383,7 +345,6 @@ func runAsyncScenario(ctx context.Context, p ScenarioParams) (Result, error) {
 		Sources:           p.Sources,
 		Correct:           OpinionOne,
 		Init:              p.Init,
-		CorruptStates:     true,
 		Seed:              p.Seed,
 		MaxParallelRounds: p.MaxRounds,
 	})

@@ -3,13 +3,13 @@ package passivespread
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"testing"
 )
 
 func TestScenarioRegistryBuiltins(t *testing.T) {
 	// Sorted by name: listings must be stable for docs and for
-	// fetserve's fet.scenarios.list, regardless of registration order.
+	// fetserve's fet.scenarios.list.
 	want := []string{
 		"async", "clean-start", "clocked-local", "clocked-shared",
 		"half-split", "multi-source", "noisy", "simple-trend",
@@ -17,66 +17,83 @@ func TestScenarioRegistryBuiltins(t *testing.T) {
 		"trend-flip", "uniform", "voter-control", "worst-case",
 	}
 	all := Scenarios()
-	if len(all) < len(want) {
-		t.Fatalf("registry has %d scenarios, want at least %d", len(all), len(want))
-	}
-	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Name < all[j].Name }) {
-		t.Fatal("Scenarios() is not sorted by name")
-	}
-	names := make(map[string]bool, len(all))
-	for _, sc := range all {
-		names[sc.Name] = true
+	got := make([]string, len(all))
+	for i, sc := range all {
+		got[i] = sc.Name
 		if sc.Description == "" {
 			t.Fatalf("scenario %q has no description", sc.Name)
 		}
+		if byName, ok := ScenarioByName(sc.Name); !ok || byName.Description != sc.Description {
+			t.Fatalf("ScenarioByName(%q) = %+v, %v", sc.Name, byName, ok)
+		}
 	}
-	for _, name := range want {
-		if !names[name] {
-			t.Fatalf("built-in scenario %q missing from Scenarios()", name)
-		}
-		if _, ok := ScenarioByName(name); !ok {
-			t.Fatalf("ScenarioByName(%q) missing", name)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Scenarios() = %q, want %q", got, want)
+	}
+	all[0].Name = "mutated"
+	if Scenarios()[0].Name != want[0] {
+		t.Fatal("Scenarios() shares its backing array with the preset table")
+	}
+	// fetserve resolves a preset on every request, cache hits included.
+	if allocs := testing.AllocsPerRun(100, func() { ScenarioByName(DefaultScenario) }); allocs != 0 {
+		t.Fatalf("ScenarioByName allocates %v times per call", allocs)
 	}
 	if _, ok := ScenarioByName("no-such-scenario"); ok {
-		t.Fatal("ScenarioByName returned an unregistered scenario")
+		t.Fatal("ScenarioByName returned a scenario that is not a preset")
 	}
 	if sc, _ := ScenarioByName(DefaultScenario); sc.Init != nil || sc.KeepMemories || sc.Run != nil {
 		t.Fatalf("default scenario is not the zero-value worst case: %+v", sc)
 	}
 }
 
-func TestRegisterScenarioValidation(t *testing.T) {
-	cases := []Scenario{
-		{},                                        // no name
-		{Name: "worst-case"},                      // duplicate
-		{Name: "bad-noise", NoiseEps: 0.5},        // eps out of range
-		{Name: "bad-flip", FlipFrac: 1},           // flip out of range
-		{Name: "bad-sources", Sources: -1},        // negative sources
-		{Name: "bad-label", EngineLabel: "async"}, // label without runner
+// TestPresetTables checks the two static tables in place of the
+// registration-time panics they replaced: scenario names and experiment
+// IDs are unique (strictly increasing), and every preset validates.
+func TestPresetTables(t *testing.T) {
+	for i, sc := range presets {
+		if err := sc.validate(); err != nil {
+			t.Errorf("preset %q: %v", sc.Name, err)
+		}
+		if i > 0 && presets[i-1].Name >= sc.Name {
+			t.Errorf("preset %q follows %q: names must be unique and sorted", sc.Name, presets[i-1].Name)
+		}
 	}
-	for _, sc := range cases {
-		if err := RegisterScenario(sc); err == nil {
-			t.Errorf("RegisterScenario accepted %+v", sc)
-		} else if !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("error %v does not wrap ErrInvalidOptions", err)
+	exps := Experiments()
+	for i, e := range exps {
+		if i > 0 && exps[i-1].ID >= e.ID {
+			t.Errorf("experiment %s follows %s: IDs must be unique", e.ID, exps[i-1].ID)
 		}
 	}
 }
 
-func TestRegisterScenarioCustom(t *testing.T) {
-	name := "test-custom-scenario"
-	if err := RegisterScenario(Scenario{
-		Name:        name,
+func TestScenarioValidation(t *testing.T) {
+	cases := []struct {
+		name      string
+		scenarios []Scenario
+	}{
+		{"no name", []Scenario{{}}},
+		{"shared name", []Scenario{{Name: "twin"}, {Name: "twin", NoiseEps: 0.1}}},
+		{"noise out of range", []Scenario{{Name: "bad-noise", NoiseEps: 0.5}}},
+		{"flip out of range", []Scenario{{Name: "bad-flip", FlipFrac: 1}}},
+		{"negative sources", []Scenario{{Name: "bad-sources", Sources: -1}}},
+		{"label without runner", []Scenario{{Name: "bad-label", EngineLabel: "async"}}},
+	}
+	for _, tc := range cases {
+		_, err := NewSweep(SweepSpec{Ns: []int{64}, Scenarios: tc.scenarios, Replicates: 1})
+		if err == nil {
+			t.Errorf("%s: NewSweep accepted %+v", tc.name, tc.scenarios)
+		} else if !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%s: error %v does not wrap ErrInvalidOptions", tc.name, err)
+		}
+	}
+}
+
+func TestCustomScenarioSweep(t *testing.T) {
+	sc := Scenario{
+		Name:        "custom",
 		Description: "uniform start under light noise (test preset)",
 		Init:        UniformInit(),
 		NoiseEps:    0.05,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := ScenarioByName(name)
-	if !ok {
-		t.Fatal("custom scenario not retrievable")
 	}
 	report := runSweep(t, SweepSpec{
 		Ns:         []int{64},
@@ -84,8 +101,11 @@ func TestRegisterScenarioCustom(t *testing.T) {
 		Replicates: 3,
 		Seed:       8,
 	})
-	if report.Rows[0].Scenario != name || report.Rows[0].Replicates != 3 {
+	if report.Rows[0].Scenario != sc.Name || report.Rows[0].Replicates != 3 {
 		t.Fatalf("custom scenario row: %+v", report.Rows[0])
+	}
+	if _, ok := ScenarioByName(sc.Name); ok {
+		t.Fatal("running a custom scenario added it to the presets")
 	}
 }
 
@@ -95,7 +115,7 @@ func TestRegisterScenarioCustom(t *testing.T) {
 func TestScenarioTrendFlip(t *testing.T) {
 	sc, ok := ScenarioByName("trend-flip")
 	if !ok {
-		t.Fatal("trend-flip not registered")
+		t.Fatal("trend-flip is not a preset")
 	}
 	n := 256
 	cfg := sc.config(n, SampleSize(n), DefaultMaxRounds(n), EngineAgentFast, nil, 21)
@@ -132,7 +152,7 @@ func TestScenarioChainCompatibility(t *testing.T) {
 	for name, want := range compatible {
 		sc, ok := ScenarioByName(name)
 		if !ok {
-			t.Fatalf("%s not registered", name)
+			t.Fatalf("no preset %s", name)
 		}
 		if got := sc.chainCompatible(); got != want {
 			t.Errorf("%s chainCompatible = %v, want %v", name, got, want)

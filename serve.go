@@ -16,7 +16,7 @@ import (
 
 // This file wires the fetserve subsystem (internal/serve) to the
 // simulation layers: the content-addressed cell key is re-exported, and
-// serveBackend implements serve.Backend over the scenario registry and
+// serveBackend implements serve.Backend over the scenario presets and
 // the Study API. The layering is deliberate: internal/serve knows HTTP,
 // caching and metrics but nothing about simulations; this file knows
 // simulations but nothing about HTTP; cmd/fetserve imports only the
@@ -63,8 +63,8 @@ type ServeConfig struct {
 // does not ask for one.
 const defaultServeReplicates = 40
 
-// NewServer returns the fetserve service over the full scenario
-// registry and engine set.
+// NewServer returns the fetserve service over every scenario preset
+// and the full engine set.
 func NewServer(cfg ServeConfig) (*Server, error) {
 	reps := cfg.DefaultReplicates
 	if reps == 0 {
@@ -88,8 +88,8 @@ func NewServer(cfg ServeConfig) (*Server, error) {
 // in expansion order: the serving-layer identity of each future CSV
 // row, so a sweep's artifacts can be cross-checked against (or warmed
 // into) a fetserve cache. Keys name scenarios by preset name; for
-// unregistered custom scenarios the key is only meaningful to a server
-// whose registry resolves that name to the same preset.
+// custom scenarios the key is only meaningful to a server whose presets
+// resolve that name to the same conditions.
 func (s *Sweep) CellKeys() []CellKey {
 	out := make([]CellKey, len(s.cells))
 	for i := range s.cells {
@@ -108,7 +108,7 @@ func (s *Sweep) CellKeys() []CellKey {
 	return out
 }
 
-// serveBackend implements serve.Backend over the scenario registry,
+// serveBackend implements serve.Backend over the scenario presets,
 // ParseTopology/ParseEngine, and the Study API.
 type serveBackend struct {
 	defaultReplicates int

@@ -321,41 +321,5 @@ func TestServeGoldenResponses(t *testing.T) {
 	if list.Code != http.StatusOK {
 		t.Fatalf("list: %d", list.Code)
 	}
-	goldenServe(t, "golden_serve_scenarios.json", stripTestScenarios(t, list.Body.Bytes()))
-}
-
-// stripTestScenarios drops "test-"-prefixed presets from a
-// fet.scenarios.list body. The scenario registry is process-global
-// and other tests in this binary register throwaway presets under
-// that prefix, so the in-process listing is normalized before the
-// golden diff; the CI smoke job diffs a live daemon's listing (built-in
-// presets only) against the same golden byte for byte.
-func stripTestScenarios(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var doc struct {
-		Scenarios  []json.RawMessage `json:"scenarios"`
-		Engines    json.RawMessage   `json:"engines"`
-		Topologies json.RawMessage   `json:"topologies"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("scenarios listing: %v", err)
-	}
-	kept := doc.Scenarios[:0]
-	for _, raw := range doc.Scenarios {
-		var entry struct {
-			Name string `json:"name"`
-		}
-		if err := json.Unmarshal(raw, &entry); err != nil {
-			t.Fatalf("scenario entry: %v", err)
-		}
-		if !strings.HasPrefix(entry.Name, "test-") {
-			kept = append(kept, raw)
-		}
-	}
-	doc.Scenarios = kept
-	out, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	goldenServe(t, "golden_serve_scenarios.json", list.Body.Bytes())
 }

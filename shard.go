@@ -153,7 +153,7 @@ func sweepRowBody(row SweepRow) ([]byte, error) {
 
 // canonicalKeys resolves every grid cell's canonical cell-key string,
 // in expansion order. It fails (typed, ErrInvalidOptions) when a cell
-// is not expressible as a canonical key — e.g. an unregistered custom
+// is not expressible as a canonical key — e.g. a custom (non-preset)
 // scenario whose name would not round-trip — because the fabric's
 // durability and merge verification both hang off these keys.
 func (s *Sweep) canonicalKeys() ([]string, error) {

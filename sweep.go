@@ -55,7 +55,7 @@ type SweepSpec struct {
 	// artifacts.
 	Topologies []Topology
 	// Scenarios is the scenario axis (nil = the worst-case preset).
-	// Entries need not be registered; they are validated directly.
+	// Entries need not be presets; they are validated directly.
 	Scenarios []Scenario
 	// Replicates is the number of runs per cell (required, ≥ 1).
 	Replicates int
@@ -87,7 +87,7 @@ type SweepSpec struct {
 	// validly checkpointed cell, resuming mid-grid after a crash or
 	// kill to byte-identical output. "" disables checkpointing.
 	// Requires every grid cell to be expressible as a canonical cell
-	// key (all registered-scenario sweeps are).
+	// key (all preset-scenario sweeps are).
 	CheckpointDir string
 }
 
@@ -263,10 +263,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	defaultTopo := len(topologies) == 1 && topo.IsComplete(topologies[0])
 	scenarios := spec.Scenarios
 	if len(scenarios) == 0 {
-		sc, ok := ScenarioByName(DefaultScenario)
-		if !ok {
-			return nil, fmt.Errorf("%w: Scenarios: default scenario %q is not registered", ErrInvalidOptions, DefaultScenario)
-		}
+		sc, _ := ScenarioByName(DefaultScenario)
 		scenarios = []Scenario{sc}
 	}
 	seenSc := make(map[string]bool, len(scenarios))

@@ -31,7 +31,7 @@ func mustScenarios(names ...string) []Scenario {
 	for i, name := range names {
 		sc, ok := ScenarioByName(name)
 		if !ok {
-			panic("scenario not registered: " + name)
+			panic("scenario is not a preset: " + name)
 		}
 		out[i] = sc
 	}
@@ -93,7 +93,7 @@ func TestSweepCellSeedContract(t *testing.T) {
 	cell := cells[5]
 	sc, ok := ScenarioByName(cell.Scenario)
 	if !ok {
-		t.Fatalf("scenario %q not registered", cell.Scenario)
+		t.Fatalf("scenario %q is not a preset", cell.Scenario)
 	}
 	var kind EngineKind = -2
 	for _, k := range []EngineKind{EngineAgentFast, EngineAggregate} {
@@ -338,7 +338,7 @@ func TestNewSweepValidation(t *testing.T) {
 }
 
 // TestSweepScenarioAxes runs one cell of every sync built-in scenario at
-// a small scale: the whole registry must at least execute.
+// a small scale: every preset must at least execute.
 func TestSweepScenarioAxes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario axis takes seconds; skipped in -short")
@@ -367,15 +367,15 @@ func TestSweepScenarioAxes(t *testing.T) {
 }
 
 // TestRootExperimentRegistry verifies that the sweep-based experiments
-// registered by this package complete the harness registry (E01–E23).
+// listed by this package complete the harness table (E01–E23).
 func TestRootExperimentRegistry(t *testing.T) {
 	all := Experiments()
 	if len(all) != 23 {
-		t.Fatalf("root registry has %d experiments, want 23", len(all))
+		t.Fatalf("Experiments() has %d experiments, want 23", len(all))
 	}
 	for _, id := range []string{"E01", "E13", "E23"} {
 		if _, ok := LookupExperiment(id); !ok {
-			t.Fatalf("sweep-based experiment %s not registered", id)
+			t.Fatalf("sweep-based experiment %s missing", id)
 		}
 	}
 }
@@ -389,7 +389,7 @@ func TestSweepExperimentsSmoke(t *testing.T) {
 	for _, id := range []string{"E01", "E13", "E23"} {
 		e, ok := LookupExperiment(id)
 		if !ok {
-			t.Fatalf("%s not registered", id)
+			t.Fatalf("%s missing", id)
 		}
 		rep, err := e.Run(experiment.Config{Seed: 42, Smoke: true})
 		if err != nil {

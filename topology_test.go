@@ -69,7 +69,7 @@ func TestTopologyEngineIncompatibilitiesUpFront(t *testing.T) {
 	// Custom-runner scenarios define their own scheduling.
 	async, ok := ScenarioByName("async")
 	if !ok {
-		t.Fatal("async not registered")
+		t.Fatal("async is not a preset")
 	}
 	_, err = NewSweep(SweepSpec{
 		Ns:         []int{1024},
@@ -83,7 +83,7 @@ func TestTopologyEngineIncompatibilitiesUpFront(t *testing.T) {
 	// A scenario that pins its own topology cannot cross the axis.
 	sparse, ok := ScenarioByName("sparse-regular")
 	if !ok {
-		t.Fatal("sparse-regular not registered")
+		t.Fatal("sparse-regular is not a preset")
 	}
 	_, err = NewSweep(SweepSpec{
 		Ns:         []int{1024},
@@ -186,7 +186,7 @@ func TestSparseScenarioPresetsRunEndToEnd(t *testing.T) {
 	for _, name := range names {
 		sc, ok := ScenarioByName(name)
 		if !ok {
-			t.Fatalf("%s not registered", name)
+			t.Fatalf("%s is not a preset", name)
 		}
 		scenarios = append(scenarios, sc)
 	}
@@ -534,11 +534,11 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 func TestCheckCellAllocationFree(t *testing.T) {
 	async, ok := ScenarioByName("async")
 	if !ok {
-		t.Fatal("async not registered")
+		t.Fatal("async is not a preset")
 	}
 	sparse, ok := ScenarioByName("sparse-regular")
 	if !ok {
-		t.Fatal("sparse-regular not registered")
+		t.Fatal("sparse-regular is not a preset")
 	}
 	cases := []struct {
 		engine EngineKind
