@@ -114,7 +114,12 @@ func (f Fraction) Assign(opinions []byte, isSource []bool, src *rng.Source) {
 	// One copy of the target arithmetic: the aggregate form is the source
 	// of truth, so the two initialization paths cannot drift apart.
 	need := f.AggregateOnes(n, len(free), fixedOnes, src)
-	src.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	// Source.Shuffle's Fisher–Yates loop, inline: the same Intn draws
+	// without a swap closure call per slot.
+	for i := len(free) - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		free[i], free[j] = free[j], free[i]
+	}
 	for k, idx := range free {
 		if k < need {
 			opinions[idx] = sim.OpinionOne

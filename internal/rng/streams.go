@@ -29,13 +29,54 @@ func (s *Streams) Resize(n int) {
 // bound = 0, which leaves prev untouched. bound must not exceed 1<<16,
 // so every draw fits a uint16.
 //
-// It is the trend executor's populate in one pass: StreamSeed's first
-// SplitMix64 step depends on root alone and is taken once, and the
-// per-stream multiplier advances by addition.
+// It is the trend executor's populate in one pass. On amd64 with AVX2
+// (the CPUID check TrendWord uses) four streams seed per vector step;
+// a group whose draw might reject, a tail of fewer than
+// four streams and every stream elsewhere run the portable loop,
+// seedGeneric, which is the reference: states and counts are identical.
 func (s *Streams) Seed(root uint64, lo, hi, bound int, prev []uint16) {
 	if bound > 1<<16 {
 		panic("rng: Streams.Seed bound exceeds 1<<16")
 	}
+	if useAVX2 {
+		lo = s.seedVec(root, lo, hi, bound, prev)
+	}
+	s.seedGeneric(root, lo, hi, bound, prev)
+}
+
+// seedVec runs Seed's whole 4-stream groups of [lo, hi) through the
+// AVX2 kernel and returns where the tail starts. The kernel stops
+// before a group in which some lane's Lemire product has a low word
+// below 2^16 (every draw that could reject, and a few that cannot;
+// about 2^−48 per stream), and seedGeneric seeds that group before the
+// kernel resumes.
+func (s *Streams) seedVec(root uint64, lo, hi, bound int, prev []uint16) int {
+	h := root
+	_ = SplitMix64(&h) // StreamSeed's root step
+	for hi-lo >= 4 {
+		s0 := s.s0[lo:hi]
+		n := len(s0) &^ 3
+		s1, s2, s3 := s.s1[lo:hi][:n], s.s2[lo:hi][:n], s.s3[lo:hi][:n]
+		var pv *uint16
+		if bound > 0 {
+			pv = &prev[lo:hi][:n][0]
+		}
+		done := seedGroups(&s0[0], &s1[0], &s2[0], &s3[0], pv, n, h, streamMul*(uint64(lo)+2), uint64(bound))
+		lo += done
+		if done == n {
+			break
+		}
+		s.seedGeneric(root, lo, lo+4, bound, prev)
+		lo += 4
+	}
+	return lo
+}
+
+// seedGeneric is Seed's portable kernel over [lo, hi), with the same
+// contract: StreamSeed's first SplitMix64 step depends on root alone
+// and is taken once, and the per-stream multiplier advances by
+// addition.
+func (s *Streams) seedGeneric(root uint64, lo, hi, bound int, prev []uint16) {
 	s0 := s.s0[lo:hi]
 	s1, s2, s3 := s.s1[lo:hi][:len(s0)], s.s2[lo:hi][:len(s0)], s.s3[lo:hi][:len(s0)]
 	var pv []uint16
@@ -237,8 +278,9 @@ func (s *Streams) countRowsGeneric(lo, k0, hi int, rows []uint64, shift uint, m 
 	}
 }
 
-// VectorKernels reports whether Streams.TrendWord and Streams.CountRows
-// run their AVX2 kernels on this CPU (the one CPUID check both use).
+// VectorKernels reports whether Streams.TrendWord, Streams.CountRows
+// and Streams.Seed run their AVX2 kernels on this CPU (the one CPUID
+// check all three use).
 func VectorKernels() bool { return useAVX2 }
 
 // xoshiroStep is one xoshiro256★★ state transition, as in Uint64.

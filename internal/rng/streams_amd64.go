@@ -55,3 +55,14 @@ func trendGroupsFET(s0, s1, s2, s3 *uint64, prev *uint16, n int, t *uint64, guid
 //
 //go:noescape
 func trendGroupsSimple(s0, s1, s2, s3 *uint64, prev *uint16, n int, t *uint64, guide *uint32) (up, down uint64)
+
+// seedGroups runs Seed's vector kernel over n streams (a multiple of 4)
+// held word-major at s0..s3, stream i mixing in k + i·streamMul after
+// StreamSeed's root step h, and, when bound > 0, stores each stream's
+// Intn(bound) draw at prev (nil when bound = 0). It returns how many
+// streams it seeded: n, or fewer when it stopped before a group whose
+// draw might need Lemire's rejection loop, which it leaves untouched.
+// It requires AVX2 and bound ≤ 1<<16.
+//
+//go:noescape
+func seedGroups(s0, s1, s2, s3 *uint64, prev *uint16, n int, h, k, bound uint64) (done int)

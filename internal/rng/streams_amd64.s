@@ -331,3 +331,165 @@ rowDraw:
 
 	VZEROUPPER
 	RET
+
+// Streams.Seed's kernel constants: SplitMix64's increment and its two
+// mixer multipliers, StreamSeed's streamMul times 4 in every lane (k's
+// step from one group to the next) and the lane offsets 0..3 · streamMul.
+DATA seedGamma<>+0(SB)/8, $0x9e3779b97f4a7c15
+GLOBL seedGamma<>(SB), RODATA|NOPTR, $8
+DATA seedMul1<>+0(SB)/8, $0xbf58476d1ce4e5b9
+GLOBL seedMul1<>(SB), RODATA|NOPTR, $8
+DATA seedMul2<>+0(SB)/8, $0x94d049bb133111eb
+GLOBL seedMul2<>(SB), RODATA|NOPTR, $8
+DATA seedKStep<>+0(SB)/8, $0x44d0950f7a0bbe54
+DATA seedKStep<>+8(SB)/8, $0x44d0950f7a0bbe54
+DATA seedKStep<>+16(SB)/8, $0x44d0950f7a0bbe54
+DATA seedKStep<>+24(SB)/8, $0x44d0950f7a0bbe54
+GLOBL seedKStep<>(SB), RODATA|NOPTR, $32
+DATA seedLanes<>+0(SB)/8, $0
+DATA seedLanes<>+8(SB)/8, $0xd1342543de82ef95
+DATA seedLanes<>+16(SB)/8, $0xa2684a87bd05df2a
+DATA seedLanes<>+24(SB)/8, $0x739c6fcb9b88cebf
+GLOBL seedLanes<>(SB), RODATA|NOPTR, $32
+
+// MUL64 sets z = z·c mod 2^64 for the constant c whose low dword is in
+// clo and high dword in the low dword of chi: al·cl + ((ah·cl + al·ch)
+// << 32), three VPMULUDQs.
+#define MUL64(z, clo, chi, t1, t2) \
+	VPSRLQ   $32, z, t1; \
+	VPMULUDQ clo, t1, t1; \
+	VPMULUDQ chi, z, t2; \
+	VPADDQ   t2, t1, t1; \
+	VPSLLQ   $32, t1, t1; \
+	VPMULUDQ clo, z, z; \
+	VPADDQ   t1, z, z
+
+// SPLITMIX_MIX applies SplitMix64's output mixer to z in place:
+// z ^= z>>30; z *= 0xbf58476d1ce4e5b9; z ^= z>>27; z *= 0x94d049bb133111eb;
+// z ^= z>>31.
+#define SPLITMIX_MIX(z, t1, t2) \
+	VPSRLQ $30, z, t1; \
+	VPXOR  t1, z, z; \
+	MUL64(z, Y14, Y13, t1, t2); \
+	VPSRLQ $27, z, t1; \
+	VPXOR  t1, z, z; \
+	MUL64(z, Y12, Y11, t1, t2); \
+	VPSRLQ $31, z, t1; \
+	VPXOR  t1, z, z
+
+// func seedGroups(s0, s1, s2, s3 *uint64, prev *uint16, n int, h, k, bound uint64) (done int)
+//
+// Per 4-stream group at CX, lane i mixes in k + (CX+i)·streamMul (Y10,
+// with k the caller's multiplier for stream 0): StreamSeed's second
+// SplitMix64 step on h ^ k gives the seed, Reseed's four steps give the
+// state words s0..s3 (Y0-Y3) and, when bound > 0, one xoshiro output x
+// is drawn and Lemire's high word of x·bound stored as the count; with
+// bound ≤ 2^16 that product is two 48-bit partial products, xl·bound
+// and xh·bound. The loop is software-pipelined: each iteration mixes the
+// next group's seed (Y7) beside its own state words, so the two
+// dependency chains overlap.
+//
+// A group in which some lane's low word lies below 2^16 (a superset of
+// Lemire's lo < bound, with probability about 2^−48) is not stored: the
+// kernel returns the streams done before it, and the caller seeds it
+// with the portable loop, which takes the rejection draws the kernel
+// does not.
+//
+// Reseed's all-zero guard is not needed: SplitMix64's mixer is a
+// bijection and its four inputs seed+γ, …, seed+4γ are distinct, so at
+// most one state word is 0.
+//
+// Registers: Y0-Y3 state words, Y4-Y6 temporaries, Y7 the next seed,
+// Y8 bound, Y9 h, Y10 k, Y11/Y12 the second multiplier's high/low
+// dwords, Y13/Y14 the first's, Y15 γ; SI, DI, R8, R9 the group's state
+// words, R10 its counts, R11 n, R12 bound, CX the streams done.
+TEXT ·seedGroups(SB), NOSPLIT, $0-80
+	MOVQ         s0+0(FP), SI
+	MOVQ         s1+8(FP), DI
+	MOVQ         s2+16(FP), R8
+	MOVQ         s3+24(FP), R9
+	MOVQ         prev+32(FP), R10
+	MOVQ         n+40(FP), R11
+	MOVQ         h+48(FP), AX
+	MOVQ         AX, X9
+	VPBROADCASTQ X9, Y9
+	MOVQ         k+56(FP), AX
+	MOVQ         AX, X10
+	VPBROADCASTQ X10, Y10
+	VPADDQ       seedLanes<>(SB), Y10, Y10
+	MOVQ         bound+64(FP), R12
+	MOVQ         R12, X8
+	VPBROADCASTQ X8, Y8
+	VPBROADCASTQ seedGamma<>(SB), Y15
+	VPBROADCASTQ seedMul1<>(SB), Y14
+	VPSRLQ       $32, Y14, Y13
+	VPBROADCASTQ seedMul2<>(SB), Y12
+	VPSRLQ       $32, Y12, Y11
+	XORQ         CX, CX
+	CMPQ         CX, R11
+	JGE          seedDone
+
+	// The first group's seed; each iteration mixes the next one's.
+	VPXOR  Y10, Y9, Y7
+	VPADDQ Y15, Y7, Y7
+	VPADDQ seedKStep<>(SB), Y10, Y10
+	SPLITMIX_MIX(Y7, Y4, Y5)
+
+seedLoop:
+	// The state words mix seed + γ … seed + 4γ; the next seed is
+	// mix(h ^ k + γ).
+	VPADDQ Y15, Y7, Y0
+	VPADDQ Y15, Y0, Y1
+	VPADDQ Y15, Y1, Y2
+	VPADDQ Y15, Y2, Y3
+	VPXOR  Y10, Y9, Y7
+	VPADDQ Y15, Y7, Y7
+	VPADDQ seedKStep<>(SB), Y10, Y10
+	SPLITMIX_MIX(Y7, Y4, Y5)
+	SPLITMIX_MIX(Y0, Y4, Y5)
+	SPLITMIX_MIX(Y1, Y5, Y6)
+	SPLITMIX_MIX(Y2, Y4, Y5)
+	SPLITMIX_MIX(Y3, Y5, Y6)
+	TESTQ  R12, R12
+	JZ     seedStore
+
+	// x = one output; lo = (xh·b << 32) + xl·b, hi = (xh·b + xl·b>>32) >> 32.
+	XOSHIRO_OUT(Y1, Y4, Y5)
+	VPMULUDQ  Y8, Y4, Y5
+	VPSRLQ    $32, Y4, Y4
+	VPMULUDQ  Y8, Y4, Y4
+	VPSRLQ    $32, Y5, Y6
+	VPADDQ    Y4, Y6, Y6
+	VPSRLQ    $32, Y6, Y6
+	VPSLLQ    $32, Y4, Y4
+	VPADDQ    Y5, Y4, Y4
+	VPSRLQ    $16, Y4, Y4
+	VPXOR     Y5, Y5, Y5
+	VPCMPEQQ  Y5, Y4, Y4
+	VMOVMSKPD Y4, AX
+	TESTQ     AX, AX
+	JNZ       seedDone
+	XOSHIRO_STEP(Y0, Y1, Y2, Y3, Y5)
+	VMOVDQU   trendLowDwords<>(SB), Y5
+	VPERMD    Y6, Y5, Y6
+	VPACKUSDW X6, X6, X6
+	VMOVQ     X6, (R10)
+	ADDQ      $8, R10
+
+seedStore:
+	VMOVDQU Y0, (SI)
+	VMOVDQU Y1, (DI)
+	VMOVDQU Y2, (R8)
+	VMOVDQU Y3, (R9)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $4, CX
+	CMPQ    CX, R11
+	JLT     seedLoop
+
+seedDone:
+	MOVQ CX, done+72(FP)
+	VZEROUPPER
+	RET

@@ -6,8 +6,8 @@ package rng
 // portable paths.
 const useAVX2 = false
 
-// countRowGroups, trendGroupsFET and trendGroupsSimple have no vector
-// implementation off amd64; useAVX2 keeps them unreachable.
+// countRowGroups, trendGroupsFET, trendGroupsSimple and seedGroups have
+// no vector implementation off amd64; useAVX2 keeps them unreachable.
 func countRowGroups(*uint64, *uint64, *uint64, *uint64, *uint64, *int32, int, *[2]uint64, int, int) {
 	panic("rng: no vector row kernel on this architecture")
 }
@@ -18,4 +18,8 @@ func trendGroupsFET(*uint64, *uint64, *uint64, *uint64, *uint16, int, *uint64, *
 
 func trendGroupsSimple(*uint64, *uint64, *uint64, *uint64, *uint16, int, *uint64, *uint32) (uint64, uint64) {
 	panic("rng: no vector trend kernel on this architecture")
+}
+
+func seedGroups(*uint64, *uint64, *uint64, *uint64, *uint16, int, uint64, uint64, uint64) int {
+	panic("rng: no vector seeding kernel on this architecture")
 }

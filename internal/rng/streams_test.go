@@ -265,26 +265,29 @@ func FuzzTrendKernel(f *testing.F) {
 	})
 }
 
-// checkSeed runs Streams.Seed over [lo, hi) of an n-stream block and
-// compares it with the per-stream reference — Reseed(StreamSeed(root,
-// j+1)) and, when bound > 0, one Intn(bound) — on every stream state and
-// stored count. Both blocks start from the same junk, so streams and
-// counts outside the span, and every count when bound = 0, must come
-// through untouched.
+// checkSeed runs Streams.Seed and its portable kernel, seedGeneric, over
+// [lo, hi) of an n-stream block and compares each with the per-stream
+// reference — Reseed(StreamSeed(root, j+1)) and, when bound > 0, one
+// Intn(bound) — on every stream state and stored count. Every block
+// starts from the same junk, so streams and counts outside the span, and
+// every count when bound = 0, must come through untouched.
 func checkSeed(t *testing.T, root uint64, lo, hi, bound, n int) {
 	t.Helper()
-	var got, want Streams
+	var got, gen, want Streams
 	got.Resize(n)
+	gen.Resize(n)
 	want.Resize(n)
-	pg, pw := make([]uint16, n), make([]uint16, n)
+	pg, pe, pw := make([]uint16, n), make([]uint16, n), make([]uint16, n)
 	junk := New(root ^ 0x5eed)
 	for i := 0; i < n; i++ {
 		s := New(junk.Uint64())
 		got.Store(i, s)
+		gen.Store(i, s)
 		want.Store(i, s)
-		pg[i], pw[i] = 0xbeef, 0xbeef
+		pg[i], pe[i], pw[i] = 0xbeef, 0xbeef, 0xbeef
 	}
 	got.Seed(root, lo, hi, bound, pg)
+	gen.seedGeneric(root, lo, hi, bound, pe)
 	for j := lo; j < hi; j++ {
 		src := New(StreamSeed(root, uint64(j)+1))
 		if bound > 0 {
@@ -292,7 +295,9 @@ func checkSeed(t *testing.T, root uint64, lo, hi, bound, n int) {
 		}
 		want.Store(j, src)
 	}
-	checkTrend(t, fmt.Sprintf("root=%#x [%d, %d) bound=%d", root, lo, hi, bound), &got, &want, pg, pw)
+	tag := fmt.Sprintf("root=%#x [%d, %d) bound=%d", root, lo, hi, bound)
+	checkTrend(t, tag, &got, &want, pg, pw)
+	checkTrend(t, tag+" seedGeneric", &gen, &want, pe, pw)
 }
 
 // TestStreamsSeedMatchesSources: the fused seeding kernel equals the
@@ -342,6 +347,87 @@ func TestLemireRedrawsLowProduct(t *testing.T) {
 		}
 		if *src == *New(bound) {
 			t.Fatalf("bound %d: the forced low product drew nothing", bound)
+		}
+	}
+}
+
+// splitMixMix is SplitMix64's output mixer: SplitMix64 returns
+// splitMixMix(state) after adding its increment to state.
+func splitMixMix(z uint64) uint64 {
+	st := z - 0x9e3779b97f4a7c15
+	return SplitMix64(&st)
+}
+
+// splitMixMixInv inverts splitMixMix: each xorshift and each multiply by
+// an odd constant is a bijection of the 64-bit words.
+func splitMixMixInv(z uint64) uint64 {
+	unshift := func(y uint64, k uint) uint64 {
+		x := y
+		for i := uint(0); i < 64; i += k {
+			x = y ^ x>>k
+		}
+		return x
+	}
+	inv := func(c uint64) uint64 { // Newton's iteration for c⁻¹ mod 2^64
+		x := c
+		for range 6 {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z = unshift(z, 31) * inv(0x94d049bb133111eb)
+	z = unshift(z, 27) * inv(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// rejectingRoot returns a root whose stream j starts with s1 = 0, so its
+// first output is 0 and the Lemire product's low word is 0: inside the
+// rejection zone of every bound that is not a power of two.
+func rejectingRoot(j int) uint64 {
+	var gamma uint64 = 0x9e3779b97f4a7c15
+	// s1 = mix(seed + 2γ) = 0 needs seed = −2γ (mix(0) = 0), and seed =
+	// mix(((root + γ) ^ streamMul·(j+2)) + γ).
+	seed := -(2 * gamma)
+	return ((splitMixMixInv(seed) - gamma) ^ streamMul*(uint64(j)+2)) - gamma
+}
+
+// TestStreamsSeedVectorRejection drives the vector kernel's rejection
+// exit: a stream whose first draw lies in Lemire's rejection zone, at
+// each lane of a full group after a group the kernel seeds, at the first
+// stream and in the tail, for spans starting at 0 and 1. Seed must equal
+// the per-stream reference, and on AVX2 hosts the kernel must stop
+// exactly before the rejecting stream's group. It also checks the
+// premise of the kernel's missing all-zero guard: SplitMix64's mixer is
+// a bijection.
+func TestStreamsSeedVectorRejection(t *testing.T) {
+	src := New(7)
+	for i := 0; i < 1000; i++ {
+		x := src.Uint64()
+		if y := splitMixMixInv(splitMixMix(x)); y != x {
+			t.Fatalf("mixInv(mix(%#x)) = %#x", x, y)
+		}
+	}
+	for _, lo := range []int{0, 1} {
+		for _, off := range []int{0, 4, 5, 6, 7, 9} {
+			j := lo + off
+			root := rejectingRoot(j)
+			if s := New(StreamSeed(root, uint64(j)+1)); s.s1 != 0 || s.Uint64() != 0 {
+				t.Fatalf("stream %d of root %#x does not start with s1 = 0", j, root)
+			}
+			for _, bound := range []int{37, 1<<16 - 1} {
+				checkSeed(t, root, lo, lo+10, bound, lo+13)
+			}
+			if !useAVX2 || off >= 8 {
+				continue
+			}
+			var s Streams
+			s.Resize(8)
+			prev := make([]uint16, 8)
+			h := root
+			_ = SplitMix64(&h)
+			if done := seedGroups(&s.s0[0], &s.s1[0], &s.s2[0], &s.s3[0], &prev[0], 8, h, streamMul*(uint64(lo)+2), 37); done != off&^3 {
+				t.Fatalf("lo=%d: kernel seeded %d streams before the rejecting stream %d, want %d", lo, done, j, off&^3)
+			}
 		}
 	}
 }
@@ -477,4 +563,33 @@ func FuzzCountRows(f *testing.F) {
 		shift := 64 - uint(logDeg%7) // degree 1…64
 		checkCountRows(t, seed, int(lo8%8), int(span8)%65, shift, int(m16)%1201, d)
 	})
+}
+
+// BenchmarkStreamsSeed seeds n = 4096 streams per op through the vector
+// kernel and the portable seedGeneric, with no draw (bound 0) and with
+// the trend executor's uniform-memory draw (bound 37, m = 36), and
+// reports ns per stream.
+func BenchmarkStreamsSeed(b *testing.B) {
+	const n = 4096
+	for _, kernel := range []string{"vector", "portable"} {
+		for _, bound := range []int{0, 37} {
+			b.Run(fmt.Sprintf("%s/bound=%d", kernel, bound), func(b *testing.B) {
+				if kernel == "vector" && !VectorKernels() {
+					b.Skip("AVX2 absent: Seed runs the portable kernel")
+				}
+				var s Streams
+				s.Resize(n)
+				prev := make([]uint16, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if kernel == "vector" {
+						s.Seed(uint64(i), 0, n, bound, prev)
+					} else {
+						s.seedGeneric(uint64(i), 0, n, bound, prev)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/stream")
+			})
+		}
+	}
 }
